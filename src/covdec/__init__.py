@@ -7,10 +7,10 @@ autodiff core.
 """
 
 from .autodiff import Node, softmax
-from .autoenc import dae_encode, dae_loss, head_forward, predict
-from .branches import cnn_forward, extract_features, rnn_forward
+from .autoenc import dae_encode, dae_loss, head_forward
+from .branches import extract_features
 from .config import TrainConfig
-from .covariance import CovMatrix, NormStats, Trial, ccv, standardize
+from .covariance import CovMatrix, NormStats, Trial, ccv, prepare, standardize
 from .data import SynthSpec, gen_synth, load, conversion_contract
 from .errors import (
     ConfigError,
@@ -22,7 +22,7 @@ from .errors import (
     StateError,
 )
 from .params import ParamStore, adam_step
-from .training import evaluate, run_training, split
+from .training import evaluate, predict_batch, run_training, split
 
 __version__ = "0.1.0"
 
@@ -43,7 +43,6 @@ __all__ = [
     "Trial",
     "adam_step",
     "ccv",
-    "cnn_forward",
     "conversion_contract",
     "dae_encode",
     "dae_loss",
@@ -52,8 +51,8 @@ __all__ = [
     "gen_synth",
     "head_forward",
     "load",
-    "predict",
-    "rnn_forward",
+    "predict_batch",
+    "prepare",
     "run_training",
     "softmax",
     "split",

@@ -116,20 +116,6 @@ def mul(a: Node, b: Node) -> Node:
     return Node(a.value * b.value, "mul", (a, b), backward)
 
 
-def matmul(a: Node, b: Node) -> Node:
-    """Strict 2-D product: [m, k] @ [k, n] -> [m, n]."""
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[0]:
-        raise ShapeError(
-            f"matmul: incompatible shapes {a.value.shape} x {b.value.shape}"
-        )
-
-    def backward(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
-
-    return Node(a.value @ b.value, "matmul", (a, b), backward)
-
-
 def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     """Affine map x @ w (+ b). x is [n] or [B, n], w is [n, m], b is [m]."""
     if w.value.ndim != 2:

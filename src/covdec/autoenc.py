@@ -14,8 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .branches import _he, _out_layer, _xavier, extract_features
-from .covariance import CovMatrix
+from .branches import _he, _out_layer, _xavier
 from .errors import ConfigError
 from .params import ParamStore, require
 
@@ -106,24 +105,3 @@ def head_graph(latents: Node, params: ParamStore) -> Node:
 def head_forward(latent: np.ndarray, params: ParamStore) -> np.ndarray:
     """Logits for one latent code or a batch of them."""
     return head_graph(Node(latent), params).value.copy()
-
-
-def predict(
-    m: CovMatrix,
-    cnn_params: ParamStore,
-    rnn_params: ParamStore,
-    dae_params: ParamStore,
-    head_params: ParamStore,
-    order: str = "fc-first",
-    axis: str = "rows",
-) -> tuple[int, np.ndarray]:
-    """Full-pipeline class prediction for one (standardized) covariance matrix.
-
-    Literally composes the stage operations: features -> latent -> logits ->
-    softmax -> argmax, ties broken toward the lowest class index.
-    """
-    features = extract_features(m, cnn_params, rnn_params, order, axis)
-    latent = dae_encode(features, dae_params)
-    logits = head_forward(latent, head_params)
-    probs = ad.softmax(logits)
-    return int(np.argmax(probs)), probs

@@ -44,12 +44,6 @@ class RnnSpec:
     classes: int = 3
 
 
-@dataclass(frozen=True)
-class BranchOutput:
-    feature: np.ndarray  # last-hidden-layer activation
-    logits: np.ndarray
-
-
 def _he(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
 
@@ -145,12 +139,6 @@ def cnn_graph(mats: Node, params: ParamStore) -> tuple[Node, Node]:
     return feature, logits
 
 
-def cnn_forward(m: CovMatrix, params: ParamStore) -> BranchOutput:
-    """Single-matrix inference pass."""
-    feature, logits = cnn_graph(Node(m.values[None, :, :]), params)
-    return BranchOutput(feature.value[0].copy(), logits.value[0].copy())
-
-
 # ---------------------------------------------------------------------------
 # RNN branch
 # ---------------------------------------------------------------------------
@@ -223,17 +211,6 @@ def rnn_graph(
     return feature, logits
 
 
-def rnn_forward(
-    m: CovMatrix,
-    params: ParamStore,
-    order: str = "fc-first",
-    axis: str = "rows",
-) -> BranchOutput:
-    """Single-matrix inference pass."""
-    feature, logits = rnn_graph(m.values[None, :, :], params, order, axis)
-    return BranchOutput(feature.value[0].copy(), logits.value[0].copy())
-
-
 # ---------------------------------------------------------------------------
 # joint features
 # ---------------------------------------------------------------------------
@@ -259,6 +236,7 @@ def extract_features(
     order: str = "fc-first",
     axis: str = "rows",
 ) -> np.ndarray:
-    """Concatenated [cnn feature || rnn feature] for one covariance matrix."""
+    """Concatenated [cnn feature || rnn feature] for one covariance matrix,
+    as a batch of one."""
     return extract_features_batch(m.values[None, :, :], cnn_params, rnn_params,
                                   order, axis)[0]

@@ -10,13 +10,8 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
-from .autoenc import dae_encode, head_forward
-from .branches import extract_features
-from .config import config_from_dict, config_from_file
-from .covariance import CovMatrix, ccv
+from .config import config_from_dict, read_config_values
+from .covariance import prepare
 from .data import SynthSpec, load, load_trial, write_synth_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
 from .gradcheck import run_suite
@@ -26,7 +21,7 @@ from .report import (
     read_curves_csv,
     save_run,
 )
-from .training import evaluate, run_training
+from .training import evaluate, predict_batch, run_training
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -100,15 +95,7 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     trials, manifest = load(args.data)
-    values: dict = {}
-    if args.config:
-        # reparse as raw keys so flag overrides can layer on top
-        config_from_file(args.config)  # full validation incl. unknown keys
-        for line in Path(args.config).read_text(encoding="utf-8").splitlines():
-            line = line.split("#", 1)[0].strip()
-            if line:
-                key, value = (s.strip() for s in line.split("=", 1))
-                values[key] = value
+    values: dict = read_config_values(args.config) if args.config else {}
     if args.seed is not None:
         values["seed"] = args.seed
     if args.epochs is not None:
@@ -116,14 +103,8 @@ def _cmd_train(args) -> int:
         if len(parts) != 3:
             raise ConfigError(f"--epochs wants E1,E2,E3, got {args.epochs!r}")
         values["epochs_stage1"], values["epochs_stage2"], values["epochs_stage3"] = parts
-
-    declared = len(manifest.classes)
-    if "classes" in values and int(values["classes"]) != declared:
-        raise DataError(
-            f"config declares {values['classes']} classes but manifest "
-            f"{args.data} has {declared}"
-        )
-    values["classes"] = declared
+    # a declared class count must match the manifest; run_training checks it
+    values.setdefault("classes", len(manifest.classes))
     config = config_from_dict(values)
 
     outcome = run_training(trials, manifest.classes, config)
@@ -154,15 +135,9 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     artifacts = load_artifacts(args.weights)
     trial, _ = load_trial(args.trial)
-    cfg = artifacts.config
-    cov = ccv(trial, cfg.tau)
-    cov = CovMatrix((cov.values - artifacts.norm.mean) / artifacts.norm.std, cov.lag)
-    features = extract_features(
-        cov, artifacts.cnn, artifacts.rnn, cfg.rnn_order, cfg.rnn_axis
-    )
-    latent = dae_encode(features, artifacts.dae)
-    probs = ad.softmax(head_forward(latent, artifacts.head))
-    label = int(np.argmax(probs))
+    mats, _, _ = prepare([trial], artifacts.config.tau, artifacts.norm)
+    labels, probs = predict_batch(mats, artifacts)
+    label, probs = int(labels[0]), probs[0]
     print(f"class = {artifacts.classes[label]}")
     for name, p in zip(artifacts.classes, probs):
         print(f"  p({name}) = {p:.6f}")

@@ -111,13 +111,16 @@ _FIELDS = {f.name: f for f in dataclasses.fields(TrainConfig)}
 
 
 def _coerce(key: str, raw: str):
-    if key == "patience":
-        return None if raw.lower() in ("off", "none") else int(raw)
-    kind = _FIELDS[key].type
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
+    kind = "int or off" if key == "patience" else _FIELDS[key].type
+    try:
+        if key == "patience":
+            return None if raw.lower() in ("off", "none") else int(raw)
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: cannot read {raw!r} as {kind}") from None
     return raw
 
 
@@ -129,12 +132,21 @@ def config_from_dict(values: dict) -> TrainConfig:
     return TrainConfig(**coerced).validate()
 
 
-def config_from_file(path: str | Path) -> TrainConfig:
+def read_config_values(path: str | Path) -> dict[str, str]:
+    """Raw key -> value strings of a config file, before coercion.
+
+    Rejects a missing file, invalid UTF-8, lines without '=' and duplicate
+    keys; unknown keys and bad values are left to config_from_dict.
+    """
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{p}: invalid UTF-8 at byte {exc.start}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -144,7 +156,11 @@ def config_from_file(path: str | Path) -> TrainConfig:
         if key in values:
             raise ConfigError(f"{p}:{lineno}: duplicate key {key!r}")
         values[key] = value
-    return config_from_dict(values)
+    return values
+
+
+def config_from_file(path: str | Path) -> TrainConfig:
+    return config_from_dict(read_config_values(path))
 
 
 def write_config(path: str | Path, config: TrainConfig) -> None:

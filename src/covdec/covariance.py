@@ -105,3 +105,26 @@ def standardize(
         stats = NormStats(mean, std)
     out = [CovMatrix((m.values - stats.mean) / stats.std, m.lag) for m in mats]
     return out, stats
+
+
+def prepare(
+    trials: list[Trial], tau: int, norm: NormStats | None = None
+) -> tuple[np.ndarray, np.ndarray, NormStats]:
+    """Trials -> (standardized [N, C, C] lag-tau covariances, labels, stats).
+
+    The one way trials become model input: fits the statistics when `norm` is
+    None, else applies it. Every trial must have the channel count of the
+    statistics (or of the first trial, when fitting).
+    """
+    if not trials:
+        raise DataError("prepare: empty trial set")
+    channels = trials[0].channels if norm is None else norm.mean.shape[0]
+    for t in trials:
+        if t.channels != channels:
+            raise DataError(
+                f"trial '{t.trial_id}' has {t.channels} channels, expected {channels}"
+            )
+    covs, norm = standardize([ccv(t, tau) for t in trials], norm)
+    mats = np.stack([c.values for c in covs])
+    labels = np.array([t.label for t in trials], dtype=np.int64)
+    return mats, labels, norm

@@ -134,7 +134,11 @@ def load_manifest(path: str | Path) -> Manifest:
         raise DataError(f"manifest not found: {p}")
     task, subject, classes = "", "", []
     trial_paths: list[Path] = []
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = p.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: invalid UTF-8 at byte {exc.start}") from None
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -112,8 +112,8 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     b = rng.normal(size=(4, 2))
     r = rng.normal(size=(3, 2))
     results.append(_check(
-        "matmul", 1e-6,
-        lambda: _weighted_sum(ad.matmul(Node(a), Node(b)), r), [a, b],
+        "linear", 1e-6,
+        lambda: _weighted_sum(ad.linear(Node(a), Node(b)), r), [a, b],
     ))
 
     x = rng.normal(size=(2, 8))

@@ -4,7 +4,7 @@ CVDP file layout (all little-endian):
 
     magic        4 bytes  b"CVDP"
     version      u32
-    count        u32      number of entries, moment buffers included
+    count        u32      number of entries
     per entry:
         name_len u16
         name     UTF-8 bytes
@@ -12,8 +12,9 @@ CVDP file layout (all little-endian):
         dims     u32 * rank
         payload  f64 * prod(dims), row-major
 
-Adam moment buffers are stored as extra entries named "<param>::adam_m" and
-"<param>::adam_v"; "::" is reserved and rejected in regular parameter names.
+Files hold parameter values only. "::" is reserved and rejected in parameter
+names: older writers appended Adam moment buffers as "<param>::adam_m" and
+"<param>::adam_v" entries, which the reader still validates and then drops.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ _ADAM_V = "::adam_v"
 
 
 class ParamStore:
-    """Ordered name -> Node map with per-parameter Adam moment buffers.
+    """Ordered name -> Node map with per-parameter, in-memory Adam moment buffers.
 
     Iteration follows insertion order, which also fixes the on-disk entry
     order, so identical construction yields byte-identical files.
@@ -145,14 +146,8 @@ def _pack_entry(name: str, arr: np.ndarray) -> bytes:
 
 
 def save(store: ParamStore, path: str | Path) -> None:
-    """Write the store (values, then any Adam moments) to a CVDP file."""
-    entries: list[bytes] = []
-    for name, node in store.items():
-        entries.append(_pack_entry(name, node.value))
-    for name in store.names():
-        if name in store._adam_m:
-            entries.append(_pack_entry(name + _ADAM_M, store._adam_m[name]))
-            entries.append(_pack_entry(name + _ADAM_V, store._adam_v[name]))
+    """Write the store's parameter values to a CVDP file."""
+    entries = [_pack_entry(name, node.value) for name, node in store.items()]
     blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(entries)) + b"".join(entries)
     Path(path).write_bytes(blob)
 
@@ -183,7 +178,7 @@ class _Reader:
 
 
 def load(path: str | Path) -> ParamStore:
-    """Read a CVDP file back into a ParamStore."""
+    """Read a CVDP file back into a ParamStore; moment entries are dropped."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"weight file not found: {p}")
@@ -197,10 +192,16 @@ def load(path: str | Path) -> ParamStore:
     count = r.u32()
 
     store = ParamStore()
-    moments: dict[str, np.ndarray] = {}
+    moments: list[str] = []
     for _ in range(count):
         name_off = r.off
-        name = r.take(r.u16()).decode("utf-8")
+        name_bytes = r.take(r.u16())
+        try:
+            name = name_bytes.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{p}: entry name is not valid UTF-8 at byte {name_off + 2 + exc.start}"
+            ) from None
         rank = r.u32()
         dims = [r.u32() for _ in range(rank)]
         size = int(np.prod(dims, dtype=np.int64)) if dims else 1
@@ -209,7 +210,7 @@ def load(path: str | Path) -> ParamStore:
         if not np.all(np.isfinite(arr)):
             raise ParseError(f"{p}: non-finite values in entry '{name}' at byte {name_off}")
         if _is_reserved(name):
-            moments[name] = arr
+            moments.append(name)
         else:
             if name in store:
                 raise ParseError(f"{p}: duplicate entry '{name}' at byte {name_off}")
@@ -217,16 +218,14 @@ def load(path: str | Path) -> ParamStore:
     if r.off != len(r.data):
         raise ParseError(f"{p}: {len(r.data) - r.off} trailing bytes at byte {r.off}")
 
-    for full_name, arr in moments.items():
-        for suffix, target in ((_ADAM_M, store._adam_m), (_ADAM_V, store._adam_v)):
-            if full_name.endswith(suffix):
-                base = full_name[: -len(suffix)]
-                if base not in store:
-                    raise ParseError(f"{p}: moment entry '{full_name}' has no parameter")
-                target[base] = arr.copy()
-                break
-        else:
+    paired: dict[str, set[str]] = {_ADAM_M: set(), _ADAM_V: set()}
+    for full_name in moments:
+        base, sep, suffix = full_name.rpartition("::")
+        if sep + suffix not in paired:
             raise ParseError(f"{p}: unrecognized reserved entry '{full_name}'")
-    if set(store._adam_m) != set(store._adam_v):
+        if base not in store:
+            raise ParseError(f"{p}: moment entry '{full_name}' has no parameter")
+        paired[sep + suffix].add(base)
+    if paired[_ADAM_M] != paired[_ADAM_V]:
         raise ParseError(f"{p}: unpaired Adam moment entries")
     return store

@@ -2,7 +2,7 @@
 
 A run directory contains:
 
-    cnn.cvdp rnn.cvdp dae.cvdp head.cvdp   stage weights
+    cnn.cvdp rnn.cvdp dae.cvdp head.cvdp   stage weights, parameter values only
     norm.cvdp                              standardization mean/std
     config.txt                             effective config echo
     classes.txt                            class names, one per line

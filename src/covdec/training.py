@@ -21,7 +21,7 @@ from .autodiff import Node
 from .autoenc import dae_encode, dae_loss, head_graph, init_dae_params, init_head_params
 from .branches import cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params, rnn_graph
 from .config import TrainConfig
-from .covariance import NormStats, Trial, ccv, standardize
+from .covariance import NormStats, Trial, prepare
 from .errors import DataError, NumericError
 from .params import ParamStore, adam_step
 
@@ -96,30 +96,37 @@ def _xent_eval(graph_fn, params, x, y) -> tuple[float, float]:
     return loss, acc
 
 
-def _train_supervised(
-    graph_fn,
+def _fit(
+    loss_fn,
     params: ParamStore,
-    train_x: np.ndarray,
-    train_y: np.ndarray,
-    val_x: np.ndarray,
-    val_y: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray | None,
     *,
     lr: float,
     epochs: int,
     batch_size: int,
-    patience: int | None,
     shuffle_seed: int,
     stage: str,
+    validate=None,
+    patience: int | None = None,
 ) -> StageResult:
+    """The one training loop: minibatch Adam on loss_fn(x_batch, y_batch).
+
+    validate() returns (val_loss, val_acc) for every curve point. With
+    patience set too, training stops after `patience` epochs without a lower
+    validation loss and the best checkpoint is returned.
+    """
     rng = np.random.default_rng(shuffle_seed)
-    n = train_x.shape[0]
-    curves: list[CurvePoint] = []
-    initial_loss, _ = _xent_eval(graph_fn, params, train_x, train_y)
-    init_val_loss, init_val_acc = _xent_eval(graph_fn, params, val_x, val_y)
-    curves.append(CurvePoint(0, stage, initial_loss, init_val_loss, init_val_acc))
+    n = x.shape[0]
+
+    def point(epoch: int, train_loss: float) -> CurvePoint:
+        return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
+
+    initial_loss = float(loss_fn(x, y).value)
+    curves = [point(0, initial_loss)]
 
     # the untrained weights are checkpoint candidate number zero
-    best_val = init_val_loss
+    best_val = curves[0].val_loss
     best_snap = params.snapshot()
     best_epoch = 0
     stale = 0
@@ -129,7 +136,7 @@ def _train_supervised(
         batch_losses = []
         for bi, start in enumerate(range(0, n, batch_size)):
             idx = perm[start : start + batch_size]
-            loss = ad.softmax_xent(graph_fn(train_x[idx], params), train_y[idx])
+            loss = loss_fn(x[idx], None if y is None else y[idx])
             value = float(loss.value)
             if not np.isfinite(value):
                 raise NumericError(
@@ -140,11 +147,10 @@ def _train_supervised(
             step += 1
             adam_step(params, lr, t=step)
             batch_losses.append(value)
-        val_loss, val_acc = _xent_eval(graph_fn, params, val_x, val_y)
-        curves.append(CurvePoint(epoch, stage, float(np.mean(batch_losses)), val_loss, val_acc))
+        curves.append(point(epoch, float(np.mean(batch_losses))))
         if patience is not None:
-            if val_loss < best_val:
-                best_val, best_epoch, stale = val_loss, epoch, 0
+            if curves[-1].val_loss < best_val:
+                best_val, best_epoch, stale = curves[-1].val_loss, epoch, 0
                 best_snap = params.snapshot()
             else:
                 stale += 1
@@ -156,8 +162,16 @@ def _train_supervised(
         params.load_values(best_snap)
     else:
         best_epoch = epochs_run
-    final_loss, _ = _xent_eval(graph_fn, params, train_x, train_y)
+    final_loss = float(loss_fn(x, y).value)
     return StageResult(params, curves, initial_loss, final_loss, best_epoch, epochs_run)
+
+
+def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, **kwargs) -> StageResult:
+    """_fit on cross-entropy of graph_fn's logits, validated on (val_x, val_y)."""
+    return _fit(
+        lambda x, y: ad.softmax_xent(graph_fn(x, params), y), params, train_x, train_y,
+        validate=lambda: _xent_eval(graph_fn, params, val_x, val_y), **kwargs,
+    )
 
 
 @dataclass
@@ -195,11 +209,11 @@ def train_stage1(
         lr=config.lr_stage1, epochs=config.epochs_stage1,
         batch_size=config.batch_size, patience=config.patience,
     )
-    cnn_result = _train_supervised(
+    cnn_result = _fit_classifier(
         cnn_fn, cnn_params, train_mats, train_labels, val_mats, val_labels,
         shuffle_seed=seeds["cnn_shuffle"], stage="cnn", **common,
     )
-    rnn_result = _train_supervised(
+    rnn_result = _fit_classifier(
         rnn_fn, rnn_params, train_mats, train_labels, val_mats, val_labels,
         shuffle_seed=seeds["rnn_shuffle"], stage="rnn", **common,
     )
@@ -210,35 +224,11 @@ def train_stage2(train_features: np.ndarray, config: TrainConfig) -> StageResult
     """Unsupervised autoencoder training on frozen stage-1 features."""
     seeds = _derived_seeds(config.seed)
     params = init_dae_params(config.dae_spec(), seeds["dae_init"])
-    rng = np.random.default_rng(seeds["dae_shuffle"])
-    n = train_features.shape[0]
-    curves: list[CurvePoint] = []
-    initial_loss = float(dae_loss(train_features, params).value)
-    curves.append(CurvePoint(0, "dae", initial_loss))
-
-    step = 0
-    for epoch in range(1, config.epochs_stage2 + 1):
-        perm = rng.permutation(n)
-        batch_losses = []
-        for bi, start in enumerate(range(0, n, config.batch_size)):
-            idx = perm[start : start + config.batch_size]
-            loss = dae_loss(train_features[idx], params)
-            value = float(loss.value)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss in stage 'dae' at epoch {epoch}, batch {bi}"
-                )
-            params.zero_grad()
-            loss.backward()
-            step += 1
-            adam_step(params, config.lr_stage2, t=step)
-            batch_losses.append(value)
-        curves.append(CurvePoint(epoch, "dae", float(np.mean(batch_losses))))
-
-    final_loss = float(dae_loss(train_features, params).value)
-    epochs_run = len(curves) - 1
-    return StageResult(params, curves, initial_loss, final_loss,
-                       epochs_run, epochs_run)
+    return _fit(
+        lambda x, _: dae_loss(x, params), params, train_features, None,
+        lr=config.lr_stage2, epochs=config.epochs_stage2,
+        batch_size=config.batch_size, shuffle_seed=seeds["dae_shuffle"], stage="dae",
+    )
 
 
 def train_stage3(
@@ -255,7 +245,7 @@ def train_stage3(
     def head_fn(z, p):
         return head_graph(Node(z), p)
 
-    return _train_supervised(
+    return _fit_classifier(
         head_fn, params, train_latents, train_labels, val_latents, val_labels,
         lr=config.lr_stage3, epochs=config.epochs_stage3,
         batch_size=config.batch_size, patience=config.patience,
@@ -289,7 +279,11 @@ class EvalResult:
 
 
 def predict_batch(mats: np.ndarray, artifacts: PipelineArtifacts) -> tuple[np.ndarray, np.ndarray]:
-    """(predicted labels, softmax probabilities) for standardized [N, C, C] input."""
+    """(predicted labels, softmax probabilities) for standardized [N, C, C] input.
+
+    The one inference path; a single trial is a batch of one. Ties go to the
+    lowest class index.
+    """
     cfg = artifacts.config
     features = extract_features_batch(
         mats, artifacts.cnn, artifacts.rnn, cfg.rnn_order, cfg.rnn_axis
@@ -322,13 +316,7 @@ def evaluate_matrices(
 
 def evaluate(trials: list[Trial], artifacts: PipelineArtifacts) -> EvalResult:
     """Full-pipeline evaluation of raw trials against the stored statistics."""
-    if not trials:
-        raise DataError("evaluate: empty trial set")
-    cfg = artifacts.config
-    covs = [ccv(t, cfg.tau) for t in trials]
-    covs, _ = standardize(covs, artifacts.norm)
-    mats = np.stack([c.values for c in covs])
-    labels = np.array([t.label for t in trials], dtype=np.int64)
+    mats, labels, _ = prepare(trials, artifacts.config.tau, artifacts.norm)
     return evaluate_matrices(mats, labels, artifacts)
 
 
@@ -368,14 +356,8 @@ def run_training(
             f"validation split is empty ({len(trials)} trials at fraction "
             f"{config.split_fraction}); add trials or lower the fraction"
         )
-    train_covs = [ccv(t, config.tau) for t in train_trials]
-    val_covs = [ccv(t, config.tau) for t in val_trials]
-    train_covs, norm = standardize(train_covs)
-    val_covs, _ = standardize(val_covs, norm)
-    train_mats = np.stack([c.values for c in train_covs])
-    val_mats = np.stack([c.values for c in val_covs])
-    train_labels = np.array([t.label for t in train_trials], dtype=np.int64)
-    val_labels = np.array([t.label for t in val_trials], dtype=np.int64)
+    train_mats, train_labels, norm = prepare(train_trials, config.tau)
+    val_mats, val_labels, _ = prepare(val_trials, config.tau, norm)
     clock["prep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

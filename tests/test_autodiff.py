@@ -8,25 +8,26 @@ from covdec.autodiff import Node
 from covdec.errors import ConfigError, DataError, ShapeError
 
 
+# the matrix product is linear without a bias
 def test_matmul_identity():
-    out = ad.matmul(Node([[1.0, 0.0], [0.0, 1.0]]), Node([[3.0], [4.0]]))
+    out = ad.linear(Node([[1.0, 0.0], [0.0, 1.0]]), Node([[3.0], [4.0]]))
     assert np.array_equal(out.value, [[3.0], [4.0]])
 
 
 def test_matmul_hand_computed():
-    out = ad.matmul(Node([[1.0, 2.0]]), Node([[3.0], [4.0]]))
+    out = ad.linear(Node([[1.0, 2.0]]), Node([[3.0], [4.0]]))
     assert np.array_equal(out.value, [[11.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(Node(np.zeros((2, 3))), Node(np.zeros((2, 2))))
+        ad.linear(Node(np.zeros((2, 3))), Node(np.zeros((2, 2))))
 
 
 def test_matmul_backward_formulas():
     rng = np.random.default_rng(0)
     a, b = Node(rng.normal(size=(3, 4))), Node(rng.normal(size=(4, 2)))
-    out = ad.matmul(a, b)
+    out = ad.linear(a, b)
     g = rng.normal(size=(3, 2))
     out.grad += g - np.ones_like(g)  # so the seeded ones make the total g
     out.backward()
@@ -196,7 +197,7 @@ def test_backward_deterministic_bit_identical():
 
     def one_pass():
         a, b = Node(a_val), Node(b_val)
-        loss = ad.mse(ad.tanh(ad.matmul(a, b)), np.zeros((4, 4)))
+        loss = ad.mse(ad.tanh(ad.linear(a, b)), np.zeros((4, 4)))
         loss.backward()
         return a.grad.tobytes(), b.grad.tobytes()
 

@@ -12,12 +12,13 @@ from covdec.autoenc import (
     head_forward,
     init_dae_params,
     init_head_params,
-    predict,
 )
 from covdec.branches import extract_features
-from covdec.covariance import CovMatrix
+from covdec.config import TrainConfig
+from covdec.covariance import CovMatrix, NormStats
 from covdec.errors import ConfigError, StateError
 from covdec.params import ParamStore
+from covdec.training import PipelineArtifacts, predict_batch
 
 from conftest import zeroed
 
@@ -97,11 +98,24 @@ def _zero_pipeline(c=6):
     return cnn, rnn, dae, head
 
 
+def artifacts(cnn, rnn, dae, head, c=6):
+    return PipelineArtifacts(
+        config=TrainConfig(), classes=["a", "b", "c"], cnn=cnn, rnn=rnn,
+        dae=dae, head=head, norm=NormStats(np.zeros((c, c)), np.ones((c, c))),
+    )
+
+
+def predict_one(cov, cnn, rnn, dae, head):
+    """predict_batch over a batch of one: (label, probabilities)."""
+    labels, probs = predict_batch(cov.values[None], artifacts(cnn, rnn, dae, head))
+    return int(labels[0]), probs[0]
+
+
 def test_predict_zero_pipeline_uniform_and_tie_breaks_to_class_zero():
     rng = np.random.default_rng(37)
     cov = CovMatrix(rng.normal(size=(6, 6)))
     cnn, rnn, dae, head = _zero_pipeline()
-    label, probs = predict(cov, cnn, rnn, dae, head)
+    label, probs = predict_one(cov, cnn, rnn, dae, head)
     assert label == 0
     assert np.allclose(probs, 1.0 / 3.0)
 
@@ -109,7 +123,7 @@ def test_predict_zero_pipeline_uniform_and_tie_breaks_to_class_zero():
 def test_predict_probabilities_sum_to_one(small_cnn, small_rnn, small_dae, small_head):
     rng = np.random.default_rng(38)
     cov = CovMatrix(rng.normal(size=(6, 6)))
-    _, probs = predict(cov, small_cnn, small_rnn, small_dae, small_head)
+    _, probs = predict_one(cov, small_cnn, small_rnn, small_dae, small_head)
     assert probs.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(probs >= 0.0)
 
@@ -117,11 +131,11 @@ def test_predict_probabilities_sum_to_one(small_cnn, small_rnn, small_dae, small
 def test_predict_equals_stagewise_composition(small_cnn, small_rnn, small_dae, small_head):
     rng = np.random.default_rng(39)
     cov = CovMatrix(rng.normal(size=(6, 6)))
-    label, probs = predict(cov, small_cnn, small_rnn, small_dae, small_head)
+    label, probs = predict_one(cov, small_cnn, small_rnn, small_dae, small_head)
     features = extract_features(cov, small_cnn, small_rnn)
-    latent = dae_encode(features, small_dae)
+    latent = dae_encode(features[None], small_dae)
     logits = head_forward(latent, small_head)
-    manual = ad.softmax(logits)
+    manual = ad.softmax(logits)[0]
     assert np.array_equal(probs, manual)
     assert label == int(np.argmax(manual))
 
@@ -130,6 +144,6 @@ def test_predict_names_missing_stage(small_cnn, small_rnn, small_dae):
     rng = np.random.default_rng(40)
     cov = CovMatrix(rng.normal(size=(6, 6)))
     with pytest.raises(StateError, match="stage 'head'"):
-        predict(cov, small_cnn, small_rnn, small_dae, ParamStore())
+        predict_one(cov, small_cnn, small_rnn, small_dae, ParamStore())
     with pytest.raises(StateError, match="stage 'dae'"):
-        predict(cov, small_cnn, small_rnn, ParamStore(), small_dae)
+        predict_one(cov, small_cnn, small_rnn, ParamStore(), small_dae)

@@ -6,13 +6,11 @@ from covdec.autodiff import Node
 from covdec.branches import (
     CnnSpec,
     RnnSpec,
-    cnn_forward,
     cnn_graph,
     extract_features,
     extract_features_batch,
     init_cnn_params,
     init_rnn_params,
-    rnn_forward,
     rnn_graph,
 )
 from covdec.covariance import CovMatrix
@@ -27,6 +25,18 @@ def random_cov(rng, c=6):
     return CovMatrix(np.triu(base) + np.triu(base, 1).T)
 
 
+def cnn_single(cov, params):
+    """(feature, logits) of cnn_graph over a batch of one."""
+    feature, logits = cnn_graph(Node(cov.values[None]), params)
+    return feature.value[0], logits.value[0]
+
+
+def rnn_single(cov, params, order="fc-first", axis="rows"):
+    """(feature, logits) of rnn_graph over a batch of one."""
+    feature, logits = rnn_graph(cov.values[None], params, order, axis)
+    return feature.value[0], logits.value[0]
+
+
 def test_default_specs_match_contract():
     cnn = CnnSpec()
     assert (cnn.filters1, cnn.kernel1, cnn.filters2, cnn.kernel2) == (32, 3, 64, 3)
@@ -37,17 +47,17 @@ def test_default_specs_match_contract():
 
 def test_cnn_zero_params_give_zero_feature_uniform_softmax(small_cnn):
     rng = np.random.default_rng(20)
-    out = cnn_forward(random_cov(rng), zeroed(small_cnn))
-    assert np.array_equal(out.feature, np.zeros(8))
-    assert np.array_equal(out.logits, np.zeros(3))
-    assert np.allclose(ad.softmax(out.logits), 1.0 / 3.0)
+    feature, logits = cnn_single(random_cov(rng), zeroed(small_cnn))
+    assert np.array_equal(feature, np.zeros(8))
+    assert np.array_equal(logits, np.zeros(3))
+    assert np.allclose(ad.softmax(logits), 1.0 / 3.0)
 
 
 def test_rnn_zero_params_give_zero_outputs(small_rnn):
     rng = np.random.default_rng(21)
-    out = rnn_forward(random_cov(rng), zeroed(small_rnn))
-    assert np.array_equal(out.feature, np.zeros(4))
-    assert np.array_equal(out.logits, np.zeros(3))
+    feature, logits = rnn_single(random_cov(rng), zeroed(small_rnn))
+    assert np.array_equal(feature, np.zeros(4))
+    assert np.array_equal(logits, np.zeros(3))
 
 
 def test_default_output_shapes_for_c8_k3():
@@ -55,10 +65,10 @@ def test_default_output_shapes_for_c8_k3():
     cov = random_cov(rng, c=8)
     cnn_params = init_cnn_params(CnnSpec(), channels=8, seed=0)
     rnn_params = init_rnn_params(RnnSpec(), channels=8, seed=0)
-    cnn_out = cnn_forward(cov, cnn_params)
-    rnn_out = rnn_forward(cov, rnn_params)
-    assert cnn_out.feature.shape == (64,) and cnn_out.logits.shape == (3,)
-    assert rnn_out.feature.shape == (64,) and rnn_out.logits.shape == (3,)
+    cnn_feature, cnn_logits = cnn_single(cov, cnn_params)
+    rnn_feature, rnn_logits = rnn_single(cov, rnn_params)
+    assert cnn_feature.shape == (64,) and cnn_logits.shape == (3,)
+    assert rnn_feature.shape == (64,) and rnn_logits.shape == (3,)
     assert extract_features(cov, cnn_params, rnn_params).shape == (128,)
 
 
@@ -71,8 +81,8 @@ def test_concatenation_preserves_branch_values_verbatim(small_cnn, small_rnn):
     rng = np.random.default_rng(23)
     cov = random_cov(rng)
     joint = extract_features(cov, small_cnn, small_rnn)
-    cnn_feat = cnn_forward(cov, small_cnn).feature
-    rnn_feat = rnn_forward(cov, small_rnn).feature
+    cnn_feat, _ = cnn_single(cov, small_cnn)
+    rnn_feat, _ = rnn_single(cov, small_rnn)
     assert np.array_equal(joint[: len(cnn_feat)], cnn_feat)
     assert np.array_equal(joint[len(cnn_feat) :], rnn_feat)
 
@@ -102,18 +112,18 @@ def test_batched_graph_matches_per_sample_forward(small_cnn, small_rnn):
     cnn_feat, cnn_logits = cnn_graph(Node(mats), small_cnn)
     rnn_feat, rnn_logits = rnn_graph(mats, small_rnn)
     for i, cov in enumerate(covs):
-        single_cnn = cnn_forward(cov, small_cnn)
-        single_rnn = rnn_forward(cov, small_rnn)
-        assert np.allclose(cnn_feat.value[i], single_cnn.feature, atol=1e-12)
-        assert np.allclose(cnn_logits.value[i], single_cnn.logits, atol=1e-12)
-        assert np.allclose(rnn_feat.value[i], single_rnn.feature, atol=1e-12)
-        assert np.allclose(rnn_logits.value[i], single_rnn.logits, atol=1e-12)
+        single_cnn = cnn_single(cov, small_cnn)
+        single_rnn = rnn_single(cov, small_rnn)
+        assert np.allclose(cnn_feat.value[i], single_cnn[0], atol=1e-12)
+        assert np.allclose(cnn_logits.value[i], single_cnn[1], atol=1e-12)
+        assert np.allclose(rnn_feat.value[i], single_rnn[0], atol=1e-12)
+        assert np.allclose(rnn_logits.value[i], single_rnn[1], atol=1e-12)
 
 
 def test_rnn_matches_manual_cell_chain(small_rnn):
     rng = np.random.default_rng(27)
     cov = random_cov(rng)
-    out = rnn_forward(cov, small_rnn)
+    feature, out_logits = rnn_single(cov, small_rnn)
 
     def fc(x):
         h = ad.relu(ad.linear(x, small_rnn["fc1.w"], small_rnn["fc1.b"]))
@@ -127,34 +137,34 @@ def test_rnn_matches_manual_cell_chain(small_rnn):
         h1, c1 = ad.lstm_cell(fc(Node(cov.values[t])), h1, c1, lstm1)
         h2, c2 = ad.lstm_cell(h1, h2, c2, lstm2)
     logits = ad.linear(h2, small_rnn["out.w"], small_rnn["out.b"])
-    assert np.allclose(out.feature, h2.value, atol=1e-12)
-    assert np.allclose(out.logits, logits.value, atol=1e-12)
+    assert np.allclose(feature, h2.value, atol=1e-12)
+    assert np.allclose(out_logits, logits.value, atol=1e-12)
 
 
 def test_rnn_column_axis_equals_rows_on_symmetric_input(small_rnn):
     rng = np.random.default_rng(28)
     cov = random_cov(rng)  # symmetric by construction
-    rows = rnn_forward(cov, small_rnn, axis="rows")
-    cols = rnn_forward(cov, small_rnn, axis="cols")
-    assert np.array_equal(rows.feature, cols.feature)
+    rows, _ = rnn_single(cov, small_rnn, axis="rows")
+    cols, _ = rnn_single(cov, small_rnn, axis="cols")
+    assert np.array_equal(rows, cols)
 
 
 def test_rnn_lstm_first_order():
     spec = RnnSpec(fc1_width=8, fc2_width=6, hidden1=5, hidden2=4, classes=3)
     params = init_rnn_params(spec, channels=6, seed=5, order="lstm-first")
     rng = np.random.default_rng(29)
-    out = rnn_forward(random_cov(rng), params, order="lstm-first")
-    assert out.feature.shape == (6,)  # feature is the fc2 output in this order
-    assert out.logits.shape == (3,)
+    feature, logits = rnn_single(random_cov(rng), params, order="lstm-first")
+    assert feature.shape == (6,)  # feature is the fc2 output in this order
+    assert logits.shape == (3,)
 
 
 def test_invalid_order_and_axis_rejected(small_rnn):
     rng = np.random.default_rng(30)
     cov = random_cov(rng)
     with pytest.raises(ConfigError, match="order"):
-        rnn_forward(cov, small_rnn, order="sideways")
+        rnn_single(cov, small_rnn, order="sideways")
     with pytest.raises(ConfigError, match="axis"):
-        rnn_forward(cov, small_rnn, axis="diagonal")
+        rnn_single(cov, small_rnn, axis="diagonal")
     with pytest.raises(ConfigError):
         init_rnn_params(RnnSpec(), channels=8, seed=0, order="sideways")
 
@@ -165,9 +175,9 @@ def test_missing_weights_raise_state_error(small_cnn):
     incomplete = ParamStore()
     incomplete.add("conv1.w", small_cnn["conv1.w"].value)
     with pytest.raises(StateError, match="stage 'cnn' missing"):
-        cnn_forward(cov, incomplete)
+        cnn_single(cov, incomplete)
     with pytest.raises(StateError, match="stage 'rnn' missing"):
-        rnn_forward(cov, incomplete)
+        rnn_single(cov, incomplete)
 
 
 def test_he_init_statistics():

@@ -169,10 +169,10 @@ def test_gradcheck_passes_and_is_deterministic(capsys):
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
     # test-only hook: break one op's backward and expect a named failure
-    true_matmul = covdec.autodiff.matmul
+    true_linear = covdec.autodiff.linear
 
-    def corrupted(a, b):
-        out = true_matmul(a, b)
+    def corrupted(*args):
+        out = true_linear(*args)
         original = out._backward
 
         def backward(g):
@@ -181,11 +181,11 @@ def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
         out._backward = backward
         return out
 
-    monkeypatch.setattr(covdec.autodiff, "matmul", corrupted)
+    monkeypatch.setattr(covdec.autodiff, "linear", corrupted)
     rc = main(["gradcheck", "--seed", "2"])
     err = capsys.readouterr().err
     assert rc == 1
-    assert "matmul" in err
+    assert "linear" in err
 
 
 def test_bad_epochs_flag_exits_2(dataset, tmp_path, capsys):
@@ -208,3 +208,43 @@ def test_numeric_abort_exits_4(dataset, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 4
     assert "non-finite loss" in err
+
+
+@pytest.fixture(scope="module")
+def eight_channel_dataset(tmp_path_factory):
+    root = tmp_path_factory.mktemp("eight")
+    assert main(["gen-synth", "--out", str(root), "--channels", "8", "--samples", "64",
+                 "--classes", "3", "--trials-per-class", "2", "--seed", "22"]) == 0
+    return root
+
+
+def test_predict_channel_mismatch_exits_3(trained_run, eight_channel_dataset, capsys):
+    rc = main(["predict", "--trial", str(eight_channel_dataset / "trials" / "t0000.eegt"),
+               "--weights", str(trained_run)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: trial 't0000' has 8 channels, expected 6\n"
+
+
+def test_eval_channel_mismatch_exits_3(trained_run, eight_channel_dataset, capsys):
+    rc = main(["eval", "--data", str(eight_channel_dataset / "manifest.txt"),
+               "--weights", str(trained_run)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "error: trial 't0000' has 8 channels, expected 6\n"
+
+
+@pytest.mark.parametrize("config_text, flags, named", [
+    ("seed = abc\n", [], "'seed': cannot read 'abc'"),
+    ("", ["--epochs", "1,x,1"], "'epochs_stage2': cannot read 'x'"),
+    ("classes = x\n", [], "'classes': cannot read 'x'"),
+])
+def test_uncoercible_config_value_exits_2(dataset, tmp_path, capsys, config_text, flags, named):
+    config = tmp_path / "config.txt"
+    config.write_text(config_text)
+    rc = main(["train", "--data", str(dataset / "manifest.txt"), "--config", str(config),
+               "--out", str(tmp_path / "run"), *flags])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err

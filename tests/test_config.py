@@ -1,6 +1,12 @@
 import pytest
 
-from covdec.config import TrainConfig, config_from_dict, config_from_file, write_config
+from covdec.config import (
+    TrainConfig,
+    config_from_dict,
+    config_from_file,
+    read_config_values,
+    write_config,
+)
 from covdec.errors import ConfigError
 
 
@@ -51,3 +57,22 @@ def test_feature_width_tracks_rnn_order():
 def test_missing_config_file():
     with pytest.raises(ConfigError, match="not found"):
         config_from_file("/no/such/config.txt")
+
+
+def test_read_config_values_keeps_raw_strings(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_text("seed = 7  # comment\n\npatience = off\n")
+    assert read_config_values(path) == {"seed": "7", "patience": "off"}
+
+
+@pytest.mark.parametrize("key, raw", [("seed", "abc"), ("lr_stage1", "fast"), ("patience", "soon")])
+def test_uncoercible_value_names_key_and_value(key, raw):
+    with pytest.raises(ConfigError, match=f"'{key}'.*'{raw}'"):
+        config_from_dict({key: raw})
+
+
+def test_invalid_utf8_config_names_byte(tmp_path):
+    path = tmp_path / "config.txt"
+    path.write_bytes(b"seed = 1\nrnn_order = \xe9\n")
+    with pytest.raises(ConfigError, match=r"config\.txt: invalid UTF-8 at byte 21"):
+        config_from_file(path)

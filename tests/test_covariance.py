@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from covdec.covariance import CovMatrix, Trial, ccv, standardize
+from covdec.covariance import CovMatrix, Trial, ccv, prepare, standardize
 from covdec.errors import ConfigError, DataError
 
 
@@ -167,3 +167,28 @@ def test_std_floor_prevents_blowup():
     out, stats = standardize(mats)
     assert np.all(stats.std == 1e-8)
     assert np.all(np.isfinite(out[0].values))
+
+
+def test_prepare_is_ccv_then_standardize():
+    rng = np.random.default_rng(20)
+    trials = [Trial(rng.normal(size=(4, 30)), k % 2, trial_id=f"t{k}") for k in range(6)]
+    mats, labels, norm = prepare(trials, 1)
+    covs, expected_norm = standardize([ccv(t, 1) for t in trials])
+    assert np.array_equal(mats, np.stack([c.values for c in covs]))
+    assert np.array_equal(norm.mean, expected_norm.mean)
+    assert np.array_equal(labels, [0, 1, 0, 1, 0, 1])
+    again, _, same = prepare(trials[:2], 1, norm)
+    assert same is norm and np.array_equal(again, mats[:2])
+
+
+def test_prepare_rejects_channel_count_naming_trial():
+    rng = np.random.default_rng(21)
+    four = [Trial(rng.normal(size=(4, 30)), 0, trial_id=f"t{k}") for k in range(3)]
+    three = Trial(rng.normal(size=(3, 30)), 0, trial_id="odd")
+    with pytest.raises(DataError, match="trial 'odd' has 3 channels, expected 4"):
+        prepare(four + [three], 0)
+    _, _, norm = prepare(four, 0)
+    with pytest.raises(DataError, match="trial 'odd' has 3 channels, expected 4"):
+        prepare([three], 0, norm)
+    with pytest.raises(DataError, match="empty"):
+        prepare([], 0, norm)

@@ -115,6 +115,13 @@ def test_manifest_rejects_duplicate_classes(tmp_path):
         load_manifest(path)
 
 
+def test_manifest_rejects_invalid_utf8_with_offset(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"task = t\nclasses = a,\xffb\n")
+    with pytest.raises(ParseError, match=r"manifest\.txt: invalid UTF-8 at byte 21"):
+        load_manifest(path)
+
+
 def test_conversion_contract_class_inventories():
     contract = conversion_contract()
     assert contract["long_words"] == ["cooperate", "independent"]

@@ -9,7 +9,7 @@ from covdec.gradcheck import numeric_gradient, rel_error, run_suite
 
 # spec'd per-op bounds: primitives 1e-6, 5-step BPTT 1e-5, full networks 1e-4
 EXPECTED_OPS = {
-    "matmul": 1e-6,
+    "linear": 1e-6,
     "conv1d": 1e-6,
     "relu": 1e-6,
     "sigmoid": 1e-6,

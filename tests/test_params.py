@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from covdec import params as ps
 from covdec.errors import ConfigError, NumericError, ParseError
 from covdec.params import ParamStore, adam_step, require
 from covdec.errors import StateError
+
+from conftest import store_bytes
 
 
 def make_store() -> ParamStore:
@@ -93,21 +97,74 @@ def test_save_load_roundtrip_byte_exact(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-def test_save_load_preserves_adam_moments(tmp_path):
+def entry(name: str, arr) -> bytes:
+    """One CVDP entry, packed by hand from the documented layout."""
+    arr = np.asarray(arr, dtype="<f8")
+    name_b = name.encode("utf-8")
+    head = struct.pack("<H", len(name_b)) + name_b + struct.pack("<I", arr.ndim)
+    return head + struct.pack(f"<{arr.ndim}I", *arr.shape) + arr.tobytes()
+
+
+def cvdp(*entries: bytes) -> bytes:
+    return b"CVDP" + struct.pack("<II", 1, len(entries)) + b"".join(entries)
+
+
+def entry_names(blob: bytes) -> list[str]:
+    count, off, names = struct.unpack_from("<I", blob, 8)[0], 12, []
+    for _ in range(count):
+        (n,) = struct.unpack_from("<H", blob, off)
+        names.append(blob[off + 2 : off + 2 + n].decode("utf-8"))
+        off += 2 + n
+        (rank,) = struct.unpack_from("<I", blob, off)
+        dims = struct.unpack_from(f"<{rank}I", blob, off + 4)
+        off += 4 + 4 * rank + 8 * int(np.prod(dims, dtype=np.int64))
+    return names
+
+
+def test_save_writes_parameter_entries_only(tmp_path):
     store = make_store()
     store["w"].grad[...] = 0.25
     store["b"].grad[...] = -0.5
-    adam_step(store, lr=0.01, t=1)
+    adam_step(store, lr=0.01, t=1)  # moment buffers now exist in memory
     path = tmp_path / "weights.cvdp"
     ps.save(store, path)
-    loaded = ps.load(path)
-    for name in store.names():
-        m0, v0 = store.adam_buffers(name)
-        m1, v1 = loaded.adam_buffers(name)
-        assert np.array_equal(m0, m1) and np.array_equal(v0, v1)
+    assert entry_names(path.read_bytes()) == ["w", "b"]
     second = tmp_path / "again.cvdp"
-    ps.save(loaded, second)
+    ps.save(ps.load(path), second)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_load_accepts_and_drops_v1_moment_entries(tmp_path):
+    store = make_store()
+    w, b = store["w"].value, store["b"].value
+    moments = [
+        entry("w::adam_m", np.full((2, 3), 0.1)), entry("w::adam_v", np.full((2, 3), 0.2)),
+        entry("b::adam_m", np.full(3, 0.3)), entry("b::adam_v", np.full(3, 0.4)),
+    ]
+    path = tmp_path / "old.cvdp"
+    path.write_bytes(cvdp(entry("w", w), entry("b", b), *moments))
+    loaded = ps.load(path)
+    assert loaded.names() == ["w", "b"]
+    assert store_bytes(loaded) == store_bytes(store)
+
+    path.write_bytes(cvdp(entry("w", w), entry("b", b), *moments[:3]))
+    with pytest.raises(ParseError, match="unpaired"):
+        ps.load(path)
+    path.write_bytes(cvdp(entry("w", w), *moments))
+    with pytest.raises(ParseError, match="'b::adam_m' has no parameter"):
+        ps.load(path)
+    path.write_bytes(cvdp(entry("w", w), entry("w::adam_x", w)))
+    with pytest.raises(ParseError, match="unrecognized reserved entry"):
+        ps.load(path)
+
+
+def test_load_rejects_invalid_utf8_name_with_offset(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    blob = cvdp(entry("w", [1.0]))
+    # the name starts at byte 14, after the header and its u16 length
+    path.write_bytes(blob[:14] + b"\xff" + blob[15:])
+    with pytest.raises(ParseError, match=r"weights\.cvdp: .*UTF-8 at byte 14"):
+        ps.load(path)
 
 
 def test_load_rejects_bad_magic(tmp_path):
