@@ -63,9 +63,6 @@ class Node:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        self.grad[...] = 0.0
-
 
 def _toposort(root: Node) -> list[Node]:
     # Iterative DFS; recursion would be fragile on long unrolled LSTM chains.

@@ -1,44 +1,22 @@
 """Deep autoencoder over concatenated branch features, plus the softmax head.
 
 The DAE has two ReLU encoder layers, a linear-output two-layer decoder that
-mirrors them, and trains unsupervised on reconstruction MSE. The head is a
-two-layer FC network over latent codes; softmax is applied only inside the
-loss or at predict time.
+mirrors them, and trains unsupervised on reconstruction MSE. Its input is
+`TrainConfig.feature_width` wide (CNN plus RNN feature), its layers
+`dae_hidden` and `dae_latent`. The head is a two-layer FC network over latent
+codes, `head_hidden` wide; softmax is applied only inside the loss or at
+predict time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
 from .branches import _he, _out_layer, _xavier
-from .errors import ConfigError
+from .config import TrainConfig
 from .params import ParamStore, require
-
-
-@dataclass(frozen=True)
-class DaeSpec:
-    input_width: int = 128
-    hidden_width: int = 64
-    latent_width: int = 32
-
-    def __post_init__(self):
-        if not self.latent_width < self.input_width:
-            raise ConfigError(
-                f"dae latent width {self.latent_width} must be smaller than "
-                f"input width {self.input_width}"
-            )
-
-
-@dataclass(frozen=True)
-class HeadSpec:
-    latent_width: int = 32
-    hidden_width: int = 16
-    classes: int = 3
-
 
 DAE_PARAM_NAMES = (
     "enc1.w", "enc1.b", "enc2.w", "enc2.b",
@@ -47,28 +25,29 @@ DAE_PARAM_NAMES = (
 HEAD_PARAM_NAMES = ("fc1.w", "fc1.b", "out.w", "out.b")
 
 
-def init_dae_params(spec: DaeSpec, seed: int) -> ParamStore:
+def init_dae_params(config: TrainConfig, seed: int) -> ParamStore:
+    n, hidden, latent = config.feature_width, config.dae_hidden, config.dae_latent
     rng = np.random.default_rng(seed)
-    store = ParamStore(seed=seed)
-    store.add("enc1.w", _he(rng, spec.input_width, (spec.input_width, spec.hidden_width)))
-    store.add("enc1.b", np.zeros(spec.hidden_width))
-    store.add("enc2.w", _he(rng, spec.hidden_width, (spec.hidden_width, spec.latent_width)))
-    store.add("enc2.b", np.zeros(spec.latent_width))
-    store.add("dec1.w", _he(rng, spec.latent_width, (spec.latent_width, spec.hidden_width)))
-    store.add("dec1.b", np.zeros(spec.hidden_width))
-    store.add("dec2.w", _xavier(rng, spec.hidden_width, spec.input_width,
-                                (spec.hidden_width, spec.input_width)))
-    store.add("dec2.b", np.zeros(spec.input_width))
+    store = ParamStore()
+    store.add("enc1.w", _he(rng, n, (n, hidden)))
+    store.add("enc1.b", np.zeros(hidden))
+    store.add("enc2.w", _he(rng, hidden, (hidden, latent)))
+    store.add("enc2.b", np.zeros(latent))
+    store.add("dec1.w", _he(rng, latent, (latent, hidden)))
+    store.add("dec1.b", np.zeros(hidden))
+    store.add("dec2.w", _xavier(rng, hidden, n, (hidden, n)))
+    store.add("dec2.b", np.zeros(n))
     return store
 
 
-def init_head_params(spec: HeadSpec, seed: int) -> ParamStore:
+def init_head_params(config: TrainConfig, seed: int) -> ParamStore:
+    latent, hidden, classes = config.dae_latent, config.head_hidden, config.classes
     rng = np.random.default_rng(seed)
-    store = ParamStore(seed=seed)
-    store.add("fc1.w", _he(rng, spec.latent_width, (spec.latent_width, spec.hidden_width)))
-    store.add("fc1.b", np.zeros(spec.hidden_width))
-    store.add("out.w", _out_layer(rng, (spec.hidden_width, spec.classes)))
-    store.add("out.b", np.zeros(spec.classes))
+    store = ParamStore()
+    store.add("fc1.w", _he(rng, latent, (latent, hidden)))
+    store.add("fc1.b", np.zeros(hidden))
+    store.add("out.w", _out_layer(rng, (hidden, classes)))
+    store.add("out.b", np.zeros(classes))
     return store
 
 

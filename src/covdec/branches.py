@@ -1,48 +1,26 @@
 """The two parallel supervised feature extractors over covariance matrices.
 
 CNN branch: the C x C matrix is read as C input channels of length-C signals;
-two valid k=3 convolutions, then two ReLU FC layers. RNN branch: matrix rows
-(or columns) are time steps; per-step FC(128)+ReLU -> FC(64)+ReLU feeds two
-stacked LSTM layers. In both nets the last hidden activation is the exported
-feature; a small affine head on top produces logits used only while the
-branch itself is being trained.
+two valid convolutions (k=3 by default), then two ReLU FC layers. RNN branch:
+matrix rows (or columns) are time steps; with `rnn_order = fc-first`, a
+per-step FC(128)+ReLU -> FC(64)+ReLU feeds two stacked LSTM layers, and with
+`lstm-first` the LSTMs read the raw steps and the FC pair maps the last hidden
+state. In both nets the last hidden activation is the exported feature; a
+small affine head on top produces logits used only while the branch itself is
+being trained. The init functions read every width from a `TrainConfig`:
+the CNN feature is `cnn_feature` wide and the RNN feature `rnn_feature`.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
+from .config import RNN_AXES, RNN_ORDERS, TrainConfig
 from .covariance import CovMatrix
 from .errors import ConfigError
 from .params import ParamStore, require
-
-RNN_ORDERS = ("fc-first", "lstm-first")
-RNN_AXES = ("rows", "cols")
-
-
-@dataclass(frozen=True)
-class CnnSpec:
-    filters1: int = 32
-    kernel1: int = 3
-    filters2: int = 64
-    kernel2: int = 3
-    fc1_width: int = 128
-    feature_width: int = 64
-    classes: int = 3
-
-
-@dataclass(frozen=True)
-class RnnSpec:
-    fc1_width: int = 128
-    fc2_width: int = 64
-    hidden1: int = 64
-    hidden2: int = 64  # also the exported feature width
-    classes: int = 3
-
 
 def _he(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
@@ -94,35 +72,36 @@ CNN_PARAM_NAMES = (
 )
 
 
-def conv_output_length(channels: int, spec: CnnSpec) -> int:
+def conv_output_length(channels: int, config: TrainConfig) -> int:
     """Signal length after the two valid convolutions; raises when too small."""
-    l1 = channels - spec.kernel1 + 1
-    l2 = l1 - spec.kernel2 + 1
+    l1 = channels - config.cnn_kernel1 + 1
+    l2 = l1 - config.cnn_kernel2 + 1
     if l2 < 1:
         raise ConfigError(
-            f"cnn needs at least {spec.kernel1 + spec.kernel2 - 1} channels, "
-            f"got {channels}"
+            f"cnn needs at least {config.cnn_kernel1 + config.cnn_kernel2 - 1} "
+            f"channels, got {channels}"
         )
     return l2
 
 
-def init_cnn_params(spec: CnnSpec, channels: int, seed: int) -> ParamStore:
-    l2 = conv_output_length(channels, spec)
+def init_cnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
+    l2 = conv_output_length(channels, config)
+    f1, k1, f2, k2 = (config.cnn_filters1, config.cnn_kernel1,
+                      config.cnn_filters2, config.cnn_kernel2)
+    fc1, feature, classes = config.cnn_fc1, config.cnn_feature, config.classes
     rng = np.random.default_rng(seed)
-    store = ParamStore(seed=seed)
-    store.add("conv1.w", _he(rng, channels * spec.kernel1,
-                             (spec.filters1, channels, spec.kernel1)))
-    store.add("conv1.b", np.zeros(spec.filters1))
-    store.add("conv2.w", _he(rng, spec.filters1 * spec.kernel2,
-                             (spec.filters2, spec.filters1, spec.kernel2)))
-    store.add("conv2.b", np.zeros(spec.filters2))
-    flat = spec.filters2 * l2
-    store.add("fc1.w", _he(rng, flat, (flat, spec.fc1_width)))
-    store.add("fc1.b", np.zeros(spec.fc1_width))
-    store.add("fc2.w", _he(rng, spec.fc1_width, (spec.fc1_width, spec.feature_width)))
-    store.add("fc2.b", np.zeros(spec.feature_width))
-    store.add("out.w", _out_layer(rng, (spec.feature_width, spec.classes)))
-    store.add("out.b", np.zeros(spec.classes))
+    store = ParamStore()
+    store.add("conv1.w", _he(rng, channels * k1, (f1, channels, k1)))
+    store.add("conv1.b", np.zeros(f1))
+    store.add("conv2.w", _he(rng, f1 * k2, (f2, f1, k2)))
+    store.add("conv2.b", np.zeros(f2))
+    flat = f2 * l2
+    store.add("fc1.w", _he(rng, flat, (flat, fc1)))
+    store.add("fc1.b", np.zeros(fc1))
+    store.add("fc2.w", _he(rng, fc1, (fc1, feature)))
+    store.add("fc2.b", np.zeros(feature))
+    store.add("out.w", _out_layer(rng, (feature, classes)))
+    store.add("out.b", np.zeros(classes))
     return store
 
 
@@ -151,26 +130,26 @@ RNN_PARAM_NAMES = tuple(
 )
 
 
-def init_rnn_params(
-    spec: RnnSpec, channels: int, seed: int, order: str = "fc-first"
-) -> ParamStore:
+def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
+    order = config.rnn_order
     if order not in RNN_ORDERS:
         raise ConfigError(f"rnn order must be one of {RNN_ORDERS}, got {order!r}")
+    fc1, fc2 = config.rnn_fc1, config.rnn_fc2
+    hidden1, hidden2 = config.rnn_hidden1, config.rnn_hidden2
     rng = np.random.default_rng(seed)
-    store = ParamStore(seed=seed)
+    store = ParamStore()
     if order == "fc-first":
-        fc_in, lstm_in = channels, spec.fc2_width
+        fc_in, lstm_in = channels, fc2
     else:
-        fc_in, lstm_in = spec.hidden2, channels
-    store.add("fc1.w", _he(rng, fc_in, (fc_in, spec.fc1_width)))
-    store.add("fc1.b", np.zeros(spec.fc1_width))
-    store.add("fc2.w", _he(rng, spec.fc1_width, (spec.fc1_width, spec.fc2_width)))
-    store.add("fc2.b", np.zeros(spec.fc2_width))
-    _add_lstm_params(store, "lstm1", rng, lstm_in, spec.hidden1)
-    _add_lstm_params(store, "lstm2", rng, spec.hidden1, spec.hidden2)
-    feat_width = spec.hidden2 if order == "fc-first" else spec.fc2_width
-    store.add("out.w", _out_layer(rng, (feat_width, spec.classes)))
-    store.add("out.b", np.zeros(spec.classes))
+        fc_in, lstm_in = hidden2, channels
+    store.add("fc1.w", _he(rng, fc_in, (fc_in, fc1)))
+    store.add("fc1.b", np.zeros(fc1))
+    store.add("fc2.w", _he(rng, fc1, (fc1, fc2)))
+    store.add("fc2.b", np.zeros(fc2))
+    _add_lstm_params(store, "lstm1", rng, lstm_in, hidden1)
+    _add_lstm_params(store, "lstm2", rng, hidden1, hidden2)
+    store.add("out.w", _out_layer(rng, (config.rnn_feature, config.classes)))
+    store.add("out.b", np.zeros(config.classes))
     return store
 
 

@@ -1,5 +1,9 @@
 """Run configuration: every knob of the three-stage training procedure.
 
+`TrainConfig` is also the one description of the network's shape: the layer
+builders in `branches` and `autoenc` read their widths from it, and each
+derived width (`rnn_feature`, `feature_width`) has one rule here.
+
 Configs round-trip through a flat "key = value" text file; unknown keys are
 rejected so typos cannot silently fall back to defaults. `patience = off`
 disables early stopping, which also makes a run exact-epoch: the final-epoch
@@ -12,9 +16,10 @@ import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
-from .branches import RNN_AXES, RNN_ORDERS, CnnSpec, RnnSpec
-from .autoenc import DaeSpec, HeadSpec
-from .errors import ConfigError
+from .errors import ConfigError, CovdecError
+
+RNN_ORDERS = ("fc-first", "lstm-first")
+RNN_AXES = ("rows", "cols")
 
 
 @dataclass
@@ -62,44 +67,22 @@ class TrainConfig:
             raise ConfigError(f"rnn_order must be one of {RNN_ORDERS}, got {self.rnn_order!r}")
         if self.rnn_axis not in RNN_AXES:
             raise ConfigError(f"rnn_axis must be one of {RNN_AXES}, got {self.rnn_axis!r}")
-        # spec constructors enforce the remaining width invariants
-        self.cnn_spec()
-        self.rnn_spec()
-        self.dae_spec()
-        self.head_spec()
+        if not self.dae_latent < self.feature_width:
+            raise ConfigError(
+                f"dae latent width {self.dae_latent} must be smaller than "
+                f"input width {self.feature_width}"
+            )
         return self
 
     @property
+    def rnn_feature(self) -> int:
+        """Width of the RNN branch's exported feature."""
+        return self.rnn_hidden2 if self.rnn_order == "fc-first" else self.rnn_fc2
+
+    @property
     def feature_width(self) -> int:
-        rnn_feat = self.rnn_hidden2 if self.rnn_order == "fc-first" else self.rnn_fc2
-        return self.cnn_feature + rnn_feat
-
-    def cnn_spec(self) -> CnnSpec:
-        return CnnSpec(
-            filters1=self.cnn_filters1, kernel1=self.cnn_kernel1,
-            filters2=self.cnn_filters2, kernel2=self.cnn_kernel2,
-            fc1_width=self.cnn_fc1, feature_width=self.cnn_feature,
-            classes=self.classes,
-        )
-
-    def rnn_spec(self) -> RnnSpec:
-        return RnnSpec(
-            fc1_width=self.rnn_fc1, fc2_width=self.rnn_fc2,
-            hidden1=self.rnn_hidden1, hidden2=self.rnn_hidden2,
-            classes=self.classes,
-        )
-
-    def dae_spec(self) -> DaeSpec:
-        return DaeSpec(
-            input_width=self.feature_width, hidden_width=self.dae_hidden,
-            latent_width=self.dae_latent,
-        )
-
-    def head_spec(self) -> HeadSpec:
-        return HeadSpec(
-            latent_width=self.dae_latent, hidden_width=self.head_hidden,
-            classes=self.classes,
-        )
+        """Width of the joint [cnn || rnn] feature, the DAE input."""
+        return self.cnn_feature + self.rnn_feature
 
     def to_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -132,6 +115,32 @@ def config_from_dict(values: dict) -> TrainConfig:
     return TrainConfig(**coerced).validate()
 
 
+def _read_utf8(path: Path, error: type[CovdecError]) -> str:
+    """Text of a UTF-8 file; invalid bytes raise `error` with the byte offset."""
+    try:
+        return path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from None
+
+
+def _read_key_values(path: Path, error: type[CovdecError]) -> list[tuple[int, str, str]]:
+    """(line number, key, value) per "key = value" line; '#' starts a comment.
+
+    Invalid UTF-8 and a line without '=' raise `error`; the caller checks
+    that the file exists and what the keys mean.
+    """
+    entries = []
+    for lineno, raw in enumerate(_read_utf8(path, error).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (s.strip() for s in line.split("=", 1))
+        entries.append((lineno, key, value))
+    return entries
+
+
 def read_config_values(path: str | Path) -> dict[str, str]:
     """Raw key -> value strings of a config file, before coercion.
 
@@ -141,18 +150,8 @@ def read_config_values(path: str | Path) -> dict[str, str]:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file not found: {p}")
-    try:
-        text = p.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{p}: invalid UTF-8 at byte {exc.start}") from None
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{p}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for lineno, key, value in _read_key_values(p, ConfigError):
         if key in values:
             raise ConfigError(f"{p}:{lineno}: duplicate key {key!r}")
         values[key] = value

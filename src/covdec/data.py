@@ -26,6 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import _read_key_values
 from .covariance import Trial
 from .errors import ConfigError, DataError, ParseError
 
@@ -134,17 +135,7 @@ def load_manifest(path: str | Path) -> Manifest:
         raise DataError(f"manifest not found: {p}")
     task, subject, classes = "", "", []
     trial_paths: list[Path] = []
-    try:
-        text = p.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{p}: invalid UTF-8 at byte {exc.start}") from None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ParseError(f"{p}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
+    for lineno, key, value in _read_key_values(p, ParseError):
         if key == "task":
             task = value
         elif key == "subject":

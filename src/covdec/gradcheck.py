@@ -15,15 +15,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .autoenc import DaeSpec, HeadSpec, dae_loss, head_graph, init_dae_params, init_head_params
-from .branches import (
-    CnnSpec,
-    RnnSpec,
-    cnn_graph,
-    init_cnn_params,
-    init_rnn_params,
-    rnn_graph,
-)
+from .autoenc import dae_loss, head_graph, init_dae_params, init_head_params
+from .branches import cnn_graph, init_cnn_params, init_rnn_params, rnn_graph
+from .config import TrainConfig
 
 DEFAULT_EPS = 1e-5
 
@@ -179,8 +173,8 @@ def _lstm_check(rng) -> CheckResult:
 
 
 def _cnn_check(rng) -> CheckResult:
-    spec = CnnSpec(filters1=4, filters2=5, fc1_width=16, feature_width=8, classes=3)
-    params = init_cnn_params(spec, channels=6, seed=int(rng.integers(2**31)))
+    config = TrainConfig(cnn_filters1=4, cnn_filters2=5, cnn_fc1=16, cnn_feature=8)
+    params = init_cnn_params(config, channels=6, seed=int(rng.integers(2**31)))
     mats = rng.normal(size=(2, 6, 6))
     labels = rng.integers(0, 3, size=2)
 
@@ -193,8 +187,8 @@ def _cnn_check(rng) -> CheckResult:
 
 
 def _rnn_check(rng) -> CheckResult:
-    spec = RnnSpec(fc1_width=8, fc2_width=6, hidden1=5, hidden2=4, classes=3)
-    params = init_rnn_params(spec, channels=5, seed=int(rng.integers(2**31)))
+    config = TrainConfig(rnn_fc1=8, rnn_fc2=6, rnn_hidden1=5, rnn_hidden2=4)
+    params = init_rnn_params(config, channels=5, seed=int(rng.integers(2**31)))
     mats = rng.normal(size=(2, 5, 5))
     labels = rng.integers(0, 3, size=2)
 
@@ -207,16 +201,17 @@ def _rnn_check(rng) -> CheckResult:
 
 
 def _dae_check(rng) -> CheckResult:
-    spec = DaeSpec(input_width=10, hidden_width=6, latent_width=4)
-    params = init_dae_params(spec, seed=int(rng.integers(2**31)))
+    # input width 10 = cnn_feature + rnn_hidden2
+    config = TrainConfig(cnn_feature=6, rnn_hidden2=4, dae_hidden=6, dae_latent=4)
+    params = init_dae_params(config, seed=int(rng.integers(2**31)))
     feats = rng.normal(size=(3, 10))
     arrays = [params[n].value for n in params.names()]
     return _check("dae_loss", 1e-4, lambda: dae_loss(feats, params), arrays)
 
 
 def _head_check(rng) -> CheckResult:
-    spec = HeadSpec(latent_width=6, hidden_width=4, classes=3)
-    params = init_head_params(spec, seed=int(rng.integers(2**31)))
+    config = TrainConfig(dae_latent=6, head_hidden=4)
+    params = init_head_params(config, seed=int(rng.integers(2**31)))
     latents = rng.normal(size=(3, 6))
     labels = rng.integers(0, 3, size=3)
 

@@ -42,8 +42,7 @@ class ParamStore:
     order, so identical construction yields byte-identical files.
     """
 
-    def __init__(self, seed: int | None = None):
-        self.seed = seed
+    def __init__(self):
         self._nodes: dict[str, Node] = {}
         self._adam_m: dict[str, np.ndarray] = {}
         self._adam_v: dict[str, np.ndarray] = {}

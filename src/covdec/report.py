@@ -13,14 +13,15 @@ A run directory contains:
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import params as pstore
-from .config import config_from_file, write_config
+from .config import _read_utf8, config_from_file, write_config
 from .covariance import NormStats
-from .errors import StateError
+from .errors import ParseError, StateError
 from .training import CurvePoint, PipelineArtifacts, RunOutcome
 
 REPORT_FORMAT_VERSION = 1
@@ -113,9 +114,10 @@ def read_curves_csv(path: str | Path) -> list[CurvePoint]:
     p = Path(path)
     if not p.exists():
         raise StateError(f"missing curves file: {p}")
+    reader = csv.DictReader(io.StringIO(_read_utf8(p, ParseError), newline=""))
     out = []
-    with open(p, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+    try:
+        for row in reader:
             out.append(CurvePoint(
                 epoch=int(row["epoch"]),
                 stage=row["stage"],
@@ -123,6 +125,8 @@ def read_curves_csv(path: str | Path) -> list[CurvePoint]:
                 val_loss=float(row["val_loss"]) if row["val_loss"] else None,
                 val_acc=float(row["val_acc"]) if row["val_acc"] else None,
             ))
+    except (csv.Error, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{p}:{reader.line_num}: bad curves row ({exc})") from None
     return out
 
 
@@ -170,9 +174,12 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     classes_path = run / "classes.txt"
     if not classes_path.exists():
         raise StateError(f"missing class names: {classes_path}")
-    classes = [
-        line for line in classes_path.read_text(encoding="utf-8").splitlines() if line
-    ]
+    classes = [line for line in _read_utf8(classes_path, ParseError).splitlines() if line]
+    if len(classes) != config.classes:
+        raise StateError(
+            f"{classes_path}: {len(classes)} class names for a model trained "
+            f"on {config.classes} classes"
+        )
     norm = NormStats(stores["norm"]["mean"].value, stores["norm"]["std"].value)
     return PipelineArtifacts(
         config=config, classes=classes,
@@ -185,4 +192,7 @@ def load_report_json(run_dir: str | Path) -> dict:
     p = Path(run_dir) / "report.json"
     if not p.exists():
         raise StateError(f"missing report: {p}")
-    return json.loads(p.read_text(encoding="utf-8"))
+    try:
+        return json.loads(_read_utf8(p, ParseError))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None

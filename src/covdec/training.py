@@ -194,10 +194,8 @@ def train_stage1(
     """Train both branches independently on standardized covariance inputs."""
     seeds = _derived_seeds(config.seed)
     channels = train_mats.shape[1]
-    cnn_params = init_cnn_params(config.cnn_spec(), channels, seeds["cnn_init"])
-    rnn_params = init_rnn_params(
-        config.rnn_spec(), channels, seeds["rnn_init"], config.rnn_order
-    )
+    cnn_params = init_cnn_params(config, channels, seeds["cnn_init"])
+    rnn_params = init_rnn_params(config, channels, seeds["rnn_init"])
 
     def cnn_fn(x, p):
         return cnn_graph(Node(x), p)[1]
@@ -223,7 +221,7 @@ def train_stage1(
 def train_stage2(train_features: np.ndarray, config: TrainConfig) -> StageResult:
     """Unsupervised autoencoder training on frozen stage-1 features."""
     seeds = _derived_seeds(config.seed)
-    params = init_dae_params(config.dae_spec(), seeds["dae_init"])
+    params = init_dae_params(config, seeds["dae_init"])
     return _fit(
         lambda x, _: dae_loss(x, params), params, train_features, None,
         lr=config.lr_stage2, epochs=config.epochs_stage2,
@@ -240,7 +238,7 @@ def train_stage3(
 ) -> StageResult:
     """Supervised head training on frozen-autoencoder latents."""
     seeds = _derived_seeds(config.seed)
-    params = init_head_params(config.head_spec(), seeds["head_init"])
+    params = init_head_params(config, seeds["head_init"])
 
     def head_fn(z, p):
         return head_graph(Node(z), p)

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from covdec.autoenc import DaeSpec, HeadSpec, init_dae_params, init_head_params
-from covdec.branches import CnnSpec, RnnSpec, init_cnn_params, init_rnn_params
+from covdec.autoenc import init_dae_params, init_head_params
+from covdec.branches import init_cnn_params, init_rnn_params
+from covdec.config import TrainConfig
 from covdec.params import ParamStore
+
+# feature width 8 + 4 = 12 feeds the small DAE
+SMALL_CONFIG = TrainConfig(
+    cnn_filters1=4, cnn_filters2=5, cnn_fc1=16, cnn_feature=8,
+    rnn_fc1=8, rnn_fc2=6, rnn_hidden1=5, rnn_hidden2=4,
+    dae_hidden=6, dae_latent=4, head_hidden=3,
+)
 
 
 def zeroed(store: ParamStore) -> ParamStore:
@@ -15,24 +23,22 @@ def zeroed(store: ParamStore) -> ParamStore:
 
 @pytest.fixture
 def small_cnn() -> ParamStore:
-    spec = CnnSpec(filters1=4, filters2=5, fc1_width=16, feature_width=8, classes=3)
-    return init_cnn_params(spec, channels=6, seed=42)
+    return init_cnn_params(SMALL_CONFIG, channels=6, seed=42)
 
 
 @pytest.fixture
 def small_rnn() -> ParamStore:
-    spec = RnnSpec(fc1_width=8, fc2_width=6, hidden1=5, hidden2=4, classes=3)
-    return init_rnn_params(spec, channels=6, seed=43)
+    return init_rnn_params(SMALL_CONFIG, channels=6, seed=43)
 
 
 @pytest.fixture
 def small_dae() -> ParamStore:
-    return init_dae_params(DaeSpec(input_width=12, hidden_width=6, latent_width=4), seed=44)
+    return init_dae_params(SMALL_CONFIG, seed=44)
 
 
 @pytest.fixture
 def small_head() -> ParamStore:
-    return init_head_params(HeadSpec(latent_width=4, hidden_width=3, classes=3), seed=45)
+    return init_head_params(SMALL_CONFIG, seed=45)
 
 
 def store_bytes(store: ParamStore) -> dict[str, bytes]:

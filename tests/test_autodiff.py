@@ -210,8 +210,6 @@ def test_gradients_accumulate_additively():
     y1.backward()
     y2.backward()
     assert np.array_equal(x.grad, [8.0])  # 4.0 from each pass
-    x.zero_grad()
-    assert np.array_equal(x.grad, [0.0])
 
 
 def test_no_nonfinite_from_bounded_inputs():

@@ -5,8 +5,6 @@ import pytest
 
 import covdec.autodiff as ad
 from covdec.autoenc import (
-    DaeSpec,
-    HeadSpec,
     dae_encode,
     dae_loss,
     head_forward,
@@ -20,7 +18,7 @@ from covdec.errors import ConfigError, StateError
 from covdec.params import ParamStore
 from covdec.training import PipelineArtifacts, predict_batch
 
-from conftest import zeroed
+from conftest import SMALL_CONFIG, zeroed
 
 
 def test_zero_params_give_zero_latent(small_dae):
@@ -28,8 +26,8 @@ def test_zero_params_give_zero_latent(small_dae):
     assert np.array_equal(latent, np.zeros(4))
 
 
-def test_latent_width_fixed_by_spec():
-    params = init_dae_params(DaeSpec(), seed=1)
+def test_latent_width_fixed_by_config():
+    params = init_dae_params(TrainConfig(), seed=1)
     rng = np.random.default_rng(33)
     assert dae_encode(rng.normal(size=128), params).shape == (32,)
     assert dae_encode(rng.normal(size=(5, 128)), params).shape == (5, 32)
@@ -61,8 +59,10 @@ def test_dae_loss_api_takes_no_labels():
 
 
 def test_dae_spec_requires_compression():
+    # feature width 16 + 16 = 32, not wider than the latent
+    config = TrainConfig(cnn_feature=16, rnn_hidden2=16, dae_hidden=64, dae_latent=32)
     with pytest.raises(ConfigError, match="latent width"):
-        DaeSpec(input_width=32, hidden_width=64, latent_width=32)
+        config.validate()
 
 
 def test_head_zero_params_uniform_prediction(small_head):
@@ -72,7 +72,7 @@ def test_head_zero_params_uniform_prediction(small_head):
 
 
 def test_head_logit_length_is_class_count():
-    params = init_head_params(HeadSpec(latent_width=32, hidden_width=16, classes=5), seed=2)
+    params = init_head_params(TrainConfig(dae_latent=32, head_hidden=16, classes=5), seed=2)
     rng = np.random.default_rng(35)
     assert head_forward(rng.normal(size=32), params).shape == (5,)
 
@@ -87,14 +87,12 @@ def test_argmax_invariant_to_constant_logit_shift(small_head):
 
 
 def _zero_pipeline(c=6):
-    from covdec.branches import CnnSpec, RnnSpec, init_cnn_params, init_rnn_params
+    from covdec.branches import init_cnn_params, init_rnn_params
 
-    cnn = zeroed(init_cnn_params(
-        CnnSpec(filters1=4, filters2=5, fc1_width=16, feature_width=8, classes=3), c, 0))
-    rnn = zeroed(init_rnn_params(
-        RnnSpec(fc1_width=8, fc2_width=6, hidden1=5, hidden2=4, classes=3), c, 0))
-    dae = zeroed(init_dae_params(DaeSpec(input_width=12, hidden_width=6, latent_width=4), 0))
-    head = zeroed(init_head_params(HeadSpec(latent_width=4, hidden_width=3, classes=3), 0))
+    cnn = zeroed(init_cnn_params(SMALL_CONFIG, c, 0))
+    rnn = zeroed(init_rnn_params(SMALL_CONFIG, c, 0))
+    dae = zeroed(init_dae_params(SMALL_CONFIG, 0))
+    head = zeroed(init_head_params(SMALL_CONFIG, 0))
     return cnn, rnn, dae, head
 
 

@@ -1,11 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import covdec.autodiff as ad
 from covdec.autodiff import Node
 from covdec.branches import (
-    CnnSpec,
-    RnnSpec,
     cnn_graph,
     extract_features,
     extract_features_batch,
@@ -13,11 +13,12 @@ from covdec.branches import (
     init_rnn_params,
     rnn_graph,
 )
+from covdec.config import TrainConfig
 from covdec.covariance import CovMatrix
 from covdec.errors import ConfigError, StateError
 from covdec.params import ParamStore
 
-from conftest import zeroed
+from conftest import SMALL_CONFIG, zeroed
 
 
 def random_cov(rng, c=6):
@@ -38,11 +39,12 @@ def rnn_single(cov, params, order="fc-first", axis="rows"):
 
 
 def test_default_specs_match_contract():
-    cnn = CnnSpec()
-    assert (cnn.filters1, cnn.kernel1, cnn.filters2, cnn.kernel2) == (32, 3, 64, 3)
-    assert (cnn.fc1_width, cnn.feature_width) == (128, 64)
-    rnn = RnnSpec()
-    assert (rnn.fc1_width, rnn.fc2_width, rnn.hidden1, rnn.hidden2) == (128, 64, 64, 64)
+    config = TrainConfig()
+    assert (config.cnn_filters1, config.cnn_kernel1,
+            config.cnn_filters2, config.cnn_kernel2) == (32, 3, 64, 3)
+    assert (config.cnn_fc1, config.cnn_feature) == (128, 64)
+    assert (config.rnn_fc1, config.rnn_fc2,
+            config.rnn_hidden1, config.rnn_hidden2) == (128, 64, 64, 64)
 
 
 def test_cnn_zero_params_give_zero_feature_uniform_softmax(small_cnn):
@@ -63,8 +65,8 @@ def test_rnn_zero_params_give_zero_outputs(small_rnn):
 def test_default_output_shapes_for_c8_k3():
     rng = np.random.default_rng(22)
     cov = random_cov(rng, c=8)
-    cnn_params = init_cnn_params(CnnSpec(), channels=8, seed=0)
-    rnn_params = init_rnn_params(RnnSpec(), channels=8, seed=0)
+    cnn_params = init_cnn_params(TrainConfig(), channels=8, seed=0)
+    rnn_params = init_rnn_params(TrainConfig(), channels=8, seed=0)
     cnn_feature, cnn_logits = cnn_single(cov, cnn_params)
     rnn_feature, rnn_logits = rnn_single(cov, rnn_params)
     assert cnn_feature.shape == (64,) and cnn_logits.shape == (3,)
@@ -74,7 +76,7 @@ def test_default_output_shapes_for_c8_k3():
 
 def test_cnn_rejects_too_few_channels_at_build():
     with pytest.raises(ConfigError, match="at least 5 channels"):
-        init_cnn_params(CnnSpec(), channels=4, seed=0)
+        init_cnn_params(TrainConfig(), channels=4, seed=0)
 
 
 def test_concatenation_preserves_branch_values_verbatim(small_cnn, small_rnn):
@@ -150,8 +152,8 @@ def test_rnn_column_axis_equals_rows_on_symmetric_input(small_rnn):
 
 
 def test_rnn_lstm_first_order():
-    spec = RnnSpec(fc1_width=8, fc2_width=6, hidden1=5, hidden2=4, classes=3)
-    params = init_rnn_params(spec, channels=6, seed=5, order="lstm-first")
+    config = dataclasses.replace(SMALL_CONFIG, rnn_order="lstm-first")
+    params = init_rnn_params(config, channels=6, seed=5)
     rng = np.random.default_rng(29)
     feature, logits = rnn_single(random_cov(rng), params, order="lstm-first")
     assert feature.shape == (6,)  # feature is the fc2 output in this order
@@ -166,7 +168,7 @@ def test_invalid_order_and_axis_rejected(small_rnn):
     with pytest.raises(ConfigError, match="axis"):
         rnn_single(cov, small_rnn, axis="diagonal")
     with pytest.raises(ConfigError):
-        init_rnn_params(RnnSpec(), channels=8, seed=0, order="sideways")
+        init_rnn_params(TrainConfig(rnn_order="sideways"), channels=8, seed=0)
 
 
 def test_missing_weights_raise_state_error(small_cnn):
@@ -181,7 +183,7 @@ def test_missing_weights_raise_state_error(small_cnn):
 
 
 def test_he_init_statistics():
-    params = init_cnn_params(CnnSpec(), channels=8, seed=123)
+    params = init_cnn_params(TrainConfig(), channels=8, seed=123)
     w = params["fc1.w"].value
     expected = np.sqrt(2.0 / w.shape[0])
     assert abs(w.std() - expected) < 0.1 * expected
@@ -189,7 +191,7 @@ def test_he_init_statistics():
 
 
 def test_lstm_forget_bias_is_one():
-    params = init_rnn_params(RnnSpec(), channels=8, seed=123)
+    params = init_rnn_params(TrainConfig(), channels=8, seed=123)
     assert np.array_equal(params["lstm1.b_f"].value, np.ones(64))
     assert np.array_equal(params["lstm1.b_i"].value, np.zeros(64))
 

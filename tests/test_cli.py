@@ -102,7 +102,7 @@ def test_zero_epoch_run_keeps_init_weights_and_emits_report(dataset, tmp_path, c
                "--out", str(run_dir), "--seed", "4", "--epochs", "0,0,0"])
     assert rc == 0
     config = config_from_file(run_dir / "config.txt")
-    fresh = init_cnn_params(config.cnn_spec(), 6, _derived_seeds(4)["cnn_init"])
+    fresh = init_cnn_params(config, 6, _derived_seeds(4)["cnn_init"])
     saved = load_store(run_dir / "cnn.cvdp")
     assert store_bytes(saved) == store_bytes(fresh)
     curves = read_curves_csv(run_dir / "curves.csv")
@@ -248,3 +248,54 @@ def test_uncoercible_config_value_exits_2(dataset, tmp_path, capsys, config_text
     assert rc == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def _predict_args(run_dir, dataset):
+    return ["predict", "--trial", str(dataset / "trials" / "t0000.eegt"),
+            "--weights", str(run_dir)]
+
+
+def _non_numeric_train_loss(data: bytes) -> bytes:
+    lines = data.split(b"\n")
+    fields = lines[1].split(b",")
+    fields[2] = b"abc"
+    lines[1] = b",".join(fields)
+    return b"\n".join(lines)
+
+
+@pytest.mark.parametrize("name, corrupt, command, named", [
+    ("classes.txt", lambda data: b"class0\n\xffclass1\nclass2\n", "predict",
+     ["classes.txt: invalid UTF-8 at byte 7"]),
+    ("report.json", lambda data: data[: len(data) // 2], "report",
+     ["report.json:", "invalid JSON"]),
+    ("curves.csv", _non_numeric_train_loss, "report",
+     ["curves.csv:2: bad curves row", "'abc'"]),
+], ids=["classes-invalid-utf8", "report-truncated", "curves-non-numeric"])
+def test_corrupt_run_directory_file_exits_3(trained_run, dataset, tmp_path, capsys,
+                                            name, corrupt, command, named):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    path = broken / name
+    path.write_bytes(corrupt(path.read_bytes()))
+    if command == "predict":
+        rc = main(_predict_args(broken, dataset))
+    else:
+        rc = main(["report", "--run", str(broken)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error: ") and err.count("\n") == 1
+    for part in named:
+        assert part in err
+
+
+def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    (broken / "classes.txt").write_text("class0\nclass1\n", encoding="utf-8")
+    rc = main(_predict_args(broken, dataset))
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "classes.txt" in captured.err
+    assert "2 class names" in captured.err and "3 classes" in captured.err

@@ -52,6 +52,8 @@ def test_validation_errors():
 def test_feature_width_tracks_rnn_order():
     assert TrainConfig().feature_width == 128
     assert TrainConfig(rnn_order="lstm-first", rnn_fc2=48).feature_width == 64 + 48
+    assert TrainConfig(rnn_hidden2=40).rnn_feature == 40
+    assert TrainConfig(rnn_order="lstm-first", rnn_fc2=48).rnn_feature == 48
 
 
 def test_missing_config_file():
@@ -76,3 +78,4 @@ def test_invalid_utf8_config_names_byte(tmp_path):
     path.write_bytes(b"seed = 1\nrnn_order = \xe9\n")
     with pytest.raises(ConfigError, match=r"config\.txt: invalid UTF-8 at byte 21"):
         config_from_file(path)
+

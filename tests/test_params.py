@@ -12,7 +12,7 @@ from conftest import store_bytes
 
 
 def make_store() -> ParamStore:
-    store = ParamStore(seed=99)
+    store = ParamStore()
     store.add("w", np.arange(6.0).reshape(2, 3))
     store.add("b", np.array([0.5, -0.5, 0.25]))
     return store

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -111,8 +113,8 @@ def test_stage1_zero_epochs_returns_initialization():
     train_x, train_y, val_x, val_y = prepared(trials, config)
     result = train_stage1(train_x, train_y, val_x, val_y, config)
     seeds = _derived_seeds(config.seed)
-    fresh_cnn = init_cnn_params(config.cnn_spec(), 6, seeds["cnn_init"])
-    fresh_rnn = init_rnn_params(config.rnn_spec(), 6, seeds["rnn_init"], config.rnn_order)
+    fresh_cnn = init_cnn_params(config, 6, seeds["cnn_init"])
+    fresh_rnn = init_rnn_params(config, 6, seeds["rnn_init"])
     assert store_bytes(result.cnn.params) == store_bytes(fresh_cnn)
     assert store_bytes(result.rnn.params) == store_bytes(fresh_rnn)
     assert result.cnn.epochs_run == 0
@@ -137,11 +139,33 @@ def test_stage2_deterministic_bit_for_bit():
     assert store_bytes(a.params) == store_bytes(b.params)
 
 
+@pytest.mark.parametrize("order, digest", [
+    ("fc-first", "d05e5c84037171fb1bc511bb608a88886fb60a4a92266e987e0acf1288ae6a76"),
+    ("lstm-first", "c7d176c7caa911c3fecbfe43c2debe035e3ba8f8339775af59ccd11b7f3490cf"),
+])
+def test_initial_weights_are_pinned(order, digest):
+    # default widths, 8 channels: names, draws, shapes and order of all four stores
+    config = TrainConfig(seed=11, rnn_order=order).validate()
+    seeds = _derived_seeds(11)
+    stores = [
+        init_cnn_params(config, 8, seeds["cnn_init"]),
+        init_rnn_params(config, 8, seeds["rnn_init"]),
+        init_dae_params(config, seeds["dae_init"]),
+        init_head_params(config, seeds["head_init"]),
+    ]
+    h = hashlib.sha256()
+    for store in stores:
+        for name, node in store.items():
+            h.update(name.encode("utf-8"))
+            h.update(node.value.astype("<f8").tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_stage2_zero_epochs_keeps_initial_weights():
     config = small_config(epochs_stage2=0)
     feats = np.random.default_rng(1).normal(size=(10, config.feature_width))
     result = train_stage2(feats, config)
-    fresh = init_dae_params(config.dae_spec(), _derived_seeds(config.seed)["dae_init"])
+    fresh = init_dae_params(config, _derived_seeds(config.seed)["dae_init"])
     assert store_bytes(result.params) == store_bytes(fresh)
     assert result.initial_loss == result.final_loss
 
@@ -162,7 +186,7 @@ def test_stage3_zero_epochs_and_determinism():
     vlat = rng.normal(size=(6, config.dae_latent))
     vlab = rng.integers(0, 3, size=6)
     result = train_stage3(latents, labels, vlat, vlab, config)
-    fresh = init_head_params(config.head_spec(), _derived_seeds(config.seed)["head_init"])
+    fresh = init_head_params(config, _derived_seeds(config.seed)["head_init"])
     assert store_bytes(result.params) == store_bytes(fresh)
 
 
@@ -219,10 +243,10 @@ def zero_param_artifacts(config, channels=6):
     return PipelineArtifacts(
         config=config,
         classes=[f"class{k}" for k in range(config.classes)],
-        cnn=zeroed(init_cnn_params(config.cnn_spec(), channels, seeds["cnn_init"])),
-        rnn=zeroed(init_rnn_params(config.rnn_spec(), channels, seeds["rnn_init"])),
-        dae=zeroed(init_dae_params(config.dae_spec(), seeds["dae_init"])),
-        head=zeroed(init_head_params(config.head_spec(), seeds["head_init"])),
+        cnn=zeroed(init_cnn_params(config, channels, seeds["cnn_init"])),
+        rnn=zeroed(init_rnn_params(config, channels, seeds["rnn_init"])),
+        dae=zeroed(init_dae_params(config, seeds["dae_init"])),
+        head=zeroed(init_head_params(config, seeds["head_init"])),
         norm=NormStats(np.zeros((channels, channels)), np.ones((channels, channels))),
     )
 
