@@ -1,10 +1,12 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Node pairs a value tensor with a same-shaped gradient buffer. Operations
-build a graph of Nodes; calling backward() on a scalar result walks the graph
-exactly once in reverse topological order, accumulating (+=) into each .grad.
-Everything is float64 and deterministic: two identical backward passes over
-freshly zeroed gradients produce bit-identical results.
+A Node pairs a value tensor with a same-shaped gradient buffer, which is
+allocated as zeros on first use: a graph that is only evaluated forward
+allocates no gradient buffers. Operations build a graph of Nodes; calling
+backward() on a scalar result walks the graph exactly once in reverse
+topological order, accumulating (+=) into each .grad. Everything is float64
+and deterministic: two identical backward passes over freshly zeroed
+gradients produce bit-identical results.
 
 Vector arguments may be 1-D ([n]) or batched 2-D ([B, n]); conv1d accepts
 [Cin, L] or [B, Cin, L]. No broadcasting beyond what the layer types need.
@@ -33,7 +35,7 @@ def as_tensor(x) -> np.ndarray:
 class Node:
     """One vertex of the computation graph."""
 
-    __slots__ = ("value", "grad", "op", "parents", "_backward")
+    __slots__ = ("value", "_grad", "op", "parents", "_backward")
 
     def __init__(
         self,
@@ -43,10 +45,21 @@ class Node:
         backward: Callable[[np.ndarray], None] | None = None,
     ):
         self.value = as_tensor(value)
-        self.grad = np.zeros_like(self.value)
+        self._grad = None
         self.op = op
         self.parents = parents
         self._backward = backward
+
+    @property
+    def grad(self) -> np.ndarray:
+        """Gradient buffer, allocated as zeros shaped like value on first access."""
+        if self._grad is None:
+            self._grad = np.zeros_like(self.value)
+        return self._grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray) -> None:
+        self._grad = grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -201,10 +214,16 @@ def tanh(x: Node) -> Node:
 
 
 def conv1d(x: Node, w: Node, b: Node) -> Node:
-    """Valid 1-D cross-correlation, stride 1.
+    """Valid 1-D cross-correlation, stride 1, as im2col matrix products.
 
     x: [Cin, L] or [B, Cin, L]; w: [Cout, Cin, K]; b: [Cout].
     out[..., o, t] = b[o] + sum_{i,k} w[o, i, k] * x[..., i, t + k]
+
+    Forward builds the window matrix cols[b, i*K + k, t] = x[b, i, t + k]
+    ([B, Cin*K, T], T = L - K + 1) once and keeps it for backward, so that
+    out = w.reshape(Cout, Cin*K) @ cols + b, dW is one product of g with cols
+    over all (b, t), and dx is w.reshape(Cout, Cin*K).T @ g folded back onto
+    the input windows (col2im). A [Cin, L] input runs as a batch of one.
     """
     if w.value.ndim != 3:
         raise ShapeError(f"conv1d: weight must be [Cout, Cin, K], got {w.value.shape}")
@@ -221,33 +240,28 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
     if k > length:
         raise ConfigError(f"conv1d: kernel {k} longer than input length {length}")
 
-    batched = x.value.ndim == 3
-    # windows[..., i, t, k] = x[..., i, t + k]
-    windows = np.lib.stride_tricks.sliding_window_view(x.value, k, axis=-1)
-    if batched:
-        out = np.einsum("oik,bitk->bot", w.value, windows) + b.value[:, None]
-    else:
-        out = np.einsum("oik,itk->ot", w.value, windows) + b.value[:, None]
+    xb = x.value.reshape(-1, cin, length)
+    batch, steps = xb.shape[0], length - k + 1
+    # windows[b, i, t, k] = x[b, i, t + k]; the reshape copies into cols
+    windows = np.lib.stride_tricks.sliding_window_view(xb, k, axis=-1)
+    cols = windows.transpose(0, 1, 3, 2).reshape(batch, cin * k, steps)
+    w2 = w.value.reshape(cout, cin * k)
+    out = w2 @ cols + b.value[:, None]
 
     def backward(g):
-        if batched:
-            b.grad += g.sum(axis=(0, 2))
-            w.grad += np.einsum("bot,bitk->oik", g, windows)
-        else:
-            b.grad += g.sum(axis=1)
-            w.grad += np.einsum("ot,itk->oik", g, windows)
-        # dx[..., i, s] = sum_{o,k} g[..., o, s - k] * w[o, i, k]: a full
-        # correlation of g with the flipped kernel.
-        pad = [(0, 0)] * (g.ndim - 1) + [(k - 1, k - 1)]
-        gpad = np.pad(g, pad)
-        gwin = np.lib.stride_tricks.sliding_window_view(gpad, k, axis=-1)
-        wflip = w.value[:, :, ::-1]
-        if batched:
-            x.grad += np.einsum("bosj,oij->bis", gwin, wflip)
-        else:
-            x.grad += np.einsum("osj,oij->is", gwin, wflip)
+        g = g.reshape(batch, cout, steps)
+        b.grad += g.sum(axis=(0, 2))
+        g2 = g.transpose(1, 0, 2).reshape(cout, batch * steps)
+        cols2 = cols.transpose(0, 2, 1).reshape(batch * steps, cin * k)
+        w.grad += (g2 @ cols2).reshape(cout, cin, k)
+        dcols = (w2.T @ g).reshape(batch, cin, k, steps)
+        dx = np.zeros_like(xb)
+        for j in range(k):
+            dx[:, :, j:j + steps] += dcols[:, :, j]
+        x.grad += dx.reshape(x.value.shape)
 
-    return Node(out, "conv1d", (x, w, b), backward)
+    out_shape = x.value.shape[:-2] + (cout, steps)
+    return Node(out.reshape(out_shape), "conv1d", (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------

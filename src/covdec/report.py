@@ -28,6 +28,9 @@ REPORT_FORMAT_VERSION = 1
 
 STAGE_FILES = ("cnn", "rnn", "dae", "head")
 
+# the report.json fields that `covdec report` prints
+REPORT_KEYS = ("classes", "train_accuracy", "val_accuracy")
+
 
 @dataclass
 class RunReport:
@@ -189,10 +192,17 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
 
 
 def load_report_json(run_dir: str | Path) -> dict:
+    """Parse report.json; raises ParseError when it lacks a REPORT_KEYS field."""
     p = Path(run_dir) / "report.json"
     if not p.exists():
         raise StateError(f"missing report: {p}")
     try:
-        return json.loads(_read_utf8(p, ParseError))
+        report = json.loads(_read_utf8(p, ParseError))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None
+    if not isinstance(report, dict):
+        raise ParseError(f"{p}: expected a JSON object, got {type(report).__name__}")
+    for key in REPORT_KEYS:
+        if key not in report:
+            raise ParseError(f"{p}: missing key '{key}'")
+    return report

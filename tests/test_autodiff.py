@@ -81,6 +81,61 @@ def test_conv1d_batched_matches_per_sample():
         assert np.allclose(batched.value[i], single.value, atol=1e-12)
 
 
+def _conv1d_loops(x, w, b, g):
+    """Output and (dx, dw, db) of out[n, o, t] = b[o] + sum_{i,k} w[o,i,k] * x[n,i,t+k]
+    for loss = sum(out * g), by plain loops over every index; x is [B, Cin, L]."""
+    batch, cin, length = x.shape
+    cout, _, k = w.shape
+    steps = length - k + 1
+    out = np.zeros((batch, cout, steps))
+    dx, dw, db = np.zeros_like(x), np.zeros_like(w), np.zeros_like(b)
+    for n in range(batch):
+        for o in range(cout):
+            for t in range(steps):
+                out[n, o, t] = b[o]
+                db[o] += g[n, o, t]
+                for i in range(cin):
+                    for j in range(k):
+                        out[n, o, t] += w[o, i, j] * x[n, i, t + j]
+                        dw[o, i, j] += g[n, o, t] * x[n, i, t + j]
+                        dx[n, i, t + j] += g[n, o, t] * w[o, i, j]
+    return out, dx, dw, db
+
+
+def _backward_with(out: Node, g: np.ndarray) -> None:
+    # loss = sum(out * g), so d loss / d out is exactly g
+    flat = ad.reshape(ad.mul(out, Node(g)), (1, g.size))
+    ad.reshape(ad.linear(flat, Node(np.ones((g.size, 1)))), ()).backward()
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((3, 2, 9), (4, 2, 3)),   # batched, Cin < Cout
+    ((5, 8), (3, 5, 3)),      # unbatched, Cin > Cout
+    ((2, 3, 6), (4, 3, 1)),   # K = 1
+    ((2, 3, 4), (2, 3, 4)),   # K = L, one output step
+    ((6, 3, 4), (2, 3, 4)),   # K = L, unbatched
+    ((2, 1, 7), (3, 1, 2)),   # Cin = 1
+], ids=["batched", "unbatched", "k1", "k-eq-l", "k-eq-l-unbatched", "cin1"])
+def test_conv1d_matches_loop_formula(x_shape, w_shape):
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    b = rng.normal(size=w_shape[0])
+    xn, wn, bn = Node(x), Node(w), Node(b)
+    out = ad.conv1d(xn, wn, bn)
+    g = rng.normal(size=out.value.shape)
+    _backward_with(out, g)
+
+    batched_x = x.reshape(-1, *x_shape[-2:])
+    ref_out, ref_dx, ref_dw, ref_db = _conv1d_loops(
+        batched_x, w, b, g.reshape(batched_x.shape[0], *g.shape[-2:]))
+    assert out.value.shape == x_shape[:-2] + ref_out.shape[-2:]
+    for got, want in [(out.value, ref_out), (xn.grad, ref_dx),
+                      (wn.grad, ref_dw), (bn.grad, ref_db)]:
+        assert np.allclose(got.reshape(want.shape), want, rtol=0.0, atol=1e-12)
+    assert xn.grad.shape == x.shape
+
+
 def test_softmax_xent_uniform_logits_is_ln_k():
     loss = ad.softmax_xent(Node(np.zeros((2, 3))), [0, 2])
     assert float(loss.value) == pytest.approx(math.log(3.0), abs=1e-12)

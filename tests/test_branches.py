@@ -107,6 +107,37 @@ def test_feature_extraction_never_touches_params_or_grads(small_cnn, small_rnn):
     assert grads == {n: small_cnn[n].grad.tobytes() for n in small_cnn.names()}
 
 
+@pytest.mark.parametrize("branch", ["cnn", "rnn"])
+def test_forward_graph_allocates_no_gradient_buffers(branch):
+    rng = np.random.default_rng(27)
+    mats = np.stack([random_cov(rng).values for _ in range(3)])
+    labels = [0, 1, 2]
+
+    def build():
+        if branch == "cnn":
+            params = init_cnn_params(SMALL_CONFIG, channels=6, seed=42)
+            _, logits = cnn_graph(Node(mats), params)
+        else:
+            params = init_rnn_params(SMALL_CONFIG, channels=6, seed=43)
+            _, logits = rnn_graph(mats, params)
+        return params, logits
+
+    params, logits = build()
+    assert all(node._grad is None for node in ad._toposort(logits))
+    ad.softmax_xent(logits, labels).backward()
+    lazy = {name: node._grad for name, node in params.items()}
+    assert all(grad is not None for grad in lazy.values())
+
+    # eager reference: every buffer allocated as zeros before backward adds into it
+    params, logits = build()
+    loss = ad.softmax_xent(logits, labels)
+    for node in ad._toposort(loss):
+        node.grad = np.zeros_like(node.value)
+    loss.backward()
+    assert ({name: grad.tobytes() for name, grad in lazy.items()}
+            == {name: node.grad.tobytes() for name, node in params.items()})
+
+
 def test_batched_graph_matches_per_sample_forward(small_cnn, small_rnn):
     rng = np.random.default_rng(26)
     covs = [random_cov(rng) for _ in range(4)]

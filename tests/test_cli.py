@@ -1,8 +1,14 @@
+import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covdec
 import covdec.autodiff
 from covdec.cli import main
 from covdec.config import config_from_file
@@ -288,6 +294,33 @@ def test_corrupt_run_directory_file_exits_3(trained_run, dataset, tmp_path, caps
         assert part in err
 
 
+def _report_without(*keys):
+    def corrupt(data: bytes) -> bytes:
+        report = json.loads(data)
+        for key in keys:
+            del report[key]
+        return json.dumps(report).encode()
+    return corrupt
+
+
+@pytest.mark.parametrize("corrupt, named", [
+    (lambda data: b"{}", "missing key 'classes'"),
+    (_report_without("val_accuracy"), "missing key 'val_accuracy'"),
+    (lambda data: b"[]", "expected a JSON object, got list"),
+], ids=["empty-object", "no-val-accuracy", "not-an-object"])
+def test_report_json_missing_fields_exits_3(trained_run, tmp_path, capsys, corrupt, named):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    path = broken / "report.json"
+    path.write_bytes(corrupt(path.read_bytes()))
+    rc = main(["report", "--run", str(broken)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(path) in captured.err and named in captured.err
+
+
 def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_path, capsys):
     broken = tmp_path / "broken"
     shutil.copytree(trained_run, broken)
@@ -299,3 +332,25 @@ def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_pa
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "classes.txt" in captured.err
     assert "2 class names" in captured.err and "3 classes" in captured.err
+
+
+def test_blas_thread_count_does_not_change_weights(tmp_path):
+    # matrix products go through BLAS, which may split them across threads
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--out", str(data), "--seed", "7"]) == 0
+    src = str(Path(covdec.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from covdec.cli import main; sys.exit(main(sys.argv[1:]))",
+             "train", "--data", str(data / "manifest.txt"), "--out", str(out),
+             "--seed", "11", "--epochs", "2,2,2"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[threads] = {stage: (out / f"{stage}.cvdp").read_bytes()
+                         for stage in ("cnn", "rnn", "dae", "head")}
+    assert runs["1"] == runs["2"]
