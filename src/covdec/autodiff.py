@@ -162,18 +162,6 @@ def reshape(x: Node, shape: Sequence[int]) -> Node:
     return Node(x.value.reshape(shape), "reshape", (x,), backward)
 
 
-def concat(nodes: Sequence[Node]) -> Node:
-    """Concatenate along the last axis; leading axes must agree."""
-    values = [n.value for n in nodes]
-    offsets = np.cumsum([0] + [v.shape[-1] for v in values])
-
-    def backward(g):
-        for node, lo, hi in zip(nodes, offsets[:-1], offsets[1:]):
-            node.grad += g[..., lo:hi]
-
-    return Node(np.concatenate(values, axis=-1), "concat", tuple(nodes), backward)
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------

@@ -15,12 +15,7 @@ from .covariance import prepare
 from .data import SynthSpec, load, load_trial, write_synth_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
 from .gradcheck import run_suite
-from .report import (
-    load_artifacts,
-    load_report_json,
-    read_curves_csv,
-    save_run,
-)
+from .report import format_confusion, format_report, load_artifacts, save_run
 from .training import evaluate, predict_batch, run_training
 
 
@@ -108,10 +103,10 @@ def _cmd_train(args) -> int:
     config = config_from_dict(values)
 
     outcome = run_training(trials, manifest.classes, config)
-    report = save_run(args.out, outcome)
+    save_run(args.out, outcome)
     print(f"run written to {args.out}")
-    print(f"train accuracy = {report.train_accuracy:.4f}")
-    print(f"val accuracy = {report.val_accuracy:.4f}")
+    print(f"train accuracy = {outcome.train_eval.accuracy:.4f}")
+    print(f"val accuracy = {outcome.val_eval.accuracy:.4f}")
     return 0
 
 
@@ -127,8 +122,7 @@ def _cmd_eval(args) -> int:
     print(f"trials = {result.count}")
     print(f"accuracy = {result.accuracy:.4f}")
     print("confusion matrix (rows = true, cols = predicted):")
-    for name, row in zip(artifacts.classes, result.confusion):
-        print(f"  {name:<12} " + " ".join(f"{v:4d}" for v in row))
+    print("\n".join(format_confusion(artifacts.classes, result.confusion)))
     return 0
 
 
@@ -159,26 +153,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = load_report_json(args.run)
-    curves = read_curves_csv(Path(args.run) / "curves.csv")
-    print(f"run {args.run}")
-    print(f"classes: {', '.join(report['classes'])}")
-    print(f"train accuracy = {report['train_accuracy']:.4f}")
-    print(f"val accuracy = {report['val_accuracy']:.4f}")
-    for stage in ("cnn", "rnn", "dae", "head"):
-        points = [c for c in curves if c.stage == stage]
-        if not points:
-            print(f"{stage}: no curve data")
-            continue
-        trained = sum(1 for c in points if c.epoch > 0)
-        first, last = points[0], points[-1]
-        line = (f"{stage}: {trained} epochs, "
-                f"train loss {first.train_loss:.4g} -> {last.train_loss:.4g}")
-        with_val = [c for c in points if c.val_loss is not None]
-        if with_val:
-            best = min(with_val, key=lambda c: c.val_loss)
-            line += f", best val loss {best.val_loss:.4g} at epoch {best.epoch}"
-        print(line)
+    print(format_report(args.run), end="")
     return 0
 
 

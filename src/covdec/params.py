@@ -19,6 +19,7 @@ names: older writers appended Adam moment buffers as "<param>::adam_m" and
 
 from __future__ import annotations
 
+import math
 import struct
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -203,7 +204,7 @@ def load(path: str | Path) -> ParamStore:
             ) from None
         rank = r.u32()
         dims = [r.u32() for _ in range(rank)]
-        size = int(np.prod(dims, dtype=np.int64)) if dims else 1
+        size = math.prod(dims)  # exact; a wrapped int64 product could pass as 0
         payload = r.take(8 * size)
         arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
         if not np.all(np.isfinite(arr)):

@@ -1,4 +1,4 @@
-"""Run reports and the on-disk layout of a training run directory.
+"""The on-disk layout of a training run directory: writing, loading, rendering.
 
 A run directory contains:
 
@@ -7,7 +7,9 @@ A run directory contains:
     config.txt                             effective config echo
     classes.txt                            class names, one per line
     curves.csv                             epoch,stage,train_loss,val_loss,val_acc
-    report.txt / report.json               human / machine readable report
+    report.json                            accuracy, per-class metrics, wall clock
+
+No other module names these files; `covdec report` prints `format_report`.
 """
 
 from __future__ import annotations
@@ -15,12 +17,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from . import params as pstore
 from .config import _read_utf8, config_from_file, write_config
-from .covariance import NormStats
+from .covariance import STD_FLOOR, NormStats
 from .errors import ParseError, StateError
 from .training import CurvePoint, PipelineArtifacts, RunOutcome
 
@@ -28,77 +31,30 @@ REPORT_FORMAT_VERSION = 1
 
 STAGE_FILES = ("cnn", "rnn", "dae", "head")
 
-# the report.json fields that `covdec report` prints
-REPORT_KEYS = ("classes", "train_accuracy", "val_accuracy")
+
+def _number(v, k=None) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
-@dataclass
-class RunReport:
-    format_version: int
-    config: dict
-    classes: list[str]
-    train_accuracy: float
-    val_accuracy: float
-    precision: list[float]   # per class, validation set
-    recall: list[float]
-    confusion: list[list[int]]  # rows = true class, cols = predicted
-    wall_clock: dict[str, float]
-
-    def metric_fields(self) -> dict:
-        """Everything except wall clock, for determinism comparisons."""
-        return {
-            "format_version": self.format_version,
-            "config": self.config,
-            "classes": self.classes,
-            "train_accuracy": self.train_accuracy,
-            "val_accuracy": self.val_accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "confusion": self.confusion,
-        }
+def _per_class(item):
+    """A check for a list with one entry per class, each passing item(entry, k)."""
+    return lambda v, k: isinstance(v, list) and len(v) == k and all(item(x, k) for x in v)
 
 
-def build_report(outcome: RunOutcome) -> RunReport:
-    val = outcome.val_eval
-    return RunReport(
-        format_version=REPORT_FORMAT_VERSION,
-        config=outcome.artifacts.config.to_dict(),
-        classes=list(outcome.artifacts.classes),
-        train_accuracy=outcome.train_eval.accuracy,
-        val_accuracy=val.accuracy,
-        precision=[float(x) for x in val.precision],
-        recall=[float(x) for x in val.recall],
-        confusion=[[int(x) for x in row] for row in val.confusion],
-        wall_clock={k: float(v) for k, v in outcome.wall_clock.items()},
-    )
-
-
-def format_report_text(report: RunReport) -> str:
-    lines = ["covdec run report", f"format_version = {report.format_version}", ""]
-    lines.append("[config]")
-    lines.extend(f"{k} = {v}" for k, v in report.config.items())
-    lines.append("")
-    lines.append("[classes]")
-    lines.extend(f"{i} = {name}" for i, name in enumerate(report.classes))
-    lines.append("")
-    lines.append("[accuracy]")
-    lines.append(f"train = {report.train_accuracy:.6f}")
-    lines.append(f"val = {report.val_accuracy:.6f}")
-    lines.append("")
-    lines.append("[precision]  # validation, per class")
-    lines.extend(
-        f"{name} = {v:.6f}" for name, v in zip(report.classes, report.precision)
-    )
-    lines.append("")
-    lines.append("[recall]  # validation, per class")
-    lines.extend(f"{name} = {v:.6f}" for name, v in zip(report.classes, report.recall))
-    lines.append("")
-    lines.append("[confusion]  # rows = true class, cols = predicted")
-    lines.extend(" ".join(str(v) for v in row) for row in report.confusion)
-    lines.append("")
-    lines.append("[wall_clock_seconds]")
-    lines.extend(f"{k} = {v:.3f}" for k, v in report.wall_clock.items())
-    return "\n".join(lines) + "\n"
+# the report.json fields `format_report` reads: what each must be, and its
+# check given k classes; `classes` comes first and fixes k
+REPORT_FIELDS = {
+    "classes": ("a list of strings",
+                lambda v, k: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    "train_accuracy": ("a number", _number),
+    "val_accuracy": ("a number", _number),
+    "precision": ("a list of numbers, one per class", _per_class(_number)),
+    "recall": ("a list of numbers, one per class", _per_class(_number)),
+    "confusion": ("a list of integer rows, one row and one column per class",
+                  _per_class(_per_class(lambda v, k: _number(v) and isinstance(v, int)))),
+    "wall_clock": ("an object of numbers",
+                   lambda v, k: isinstance(v, dict) and all(map(_number, v.values()))),
+}
 
 
 def write_curves_csv(path: str | Path, curves: list[CurvePoint]) -> None:
@@ -133,8 +89,8 @@ def read_curves_csv(path: str | Path) -> list[CurvePoint]:
     return out
 
 
-def save_run(out_dir: str | Path, outcome: RunOutcome) -> RunReport:
-    """Write weights, stats, config echo, curves, and both report variants."""
+def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
+    """Write weights, stats, config echo, class names, curves and report.json."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     artifacts = outcome.artifacts
@@ -151,18 +107,23 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> RunReport:
     )
     write_curves_csv(out / "curves.csv", outcome.curves)
 
-    report = build_report(outcome)
-    (out / "report.txt").write_text(format_report_text(report), encoding="utf-8")
-    (out / "report.json").write_text(
-        json.dumps({**report.metric_fields(), "wall_clock": report.wall_clock},
-                   indent=2) + "\n",
-        encoding="utf-8",
-    )
-    return report
+    val = outcome.val_eval
+    report = {
+        "format_version": REPORT_FORMAT_VERSION,
+        "config": artifacts.config.to_dict(),
+        "classes": list(artifacts.classes),
+        "train_accuracy": outcome.train_eval.accuracy,
+        "val_accuracy": val.accuracy,
+        "precision": val.precision.tolist(),
+        "recall": val.recall.tolist(),
+        "confusion": val.confusion.tolist(),
+        "wall_clock": dict(outcome.wall_clock),
+    }
+    (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
 def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
-    """Load a trained run directory; missing pieces raise StateError by name."""
+    """Load a trained run directory; missing or mis-shaped pieces raise StateError."""
     run = Path(run_dir)
     stores = {}
     for stage in STAGE_FILES + ("norm",):
@@ -183,16 +144,33 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             f"{classes_path}: {len(classes)} class names for a model trained "
             f"on {config.classes} classes"
         )
-    norm = NormStats(stores["norm"]["mean"].value, stores["norm"]["std"].value)
+    norm_path = run / "norm.cvdp"
+    pstore.require(stores["norm"], ("mean", "std"), str(norm_path))
+    mean, std = stores["norm"]["mean"].value, stores["norm"]["std"].value
+    if mean.ndim != 2 or mean.shape[0] != mean.shape[1] or std.shape != mean.shape:
+        raise StateError(
+            f"{norm_path}: mean {mean.shape} and std {std.shape} are not "
+            f"one square [C, C] shape"
+        )
+    if np.any(std < STD_FLOOR):
+        raise StateError(f"{norm_path}: std has entries below {STD_FLOOR:g}")
+    head_path = run / "head.cvdp"
+    pstore.require(stores["head"], ("out.b",), str(head_path))
+    out_b = stores["head"]["out.b"].value
+    if out_b.shape != (config.classes,):
+        raise StateError(
+            f"{head_path}: 'out.b' has shape {out_b.shape} for a model trained "
+            f"on {config.classes} classes"
+        )
     return PipelineArtifacts(
         config=config, classes=classes,
         cnn=stores["cnn"], rnn=stores["rnn"],
-        dae=stores["dae"], head=stores["head"], norm=norm,
+        dae=stores["dae"], head=stores["head"], norm=NormStats(mean, std),
     )
 
 
 def load_report_json(run_dir: str | Path) -> dict:
-    """Parse report.json; raises ParseError when it lacks a REPORT_KEYS field."""
+    """Parse report.json; ParseError names a missing or malformed REPORT_FIELDS field."""
     p = Path(run_dir) / "report.json"
     if not p.exists():
         raise StateError(f"missing report: {p}")
@@ -202,7 +180,52 @@ def load_report_json(run_dir: str | Path) -> dict:
         raise ParseError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(report, dict):
         raise ParseError(f"{p}: expected a JSON object, got {type(report).__name__}")
-    for key in REPORT_KEYS:
+    k = None
+    for key, (what, check) in REPORT_FIELDS.items():
         if key not in report:
             raise ParseError(f"{p}: missing key '{key}'")
+        if not check(report[key], k):
+            raise ParseError(f"{p}: key '{key}' must be {what}")
+        k = len(report["classes"])
     return report
+
+
+def format_confusion(classes: list[str], confusion) -> list[str]:
+    """One line per true class: its name, then the count per predicted class."""
+    return [f"  {name:<12} " + " ".join(f"{v:4d}" for v in row)
+            for name, row in zip(classes, confusion)]
+
+
+def format_report(run_dir: str | Path) -> str:
+    """The text `covdec report` prints, built only after every file is read and checked."""
+    report = load_report_json(run_dir)
+    curves = read_curves_csv(Path(run_dir) / "curves.csv")
+    classes = report["classes"]
+    lines = [
+        f"run {run_dir}",
+        f"classes: {', '.join(classes)}",
+        f"train accuracy = {report['train_accuracy']:.4f}",
+        f"val accuracy = {report['val_accuracy']:.4f}",
+    ]
+    for stage in STAGE_FILES:
+        points = [c for c in curves if c.stage == stage]
+        if not points:
+            lines.append(f"{stage}: no curve data")
+            continue
+        trained = sum(1 for c in points if c.epoch > 0)
+        first, last = points[0], points[-1]
+        line = (f"{stage}: {trained} epochs, "
+                f"train loss {first.train_loss:.4g} -> {last.train_loss:.4g}")
+        with_val = [c for c in points if c.val_loss is not None]
+        if with_val:
+            best = min(with_val, key=lambda c: c.val_loss)
+            line += f", best val loss {best.val_loss:.4g} at epoch {best.epoch}"
+        lines.append(line)
+    lines.append("val precision / recall per class:")
+    lines.extend(f"  {name:<12} {p:.4f} / {r:.4f}"
+                 for name, p, r in zip(classes, report["precision"], report["recall"]))
+    lines.append("val confusion matrix (rows = true, cols = predicted):")
+    lines.extend(format_confusion(classes, report["confusion"]))
+    lines.append("wall clock (seconds):")
+    lines.extend(f"  {name:<12} {s:.3f}" for name, s in report["wall_clock"].items())
+    return "\n".join(lines) + "\n"

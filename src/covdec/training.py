@@ -83,8 +83,6 @@ class CurvePoint:
 class StageResult:
     params: ParamStore
     curves: list[CurvePoint]
-    initial_loss: float  # full training set, before any update
-    final_loss: float    # full training set, with the returned weights
     best_epoch: int      # epoch of the retained checkpoint (0 = initialization)
     epochs_run: int
 
@@ -122,8 +120,7 @@ def _fit(
     def point(epoch: int, train_loss: float) -> CurvePoint:
         return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
 
-    initial_loss = float(loss_fn(x, y).value)
-    curves = [point(0, initial_loss)]
+    curves = [point(0, float(loss_fn(x, y).value))]
 
     # the untrained weights are checkpoint candidate number zero
     best_val = curves[0].val_loss
@@ -162,8 +159,7 @@ def _fit(
         params.load_values(best_snap)
     else:
         best_epoch = epochs_run
-    final_loss = float(loss_fn(x, y).value)
-    return StageResult(params, curves, initial_loss, final_loss, best_epoch, epochs_run)
+    return StageResult(params, curves, best_epoch, epochs_run)
 
 
 def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, **kwargs) -> StageResult:

@@ -195,15 +195,6 @@ def test_linear_vector_and_batch_agree():
     assert np.allclose(batched.value[0], ad.linear(Node(x[0]), w, b).value, atol=1e-12)
 
 
-def test_concat_gradient_routes_to_segments():
-    a, b = Node([1.0, 2.0]), Node([3.0, 4.0, 5.0])
-    out = ad.concat([a, b])
-    assert np.array_equal(out.value, [1.0, 2.0, 3.0, 4.0, 5.0])
-    out.backward()
-    assert np.array_equal(a.grad, [1.0, 1.0])
-    assert np.array_equal(b.grad, [1.0, 1.0, 1.0])
-
-
 def test_reshape_roundtrips_gradient():
     x = Node(np.arange(6.0).reshape(2, 3))
     out = ad.reshape(x, (6,))

@@ -12,7 +12,7 @@ import covdec
 import covdec.autodiff
 from covdec.cli import main
 from covdec.config import config_from_file
-from covdec.params import load as load_store
+from covdec.params import ParamStore, load as load_store, save as save_store
 from covdec.report import load_artifacts, load_report_json, read_curves_csv
 from covdec.training import _derived_seeds
 from covdec.branches import init_cnn_params
@@ -64,10 +64,11 @@ def trained_run(tmp_path_factory, dataset):
 
 
 def test_train_writes_full_run_directory(trained_run):
-    for name in ("cnn.cvdp", "rnn.cvdp", "dae.cvdp", "head.cvdp", "norm.cvdp",
-                 "config.txt", "classes.txt", "curves.csv", "report.txt",
-                 "report.json"):
-        assert (trained_run / name).exists(), name
+    # exactly these files: report.json is the only report
+    assert sorted(p.name for p in trained_run.iterdir()) == sorted([
+        "cnn.cvdp", "rnn.cvdp", "dae.cvdp", "head.cvdp", "norm.cvdp",
+        "config.txt", "classes.txt", "curves.csv", "report.json",
+    ])
     report = load_report_json(trained_run)
     assert 0.0 <= report["val_accuracy"] <= 1.0
     assert report["config"]["seed"] == 13  # flag overrode the file default
@@ -100,6 +101,17 @@ def test_report_renders_summary(trained_run, capsys):
     assert "val accuracy" in out
     for stage in ("cnn", "rnn", "dae", "head"):
         assert f"{stage}:" in out
+    report = load_report_json(trained_run)
+    lines = out.splitlines()
+    start = lines.index("val precision / recall per class:")
+    for i, name in enumerate(report["classes"]):
+        p, r = report["precision"][i], report["recall"][i]
+        assert lines[start + 1 + i].split() == [name, f"{p:.4f}", "/", f"{r:.4f}"]
+    start = lines.index("val confusion matrix (rows = true, cols = predicted):")
+    for i, (name, row) in enumerate(zip(report["classes"], report["confusion"])):
+        assert lines[start + 1 + i].split() == [name, *map(str, row)]
+    start = lines.index("wall clock (seconds):")
+    assert [line.split()[0] for line in lines[start + 1:]] == list(report["wall_clock"])
 
 
 def test_zero_epoch_run_keeps_init_weights_and_emits_report(dataset, tmp_path, capsys):
@@ -287,8 +299,10 @@ def test_corrupt_run_directory_file_exits_3(trained_run, dataset, tmp_path, caps
         rc = main(_predict_args(broken, dataset))
     else:
         rc = main(["report", "--run", str(broken)])
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert rc == 3
+    assert captured.out == ""  # the report is built before any of it is printed
     assert err.startswith("error: ") and err.count("\n") == 1
     for part in named:
         assert part in err
@@ -303,11 +317,30 @@ def _report_without(*keys):
     return corrupt
 
 
+def _report_with(**fields):
+    def corrupt(data: bytes) -> bytes:
+        return json.dumps({**json.loads(data), **fields}).encode()
+    return corrupt
+
+
 @pytest.mark.parametrize("corrupt, named", [
     (lambda data: b"{}", "missing key 'classes'"),
     (_report_without("val_accuracy"), "missing key 'val_accuracy'"),
     (lambda data: b"[]", "expected a JSON object, got list"),
-], ids=["empty-object", "no-val-accuracy", "not-an-object"])
+    (_report_with(train_accuracy="x"), "key 'train_accuracy' must be a number"),
+    (_report_with(val_accuracy=None), "key 'val_accuracy' must be a number"),
+    (_report_with(val_accuracy=True), "key 'val_accuracy' must be a number"),
+    (_report_with(classes=5), "key 'classes' must be a list of strings"),
+    (_report_with(precision=[1.0, 1.0]), "key 'precision' must be a list of numbers"),
+    (_report_with(recall=[1.0, "x", 1.0]), "key 'recall' must be a list of numbers"),
+    (_report_with(confusion=[[1, 0, 0], [0, 1], [0, 0, 1]]), "key 'confusion' must be"),
+    (_report_with(confusion=[[1, 0, 0], [0, 1.5, 0], [0, 0, 1]]), "key 'confusion' must be"),
+    (_report_with(wall_clock={"prep": "slow"}), "key 'wall_clock' must be an object"),
+    (_report_without("wall_clock"), "missing key 'wall_clock'"),
+], ids=["empty-object", "no-val-accuracy", "not-an-object", "train-accuracy-string",
+        "val-accuracy-null", "val-accuracy-bool", "classes-int", "precision-short",
+        "recall-string", "confusion-ragged", "confusion-float", "wall-clock-string",
+        "no-wall-clock"])
 def test_report_json_missing_fields_exits_3(trained_run, tmp_path, capsys, corrupt, named):
     broken = tmp_path / "broken"
     shutil.copytree(trained_run, broken)
@@ -332,6 +365,59 @@ def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_pa
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "classes.txt" in captured.err
     assert "2 class names" in captured.err and "3 classes" in captured.err
+
+
+def _norm_store(mean, std=None):
+    store = ParamStore()
+    store.add("mean", mean)
+    if std is not None:
+        store.add("std", std)
+    return store
+
+
+def _head_out_b_short(store):
+    store["out.b"].value = store["out.b"].value[:2]
+    return store
+
+
+@pytest.mark.parametrize("name, corrupt, named", [
+    ("norm.cvdp", lambda s: _norm_store(s["mean"].value),
+     "missing parameter(s): std"),
+    ("norm.cvdp", lambda s: _norm_store(s["mean"].value, np.zeros_like(s["std"].value)),
+     "std has entries below"),
+    ("norm.cvdp", lambda s: _norm_store(s["mean"].value[0], s["std"].value),
+     "not one square [C, C] shape"),
+    ("norm.cvdp", lambda s: _norm_store(s["mean"].value[:, :5], s["std"].value[:, :5]),
+     "not one square [C, C] shape"),
+    ("head.cvdp", _head_out_b_short, "'out.b' has shape (2,)"),
+], ids=["norm-no-std", "norm-zero-std", "norm-vector-mean", "norm-not-square",
+        "head-two-classes"])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_bad_norm_or_head_exits_2(trained_run, dataset, tmp_path, capsys,
+                                  name, corrupt, named, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    save_store(corrupt(load_store(broken / name)), broken / name)
+    if command == "predict":
+        rc = main(_predict_args(broken, dataset))
+    else:
+        rc = main(["eval", "--data", str(dataset / "manifest.txt"), "--weights", str(broken)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(broken / name) in captured.err and named in captured.err
+
+
+def test_python_m_covdec_runs_the_cli(tmp_path):
+    src = str(Path(covdec.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "covdec", "gen-synth", "--out", str(tmp_path),
+         "--trials-per-class", "1", "--seed", "0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("wrote 3 trials")
 
 
 def test_blas_thread_count_does_not_change_weights(tmp_path):

@@ -186,6 +186,15 @@ def test_load_reports_truncation_offset(tmp_path):
         ps.load(path)
 
 
+def test_load_rejects_dims_whose_product_overflows(tmp_path):
+    # 2**31 * 2**31 * 4 wraps to 0 in int64; the exact size is far past the end
+    path = tmp_path / "weights.cvdp"
+    head = struct.pack("<H", 1) + b"w" + struct.pack("<I3I", 3, 2**31, 2**31, 4)
+    path.write_bytes(cvdp(head))
+    with pytest.raises(ParseError, match=r"weights\.cvdp: truncated at byte 31"):
+        ps.load(path)
+
+
 def test_load_rejects_trailing_bytes(tmp_path):
     path = tmp_path / "weights.cvdp"
     ps.save(make_store(), path)
