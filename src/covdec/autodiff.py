@@ -9,7 +9,9 @@ and deterministic: two identical backward passes over freshly zeroed
 gradients produce bit-identical results.
 
 Vector arguments may be 1-D ([n]) or batched 2-D ([B, n]); conv1d accepts
-[Cin, L] or [B, Cin, L]. No broadcasting beyond what the layer types need.
+[Cin, L] or [B, Cin, L]; lstm maps a [B, T, d] sequence to [B, T, H] hidden
+states, and last_step picks [B, H] out of them. No broadcasting beyond what
+the layer types need.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ class Node:
 
 
 def _toposort(root: Node) -> list[Node]:
-    # Iterative DFS; recursion would be fragile on long unrolled LSTM chains.
+    # iterative DFS, so graph depth is not bounded by the recursion limit
     order: list[Node] = []
     visited: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -98,32 +100,8 @@ def _toposort(root: Node) -> list[Node]:
 
 
 # ---------------------------------------------------------------------------
-# elementwise and affine primitives
+# affine and shape primitives
 # ---------------------------------------------------------------------------
-
-
-def add(a: Node, b: Node) -> Node:
-    """Elementwise sum of two same-shaped nodes."""
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"add: shapes {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a.grad += g
-        b.grad += g
-
-    return Node(a.value + b.value, "add", (a, b), backward)
-
-
-def mul(a: Node, b: Node) -> Node:
-    """Elementwise (Hadamard) product of two same-shaped nodes."""
-    if a.value.shape != b.value.shape:
-        raise ShapeError(f"mul: shapes {a.value.shape} vs {b.value.shape}")
-
-    def backward(g):
-        a.grad += g * b.value
-        b.grad += g * a.value
-
-    return Node(a.value * b.value, "mul", (a, b), backward)
 
 
 def linear(x: Node, w: Node, b: Node | None = None) -> Node:
@@ -162,6 +140,17 @@ def reshape(x: Node, shape: Sequence[int]) -> Node:
     return Node(x.value.reshape(shape), "reshape", (x,), backward)
 
 
+def last_step(x: Node) -> Node:
+    """The last step of a [B, T, H] sequence, as [B, H]."""
+    if x.value.ndim != 3:
+        raise ShapeError(f"last_step: input must be [B, T, H], got {x.value.shape}")
+
+    def backward(g):
+        x.grad[:, -1] += g
+
+    return Node(x.value[:, -1], "last_step", (x,), backward)
+
+
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
@@ -175,25 +164,6 @@ def relu(x: Node) -> Node:
         x.grad += g * mask
 
     return Node(np.maximum(x.value, 0.0), "relu", (x,), backward)
-
-
-def sigmoid(x: Node) -> Node:
-    """Logistic function, computed via tanh so large |x| cannot overflow."""
-    s = 0.5 * (1.0 + np.tanh(0.5 * x.value))
-
-    def backward(g):
-        x.grad += g * s * (1.0 - s)
-
-    return Node(s, "sigmoid", (x,), backward)
-
-
-def tanh(x: Node) -> Node:
-    t = np.tanh(x.value)
-
-    def backward(g):
-        x.grad += g * (1.0 - t * t)
-
-    return Node(t, "tanh", (x,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -253,34 +223,98 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
 
 
 # ---------------------------------------------------------------------------
-# recurrent cell
+# recurrent layer
 # ---------------------------------------------------------------------------
 
 LSTM_GATES = ("i", "f", "g", "o")
+# gate order inside `lstm`'s fused arrays: the three sigmoid gates first, so
+# that one slice holds them, then the tanh candidate
+_FUSED_GATES = ("i", "f", "o", "g")
 
 
-def lstm_cell(
-    x_t: Node, h_prev: Node, c_prev: Node, params: Mapping[str, Node]
-) -> tuple[Node, Node]:
-    """One LSTM step over [d]/[H] vectors or [B, d]/[B, H] batches.
+def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
+    """One LSTM layer over a [B, T, d] sequence from a zero state; returns the
+    hidden states h_1..h_T as [B, T, H].
 
-    Gates i, f, o = sigmoid(x@wx_* + h@wh_* + b_*), candidate g = tanh(same);
-    c_t = f*c_prev + i*g; h_t = o*tanh(c_t). `params` maps "wx_i", "wh_i",
-    "b_i", ... for the four gates.
+    Per step, gates i, f, o = sigmoid(x_t@wx_* + h@wh_* + b_*) and candidate
+    g = tanh(same); c_t = f*c_{t-1} + i*g; h_t = o*tanh(c_t). `params` maps
+    "wx_i" [d, H], "wh_i" [H, H], "b_i" [H], ... for the four gates. Sigmoid
+    is computed via tanh so large |x| cannot overflow.
+
+    The gates' parameters are concatenated once per call, so the input
+    projection of all T steps is one matrix product and each step holds its
+    gates in one [B, 4H] array. Backward runs BPTT over the stored gate values,
+    produces dWx, dWh and db with one matrix product each, and splits them back
+    into the per-gate parameters' gradients.
     """
-    pre = {}
-    for gate in LSTM_GATES:
-        pre[gate] = add(
-            linear(x_t, params[f"wx_{gate}"], params[f"b_{gate}"]),
-            linear(h_prev, params[f"wh_{gate}"]),
-        )
-    gate_i = sigmoid(pre["i"])
-    gate_f = sigmoid(pre["f"])
-    gate_o = sigmoid(pre["o"])
-    cand = tanh(pre["g"])
-    c_t = add(mul(gate_f, c_prev), mul(gate_i, cand))
-    h_t = mul(gate_o, tanh(c_t))
-    return h_t, c_t
+    if xs.value.ndim != 3:
+        raise ShapeError(f"lstm: input must be [B, T, d], got {xs.value.shape}")
+    batch, steps, d = xs.value.shape
+    hidden = params["b_i"].value.size
+    expected = {"wx": (d, hidden), "wh": (hidden, hidden), "b": (hidden,)}
+    nodes = {}
+    for kind, shape in expected.items():
+        nodes[kind] = [params[f"{kind}_{gate}"] for gate in _FUSED_GATES]
+        for gate, node in zip(_FUSED_GATES, nodes[kind]):
+            if node.value.shape != shape:
+                raise ShapeError(
+                    f"lstm: {kind}_{gate} {node.value.shape} vs expected {shape} "
+                    f"for input {xs.value.shape} and hidden width {hidden}"
+                )
+    wx, wh = (np.concatenate([n.value for n in nodes[k]], axis=1) for k in ("wx", "wh"))
+    b = np.concatenate([n.value for n in nodes["b"]])
+
+    # step-major [T, B, .] arrays, so that step t is one contiguous block
+    x2 = xs.value.transpose(1, 0, 2).reshape(steps * batch, d)
+    pre_x = (x2 @ wx + b).reshape(steps, batch, 4 * hidden)
+    hs = np.zeros((steps + 1, batch, hidden))  # hs[0], cs[0]: the zero state
+    cs = np.zeros((steps + 1, batch, hidden))
+    gates = np.empty((steps, batch, 4 * hidden))
+    tanh_cs = np.empty((steps, batch, hidden))
+    sig = 3 * hidden
+
+    def split(a):
+        return (a[..., k * hidden:(k + 1) * hidden] for k in range(4))
+
+    for t in range(steps):
+        z = pre_x[t] + hs[t] @ wh
+        gates[t, :, :sig] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :sig]))
+        gates[t, :, sig:] = np.tanh(z[:, sig:])
+        i, f, o, g = split(gates[t])
+        cs[t + 1] = f * cs[t] + i * g
+        tanh_cs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o * tanh_cs[t]
+
+    def backward(grad):
+        grad_t = grad.transpose(1, 0, 2)
+        dz = np.empty((steps, batch, 4 * hidden))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for t in reversed(range(steps)):
+            i, f, o, g = split(gates[t])
+            di, df, do, dg = split(dz[t])
+            tc = tanh_cs[t]
+            dh = dh + grad_t[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            di[...] = dc * g * i * (1.0 - i)
+            df[...] = dc * cs[t] * f * (1.0 - f)
+            do[...] = dh * tc * o * (1.0 - o)
+            dg[...] = dc * i * (1.0 - g * g)
+            dc = dc * f
+            dh = dz[t] @ wh.T
+        dz2 = dz.reshape(steps * batch, 4 * hidden)
+        fused = {
+            "wx": x2.T @ dz2,
+            "wh": hs[:-1].reshape(steps * batch, hidden).T @ dz2,
+            "b": dz2.sum(axis=0),
+        }
+        xs.grad += (dz2 @ wx.T).reshape(steps, batch, d).transpose(1, 0, 2)
+        for kind, grad_k in fused.items():
+            for node, part in zip(nodes[kind], split(grad_k)):
+                node.grad += part
+
+    parents = (xs, *(n for kind in expected for n in nodes[kind]))
+    return Node(hs[1:].transpose(1, 0, 2), "lstm", parents, backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 CNN branch: the C x C matrix is read as C input channels of length-C signals;
 two valid convolutions (k=3 by default), then two ReLU FC layers. RNN branch:
-matrix rows (or columns) are time steps; with `rnn_order = fc-first`, a
-per-step FC(128)+ReLU -> FC(64)+ReLU feeds two stacked LSTM layers, and with
-`lstm-first` the LSTMs read the raw steps and the FC pair maps the last hidden
-state. In both nets the last hidden activation is the exported feature; a
-small affine head on top produces logits used only while the branch itself is
-being trained. The init functions read every width from a `TrainConfig`:
-the CNN feature is `cnn_feature` wide and the RNN feature `rnn_feature`.
+matrix rows (or columns) are time steps of two stacked LSTM layers, each one
+`autodiff.lstm` op over all steps. With `rnn_order = fc-first`, an
+FC(128)+ReLU -> FC(64)+ReLU pair maps every step before the LSTMs; it runs
+once, over the steps of all trials as one [B*C, C] batch. With `lstm-first`
+the LSTMs read the raw steps and the FC pair maps the last hidden state. In
+both nets the last hidden activation is the exported feature; a small affine
+head on top produces logits used only while the branch itself is being
+trained. The init functions read every width from a `TrainConfig`: the CNN
+feature is `cnn_feature` wide and the RNN feature `rnn_feature`.
 """
 
 from __future__ import annotations
@@ -166,26 +168,22 @@ def rnn_graph(
     if axis not in RNN_AXES:
         raise ConfigError(f"rnn axis must be one of {RNN_AXES}, got {axis!r}")
     mats = np.asarray(mats, dtype=np.float64)
-    batch, c = mats.shape[0], mats.shape[1]
-    steps = [
-        Node(mats[:, t, :] if axis == "rows" else mats[:, :, t]) for t in range(c)
-    ]
-
-    h1_width = params["lstm1.wh_i"].value.shape[0]
-    h2_width = params["lstm2.wh_i"].value.shape[0]
-    h1, c1 = Node(np.zeros((batch, h1_width))), Node(np.zeros((batch, h1_width)))
-    h2, c2 = Node(np.zeros((batch, h2_width))), Node(np.zeros((batch, h2_width)))
+    if axis == "cols":
+        mats = mats.transpose(0, 2, 1)
     lstm1, lstm2 = _lstm_view(params, "lstm1"), _lstm_view(params, "lstm2")
 
-    def fc_stack(x: Node) -> Node:
+    def fc_pair(x: Node) -> Node:
         x = ad.relu(ad.linear(x, params["fc1.w"], params["fc1.b"]))
         return ad.relu(ad.linear(x, params["fc2.w"], params["fc2.b"]))
 
-    for x_t in steps:
-        step_in = fc_stack(x_t) if order == "fc-first" else x_t
-        h1, c1 = ad.lstm_cell(step_in, h1, c1, lstm1)
-        h2, c2 = ad.lstm_cell(h1, h2, c2, lstm2)
-    feature = h2 if order == "fc-first" else fc_stack(h2)
+    if order == "fc-first":
+        # one FC pass over every step of every trial: [B*C, C] rows
+        batch, steps, width = mats.shape
+        fc = fc_pair(Node(mats.reshape(batch * steps, width)))
+        seq = ad.reshape(fc, (batch, steps, fc.value.shape[1]))
+        feature = ad.last_step(ad.lstm(ad.lstm(seq, lstm1), lstm2))
+    else:
+        feature = fc_pair(ad.last_step(ad.lstm(ad.lstm(Node(mats), lstm1), lstm2)))
     logits = ad.linear(feature, params["out.w"], params["out.b"])
     return feature, logits
 

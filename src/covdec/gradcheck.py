@@ -122,10 +122,9 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     # keep activation inputs away from the ReLU kink so the oracle stays smooth
     xa = rng.uniform(0.2, 2.0, size=7) * rng.choice([-1.0, 1.0], size=7)
     ra = rng.normal(size=7)
-    for name, op in (("relu", ad.relu), ("sigmoid", ad.sigmoid), ("tanh", ad.tanh)):
-        results.append(_check(
-            name, 1e-6, lambda op=op: _weighted_sum(op(Node(xa)), ra), [xa],
-        ))
+    results.append(_check(
+        "relu", 1e-6, lambda: _weighted_sum(ad.relu(Node(xa)), ra), [xa],
+    ))
 
     logits = rng.normal(size=(4, 3))
     labels = rng.integers(0, 3, size=4)
@@ -155,21 +154,14 @@ def _lstm_check(rng) -> CheckResult:
         arrays[f"wx_{gate}"] = rng.normal(size=(d, h)) * 0.5
         arrays[f"wh_{gate}"] = rng.normal(size=(h, h)) * 0.5
         arrays[f"b_{gate}"] = rng.normal(size=h) * 0.1
-    xs = [rng.normal(size=d) for _ in range(steps)]
-    weights = [rng.normal(size=h) for _ in range(steps)]
+    xs = rng.normal(size=(1, steps, d))
+    weights = rng.normal(size=(1, steps, h))
 
     def build():
         params = {k: Node(v) for k, v in arrays.items()}
-        h_t, c_t = Node(np.zeros(h)), Node(np.zeros(h))
-        total = None
-        for x, r in zip(xs, weights):
-            h_t, c_t = ad.lstm_cell(Node(x), h_t, c_t, params)
-            term = _weighted_sum(h_t, r)
-            total = term if total is None else ad.add(total, term)
-        return total
+        return _weighted_sum(ad.lstm(Node(xs), params), weights)
 
-    checked = list(arrays.values()) + xs
-    return _check("lstm_cell", 1e-5, build, checked)
+    return _check("lstm", 1e-5, build, list(arrays.values()) + [xs])
 
 
 def _cnn_check(rng) -> CheckResult:

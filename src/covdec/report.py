@@ -31,6 +31,17 @@ REPORT_FORMAT_VERSION = 1
 
 STAGE_FILES = ("cnn", "rnn", "dae", "head")
 
+# (stage file, bias, config field): each bias is as wide as its field says.
+# Inference reads every width from the weights, so without this check a
+# config.txt that disagrees with them would load and describe another model.
+CONFIG_WIDTHS = (
+    ("cnn", "fc1.b", "cnn_fc1"), ("cnn", "fc2.b", "cnn_feature"),
+    ("rnn", "fc1.b", "rnn_fc1"), ("rnn", "fc2.b", "rnn_fc2"),
+    ("rnn", "lstm1.b_i", "rnn_hidden1"), ("rnn", "lstm2.b_i", "rnn_hidden2"),
+    ("dae", "enc1.b", "dae_hidden"), ("dae", "enc2.b", "dae_latent"),
+    ("head", "fc1.b", "head_hidden"), ("head", "out.b", "classes"),
+)
+
 
 def _number(v, k=None) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -123,7 +134,8 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
 
 
 def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
-    """Load a trained run directory; missing or mis-shaped pieces raise StateError."""
+    """Load a trained run directory; missing or mis-shaped pieces, and weights
+    whose widths disagree with config.txt, raise StateError."""
     run = Path(run_dir)
     stores = {}
     for stage in STAGE_FILES + ("norm",):
@@ -154,14 +166,15 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
         )
     if np.any(std < STD_FLOOR):
         raise StateError(f"{norm_path}: std has entries below {STD_FLOOR:g}")
-    head_path = run / "head.cvdp"
-    pstore.require(stores["head"], ("out.b",), str(head_path))
-    out_b = stores["head"]["out.b"].value
-    if out_b.shape != (config.classes,):
-        raise StateError(
-            f"{head_path}: 'out.b' has shape {out_b.shape} for a model trained "
-            f"on {config.classes} classes"
-        )
+    for stage, name, field in CONFIG_WIDTHS:
+        path = run / f"{stage}.cvdp"
+        pstore.require(stores[stage], (name,), str(path))
+        shape, width = stores[stage][name].value.shape, getattr(config, field)
+        if shape != (width,):
+            raise StateError(
+                f"{path}: '{name}' has shape {shape}, but {config_path.name} "
+                f"sets {field} = {width}"
+            )
     return PipelineArtifacts(
         config=config, classes=classes,
         cnn=stores["cnn"], rnn=stores["rnn"],

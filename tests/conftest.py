@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from covdec.autodiff import LSTM_GATES
 from covdec.autoenc import init_dae_params, init_head_params
 from covdec.branches import init_cnn_params, init_rnn_params
 from covdec.config import TrainConfig
@@ -47,3 +48,57 @@ def store_bytes(store: ParamStore) -> dict[str, bytes]:
 
 def rng_trial_data(rng: np.random.Generator, channels: int, samples: int) -> np.ndarray:
     return rng.normal(size=(channels, samples))
+
+
+def lstm_arrays(rng: np.random.Generator, d: int, hidden: int) -> dict[str, np.ndarray]:
+    """Random per-gate LSTM parameters, named as `autodiff.lstm` reads them."""
+    arrays = {}
+    for gate in LSTM_GATES:
+        arrays[f"wx_{gate}"] = rng.normal(size=(d, hidden)) * 0.5
+        arrays[f"wh_{gate}"] = rng.normal(size=(hidden, hidden)) * 0.5
+        arrays[f"b_{gate}"] = rng.normal(size=hidden) * 0.1
+    return arrays
+
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def lstm_loop(xs, arrays) -> np.ndarray:
+    """h_1..h_T of one LSTM layer over [B, T, d] from a zero state, by a plain
+    loop of the cell formula with every gate apart:
+
+        i, f, o = sigmoid(x_t @ wx_* + h @ wh_* + b_*), g = tanh(same),
+        c = f*c + i*g, h = o*tanh(c).
+
+    Every step is analytic, so it also runs on complex arrays.
+    """
+    batch, steps, _ = xs.shape
+    hidden = arrays["b_i"].shape[0]
+    dtype = np.result_type(xs, *arrays.values())
+    h = np.zeros((batch, hidden), dtype)
+    c = np.zeros((batch, hidden), dtype)
+    out = []
+    for t in range(steps):
+        pre = {gate: xs[:, t] @ arrays[f"wx_{gate}"] + h @ arrays[f"wh_{gate}"]
+               + arrays[f"b_{gate}"] for gate in LSTM_GATES}
+        c = _sigmoid(pre["f"]) * c + _sigmoid(pre["i"]) * np.tanh(pre["g"])
+        h = _sigmoid(pre["o"]) * np.tanh(c)
+        out.append(h)
+    return np.stack(out, axis=1)
+
+
+def complex_step_grads(f, arrays: list[np.ndarray], step: float = 1e-30) -> list[np.ndarray]:
+    """Gradient of a real-analytic scalar f(*arrays) with respect to every entry,
+    as Im f(a + i*step*e_k) / step: exact to rounding, since no two nearby
+    values are subtracted, and independent of any backward code."""
+    grads = []
+    for k, a in enumerate(arrays):
+        grad = np.zeros(a.shape)
+        for idx in np.ndindex(a.shape):
+            probe = list(arrays)
+            probe[k] = a.astype(complex)
+            probe[k][idx] += 1j * step
+            grad[idx] = np.imag(f(*probe)) / step
+        grads.append(grad)
+    return grads

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,18 @@ import pytest
 import covdec.autodiff as ad
 from covdec.autodiff import Node
 from covdec.errors import ConfigError, DataError, ShapeError
+
+from conftest import complex_step_grads, lstm_arrays, lstm_loop
+
+
+def lstm_nodes(d, hidden, **biases):
+    """Per-gate LSTM parameter nodes: zero weights, zero biases except those given."""
+    nodes = {}
+    for gate in ad.LSTM_GATES:
+        nodes[f"wx_{gate}"] = Node(np.zeros((d, hidden)))
+        nodes[f"wh_{gate}"] = Node(np.zeros((hidden, hidden)))
+        nodes[f"b_{gate}"] = Node(np.full(hidden, biases.get(gate, 0.0)))
+    return nodes
 
 
 # the matrix product is linear without a bias
@@ -44,15 +57,31 @@ def test_relu_values_and_subgradient_at_zero():
 
 
 def test_sigmoid_tanh_at_zero():
-    assert ad.sigmoid(Node([0.0])).value[0] == pytest.approx(0.5)
-    assert ad.tanh(Node([0.0])).value[0] == 0.0
+    # the LSTM's gates at zero pre-activation; a bias of 50 saturates a gate to exactly 1
+    xs = Node(np.zeros((1, 2, 3)))
+    # g = tanh(0) = 0 with i = o = 1: nothing enters the cell, so h = tanh(0)
+    h = ad.lstm(xs, lstm_nodes(3, 2, i=50.0, o=50.0)).value
+    assert np.array_equal(h, np.zeros((1, 2, 2)))
+    # i = f = o = sigmoid(0) = 0.5 with g = 1: c_1 = 0.5, c_2 = 0.5*0.5 + 0.5
+    h = ad.lstm(xs, lstm_nodes(3, 2, g=50.0)).value
+    assert np.array_equal(h[0, 0], np.full(2, 0.5 * np.tanh(0.5)))
+    assert np.array_equal(h[0, 1], np.full(2, 0.5 * np.tanh(0.75)))
 
 
 def test_activations_stable_for_huge_inputs():
     x = Node([-1e6, 1e6])
-    for op in (ad.relu, ad.sigmoid, ad.tanh):
-        out = op(x)
-        assert np.all(np.isfinite(out.value))
+    assert np.all(np.isfinite(ad.relu(x).value))
+    # gate pre-activations of +-1e6 saturate sigmoid and tanh without overflow
+    rng = np.random.default_rng(10)
+    xs = Node(np.array([[[-1e6, 1e6], [1e6, -1e6]]]))
+    nodes = {k: Node(v) for k, v in lstm_arrays(rng, 2, 3).items()}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = ad.lstm(xs, nodes)
+        out.backward()
+    assert np.all(np.isfinite(out.value))
+    assert np.all(np.isfinite(xs.grad))
+    assert all(np.all(np.isfinite(node.grad)) for node in nodes.values())
 
 
 def test_conv1d_identity_kernel():
@@ -104,8 +133,8 @@ def _conv1d_loops(x, w, b, g):
 
 def _backward_with(out: Node, g: np.ndarray) -> None:
     # loss = sum(out * g), so d loss / d out is exactly g
-    flat = ad.reshape(ad.mul(out, Node(g)), (1, g.size))
-    ad.reshape(ad.linear(flat, Node(np.ones((g.size, 1)))), ()).backward()
+    flat = ad.reshape(out, (1, g.size))
+    ad.reshape(ad.linear(flat, Node(g.reshape(g.size, 1))), ()).backward()
 
 
 @pytest.mark.parametrize("x_shape, w_shape", [
@@ -179,11 +208,19 @@ def test_mse_shape_mismatch():
         ad.mse(Node([1.0, 2.0]), [1.0, 2.0, 3.0])
 
 
-def test_add_mul_shape_errors():
-    with pytest.raises(ShapeError):
-        ad.add(Node([1.0]), Node([1.0, 2.0]))
-    with pytest.raises(ShapeError):
-        ad.mul(Node([1.0]), Node([1.0, 2.0]))
+def test_lstm_shape_errors():
+    with pytest.raises(ShapeError, match=r"\[B, T, d\]"):
+        ad.lstm(Node(np.zeros((2, 3))), lstm_nodes(3, 4))
+    nodes = lstm_nodes(3, 4)
+    nodes["wx_g"] = Node(np.zeros((2, 4)))
+    with pytest.raises(ShapeError, match=r"wx_g \(2, 4\) vs expected \(3, 4\)"):
+        ad.lstm(Node(np.zeros((1, 5, 3))), nodes)
+    nodes = lstm_nodes(3, 4)
+    nodes["wh_f"] = Node(np.zeros((4, 5)))
+    with pytest.raises(ShapeError, match=r"wh_f \(4, 5\) vs expected \(4, 4\)"):
+        ad.lstm(Node(np.zeros((1, 5, 3))), nodes)
+    with pytest.raises(ShapeError, match=r"\[B, T, H\]"):
+        ad.last_step(Node(np.zeros((2, 3))))
 
 
 def test_linear_vector_and_batch_agree():
@@ -202,36 +239,70 @@ def test_reshape_roundtrips_gradient():
     assert np.array_equal(x.grad, np.ones((2, 3)))
 
 
-def test_lstm_cell_zero_params_fixed_point():
-    d, h = 3, 4
-    params = {}
-    for gate in ad.LSTM_GATES:
-        params[f"wx_{gate}"] = Node(np.zeros((d, h)))
-        params[f"wh_{gate}"] = Node(np.zeros((h, h)))
-        params[f"b_{gate}"] = Node(np.zeros(h))
-    h_t, c_t = ad.lstm_cell(Node([5.0, -2.0, 9.0]), Node(np.zeros(h)), Node(np.zeros(h)), params)
-    assert np.array_equal(h_t.value, np.zeros(h))
-    assert np.array_equal(c_t.value, np.zeros(h))
+def test_lstm_zero_params_fixed_point():
+    # h = o*tanh(c) with o = 0.5, so h = 0 means c = 0 too
+    h_t = ad.lstm(Node([[[5.0, -2.0, 9.0]]]), lstm_nodes(3, 4))
+    assert np.array_equal(h_t.value, np.zeros((1, 1, 4)))
 
 
-def test_lstm_cell_saturated_gates_carry_cell_state():
+def test_lstm_saturated_gates_carry_cell_state():
+    # the state starts at zero, so step 1 writes c_1 = g (i = 1, f = 0) and
+    # step 2 carries it (i = 0, f = 1); o = 1 throughout, so h_t = tanh(c_t)
     d, h = 2, 3
     rng = np.random.default_rng(5)
-    params = {}
-    for gate in ad.LSTM_GATES:
-        params[f"wx_{gate}"] = Node(np.zeros((d, h)))
-        params[f"wh_{gate}"] = Node(np.zeros((h, h)))
-        bias = np.full(h, 50.0) if gate == "f" else np.full(h, -50.0)
-        params[f"b_{gate}"] = Node(bias)
-    c_prev = Node(rng.normal(size=h))
-    _, c_t = ad.lstm_cell(Node(rng.normal(size=d)), Node(rng.normal(size=h)), c_prev, params)
-    assert np.allclose(c_t.value, c_prev.value, atol=1e-3)
+    nodes = lstm_nodes(d, h)
+    nodes["wx_i"].value[:] = [[50.0], [-50.0]]
+    nodes["wx_f"].value[:] = [[-50.0], [50.0]]
+    nodes["wx_g"].value[0] = rng.normal(size=h)
+    nodes["wx_o"].value[:] = 50.0
+    out = ad.lstm(Node([[[1.0, 0.0], [0.0, 1.0]]]), nodes).value[0]
+    assert np.allclose(out[0], np.tanh(np.tanh(nodes["wx_g"].value[0])), atol=1e-3)
+    assert np.allclose(out[1], out[0], atol=1e-3)
+
+
+@pytest.mark.parametrize("batch, steps, d, hidden", [
+    (3, 5, 4, 3),   # batched, d > H
+    (1, 4, 2, 5),   # batch of one, d < H
+    (2, 1, 3, 4),   # one step
+    (2, 3, 3, 3),   # d = H
+], ids=["batched", "batch1", "t1", "d-eq-h"])
+def test_lstm_matches_loop_formula(batch, steps, d, hidden):
+    rng = np.random.default_rng(9)
+    xs = rng.normal(size=(batch, steps, d))
+    arrays = lstm_arrays(rng, d, hidden)
+    xn, nodes = Node(xs), {k: Node(v) for k, v in arrays.items()}
+    out = ad.lstm(xn, nodes)
+    g = rng.normal(size=(batch, steps, hidden))
+    _backward_with(out, g)
+
+    names = list(arrays)
+
+    def loss(x, *values):
+        return np.sum(lstm_loop(x, dict(zip(names, values))) * g)
+
+    want = complex_step_grads(loss, [xs, *arrays.values()])
+    assert out.value.shape == (batch, steps, hidden)
+    assert np.allclose(out.value, lstm_loop(xs, arrays), rtol=0.0, atol=1e-12)
+    for name, got, ref in zip(["xs", *names], [xn.grad, *(n.grad for n in nodes.values())], want):
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12), name
+
+
+def test_last_step_value_and_gradient():
+    x = Node(np.arange(12.0).reshape(2, 3, 2))
+    out = ad.last_step(x)
+    assert np.array_equal(out.value, [[4.0, 5.0], [10.0, 11.0]])
+    out.backward()
+    want = np.zeros((2, 3, 2))
+    want[:, -1] = 1.0
+    assert np.array_equal(x.grad, want)
 
 
 def test_backward_visits_shared_node_once():
-    # y = x*x + x: dy/dx = 2x + 1; double-counting would give more
+    # y = x*x + x as linear(x, x, x): dy/dx = 2x + 1; double-counting would give more
     x = Node([3.0])
-    y = ad.add(ad.mul(x, x), x)
+    xm = ad.reshape(x, (1, 1))
+    y = ad.linear(xm, xm, x)
+    assert np.array_equal(y.value, [[12.0]])
     y.backward()
     assert np.array_equal(x.grad, [7.0])
 
@@ -243,7 +314,7 @@ def test_backward_deterministic_bit_identical():
 
     def one_pass():
         a, b = Node(a_val), Node(b_val)
-        loss = ad.mse(ad.tanh(ad.linear(a, b)), np.zeros((4, 4)))
+        loss = ad.mse(ad.relu(ad.linear(a, b)), np.zeros((4, 4)))
         loss.backward()
         return a.grad.tobytes(), b.grad.tobytes()
 
@@ -251,19 +322,21 @@ def test_backward_deterministic_bit_identical():
 
 
 def test_gradients_accumulate_additively():
-    x = Node([2.0])
-    y1, y2 = ad.mul(x, x), ad.mul(x, x)
+    x = Node([[2.0]])
+    y1, y2 = ad.linear(x, x), ad.linear(x, x)
     y1.backward()
     y2.backward()
-    assert np.array_equal(x.grad, [8.0])  # 4.0 from each pass
+    assert np.array_equal(x.grad, [[8.0]])  # 4.0 from each pass
 
 
 def test_no_nonfinite_from_bounded_inputs():
     rng = np.random.default_rng(7)
-    x = Node(rng.uniform(-1e3, 1e3, size=(4, 6)))
-    w = Node(rng.uniform(-1e3, 1e3, size=(6, 3)))
-    logits = ad.linear(ad.sigmoid(x), w)
+    x = Node(rng.uniform(-1e3, 1e3, size=(4, 1, 6)))
+    nodes = {k: Node(v * 2e3) for k, v in lstm_arrays(rng, 6, 3).items()}
+    w = Node(rng.uniform(-1e3, 1e3, size=(3, 3)))
+    logits = ad.linear(ad.last_step(ad.lstm(x, nodes)), w)
     loss = ad.softmax_xent(logits, [0, 1, 2, 0])
     loss.backward()
     assert np.isfinite(float(loss.value))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
+    assert all(np.all(np.isfinite(node.grad)) for node in nodes.values())

@@ -18,7 +18,7 @@ from covdec.covariance import CovMatrix
 from covdec.errors import ConfigError, StateError
 from covdec.params import ParamStore
 
-from conftest import SMALL_CONFIG, zeroed
+from conftest import SMALL_CONFIG, lstm_loop, zeroed
 
 
 def random_cov(rng, c=6):
@@ -36,6 +36,28 @@ def rnn_single(cov, params, order="fc-first", axis="rows"):
     """(feature, logits) of rnn_graph over a batch of one."""
     feature, logits = rnn_graph(cov.values[None], params, order, axis)
     return feature.value[0], logits.value[0]
+
+
+def rnn_reference(mats, params, order="fc-first", axis="rows"):
+    """(feature, logits) of the RNN branch over [B, C, C] in plain numpy, the
+    LSTMs by `lstm_loop`: rows (or columns) are steps, the FC pair maps each
+    step (fc-first) or the last hidden state (lstm-first)."""
+    p = {name: node.value for name, node in params.items()}
+    steps = mats if axis == "rows" else mats.transpose(0, 2, 1)
+
+    def fc(x):
+        h = np.maximum(x @ p["fc1.w"] + p["fc1.b"], 0.0)
+        return np.maximum(h @ p["fc2.w"] + p["fc2.b"], 0.0)
+
+    def lstm(xs, prefix):
+        return lstm_loop(xs, {name.split(".", 1)[1]: v for name, v in p.items()
+                              if name.startswith(prefix + ".")})
+
+    if order == "fc-first":
+        feature = lstm(lstm(fc(steps), "lstm1"), "lstm2")[:, -1]
+    else:
+        feature = fc(lstm(lstm(steps, "lstm1"), "lstm2")[:, -1])
+    return feature, feature @ p["out.w"] + p["out.b"]
 
 
 def test_default_specs_match_contract():
@@ -157,21 +179,44 @@ def test_rnn_matches_manual_cell_chain(small_rnn):
     rng = np.random.default_rng(27)
     cov = random_cov(rng)
     feature, out_logits = rnn_single(cov, small_rnn)
+    want_feature, want_logits = rnn_reference(cov.values[None], small_rnn)
+    assert np.allclose(feature, want_feature[0], rtol=0.0, atol=1e-12)
+    assert np.allclose(out_logits, want_logits[0], rtol=0.0, atol=1e-12)
 
-    def fc(x):
-        h = ad.relu(ad.linear(x, small_rnn["fc1.w"], small_rnn["fc1.b"]))
-        return ad.relu(ad.linear(h, small_rnn["fc2.w"], small_rnn["fc2.b"]))
 
-    lstm1 = {f"{k}_{g}": small_rnn[f"lstm1.{k}_{g}"] for g in ad.LSTM_GATES for k in ("wx", "wh", "b")}
-    lstm2 = {f"{k}_{g}": small_rnn[f"lstm2.{k}_{g}"] for g in ad.LSTM_GATES for k in ("wx", "wh", "b")}
-    h1 = c1 = Node(np.zeros(5))
-    h2 = c2 = Node(np.zeros(4))
-    for t in range(cov.values.shape[0]):
-        h1, c1 = ad.lstm_cell(fc(Node(cov.values[t])), h1, c1, lstm1)
-        h2, c2 = ad.lstm_cell(h1, h2, c2, lstm2)
-    logits = ad.linear(h2, small_rnn["out.w"], small_rnn["out.b"])
-    assert np.allclose(feature, h2.value, atol=1e-12)
-    assert np.allclose(out_logits, logits.value, atol=1e-12)
+@pytest.mark.parametrize("order, axis", [("lstm-first", "rows"), ("fc-first", "cols"),
+                                         ("lstm-first", "cols")],
+                         ids=["lstm-first", "cols", "lstm-first-cols"])
+def test_rnn_graph_matches_numpy_reference(order, axis):
+    config = dataclasses.replace(SMALL_CONFIG, rnn_order=order)
+    params = init_rnn_params(config, channels=6, seed=7)
+    mats = np.random.default_rng(34).normal(size=(3, 6, 6))  # not symmetric
+    feature, logits = rnn_graph(mats, params, order, axis)
+    want_feature, want_logits = rnn_reference(mats, params, order, axis)
+    assert feature.value.shape == (3, config.rnn_feature)
+    assert np.allclose(feature.value, want_feature, rtol=0.0, atol=1e-12)
+    assert np.allclose(logits.value, want_logits, rtol=0.0, atol=1e-12)
+
+
+def test_rnn_graph_size_does_not_grow_with_channels(monkeypatch):
+    # one op per layer: the node count of a decode graph is fixed, not one per step
+    init = Node.__init__
+    built = []
+
+    def counting_init(node, *args, **kwargs):
+        built.append(node)
+        init(node, *args, **kwargs)
+
+    counts = {}
+    for channels in (8, 64):
+        params = init_rnn_params(TrainConfig(), channels=channels, seed=0)
+        mats = np.random.default_rng(35).normal(size=(1, channels, channels))
+        built.clear()
+        monkeypatch.setattr(Node, "__init__", counting_init)
+        rnn_graph(mats, params)
+        monkeypatch.undo()
+        counts[channels] = len(built)
+    assert counts == {8: 10, 64: 10}
 
 
 def test_rnn_column_axis_equals_rows_on_symmetric_input(small_rnn):

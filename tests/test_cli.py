@@ -182,7 +182,7 @@ def test_gradcheck_passes_and_is_deterministic(capsys):
     assert main(["gradcheck", "--seed", "2"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert first.count("ok") == 12
+    assert first.count("ok") == 10
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):
@@ -407,6 +407,35 @@ def test_bad_norm_or_head_exits_2(trained_run, dataset, tmp_path, capsys,
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(broken / name) in captured.err and named in captured.err
+
+
+@pytest.mark.parametrize("key, stage, name, width", [
+    ("cnn_fc1", "cnn", "fc1.b", 32), ("cnn_feature", "cnn", "fc2.b", 16),
+    ("rnn_fc1", "rnn", "fc1.b", 16), ("rnn_fc2", "rnn", "fc2.b", 12),
+    ("rnn_hidden1", "rnn", "lstm1.b_i", 10), ("rnn_hidden2", "rnn", "lstm2.b_i", 10),
+    ("dae_hidden", "dae", "enc1.b", 16), ("dae_latent", "dae", "enc2.b", 8),
+    ("head_hidden", "head", "fc1.b", 8),
+])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_config_width_disagreeing_with_weights_exits_2(trained_run, dataset, tmp_path, capsys,
+                                                       key, stage, name, width, command):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    config = broken / "config.txt"
+    text = config.read_text(encoding="utf-8")
+    assert f"\n{key} = {width}\n" in text
+    config.write_text(text.replace(f"\n{key} = {width}\n", f"\n{key} = 3\n"), encoding="utf-8")
+    if command == "predict":
+        rc = main(_predict_args(broken, dataset))
+    else:
+        rc = main(["eval", "--data", str(dataset / "manifest.txt"), "--weights", str(broken)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(broken / f"{stage}.cvdp") in captured.err
+    assert f"'{name}' has shape ({width},)" in captured.err
+    assert f"config.txt sets {key} = 3" in captured.err
 
 
 def test_python_m_covdec_runs_the_cli(tmp_path):

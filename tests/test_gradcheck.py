@@ -12,11 +12,9 @@ EXPECTED_OPS = {
     "linear": 1e-6,
     "conv1d": 1e-6,
     "relu": 1e-6,
-    "sigmoid": 1e-6,
-    "tanh": 1e-6,
     "softmax_xent": 1e-6,
     "mse": 1e-6,
-    "lstm_cell": 1e-5,
+    "lstm": 1e-5,
     "cnn_forward": 1e-4,
     "rnn_forward": 1e-4,
     "dae_loss": 1e-4,
