@@ -89,6 +89,11 @@ def _cmd_gen_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    # save_run creates --out after the whole training; fail before it instead
+    out = Path(args.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
     trials, manifest = load(args.data)
     values: dict = read_config_values(args.config) if args.config else {}
     if args.seed is not None:

@@ -13,6 +13,7 @@ weights are returned instead of the best-validation checkpoint.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,6 +21,14 @@ from .errors import ConfigError, CovdecError
 
 RNN_ORDERS = ("fc-first", "lstm-first")
 RNN_AXES = ("rows", "cols")
+
+# every layer width, kernel length and filter count; each must be >= 1
+_WIDTH_KEYS = (
+    "cnn_filters1", "cnn_kernel1", "cnn_filters2", "cnn_kernel2", "cnn_fc1", "cnn_feature",
+    "rnn_fc1", "rnn_fc2", "rnn_hidden1", "rnn_hidden2", "dae_hidden", "dae_latent",
+    "head_hidden",
+)
+_LR_KEYS = ("lr_stage1", "lr_stage2", "lr_stage3")
 
 
 @dataclass
@@ -53,6 +62,15 @@ class TrainConfig:
     head_hidden: int = 16
 
     def validate(self) -> "TrainConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        for key in _WIDTH_KEYS:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in _LR_KEYS:
+            lr = getattr(self, key)
+            if not (math.isfinite(lr) and lr > 0.0):
+                raise ConfigError(f"{key} must be a finite number above 0, got {lr}")
         if not 0.0 < self.split_fraction < 1.0:
             raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
         if self.batch_size < 1:
@@ -127,7 +145,7 @@ def _read_key_values(path: Path, error: type[CovdecError]) -> list[tuple[int, st
     """(line number, key, value) per "key = value" line; '#' starts a comment.
 
     Invalid UTF-8 and a line without '=' raise `error`; the caller checks
-    that the file exists and what the keys mean.
+    that the path is a regular file and what the keys mean.
     """
     entries = []
     for lineno, raw in enumerate(_read_utf8(path, error).splitlines(), 1):
@@ -144,11 +162,12 @@ def _read_key_values(path: Path, error: type[CovdecError]) -> list[tuple[int, st
 def read_config_values(path: str | Path) -> dict[str, str]:
     """Raw key -> value strings of a config file, before coercion.
 
-    Rejects a missing file, invalid UTF-8, lines without '=' and duplicate
-    keys; unknown keys and bad values are left to config_from_dict.
+    Rejects a path that is not a regular file, invalid UTF-8, lines without
+    '=' and duplicate keys; unknown keys and bad values are left to
+    config_from_dict.
     """
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ConfigError(f"config file not found: {p}")
     values: dict[str, str] = {}
     for lineno, key, value in _read_key_values(p, ConfigError):

@@ -77,7 +77,7 @@ def load_trial(
 ) -> tuple[Trial, float]:
     """Read one trial file; returns (trial, sample_rate_hz)."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise DataError(f"trial file not found: {p}")
     blob = p.read_bytes()
     if len(blob) < _HEADER.size:
@@ -131,7 +131,7 @@ class Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise DataError(f"manifest not found: {p}")
     task, subject, classes = "", "", []
     trial_paths: list[Path] = []
@@ -195,6 +195,8 @@ class SynthSpec:
             raise ConfigError("synth spec fields must be positive")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.channels > self.samples // 2 - 1:
             raise ConfigError(
                 f"need channels <= samples/2 - 1 for distinct source frequencies "

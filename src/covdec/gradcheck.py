@@ -18,6 +18,7 @@ from .autodiff import Node
 from .autoenc import dae_loss, head_graph, init_dae_params, init_head_params
 from .branches import cnn_graph, init_cnn_params, init_rnn_params, rnn_graph
 from .config import TrainConfig
+from .errors import ConfigError
 
 DEFAULT_EPS = 1e-5
 
@@ -99,6 +100,8 @@ def _grads_of(root: Node, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
     """Gradient checks for every layer type; deterministic under the seed."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -1,5 +1,12 @@
 """Named parameter collections, the Adam update, and the CVDP weight format.
 
+In memory, a store packs itself on its first zero_grad() or adam_step(): its
+values, gradients, Adam moments and scratch space move into flat float64
+buffers, parameters end to end (see ParamStore), so that adam_step is a fixed
+sequence of in-place numpy calls over every parameter at once. Loading and
+forward evaluation never pack a store, so they allocate no gradient or moment
+buffer.
+
 CVDP file layout (all little-endian):
 
     magic        4 bytes  b"CVDP"
@@ -35,24 +42,40 @@ FORMAT_VERSION = 1
 _ADAM_M = "::adam_m"
 _ADAM_V = "::adam_v"
 
+# rows of the packed buffer: values, gradients, Adam m, Adam v, two scratch
+_ROWS = 6
+_VALUE, _GRAD = 0, 1
+
 
 class ParamStore:
-    """Ordered name -> Node map with per-parameter, in-memory Adam moment buffers.
+    """Ordered name -> Node map, packed into flat training buffers on first use.
 
     Iteration follows insertion order, which also fixes the on-disk entry
     order, so identical construction yields byte-identical files.
+
+    Packing (on the first zero_grad() or adam_step()) allocates one [6, n]
+    float64 array, n the total parameter count: rows hold the values, the
+    gradients, the Adam first and second moments and two scratch arrays.
+    Each parameter takes the same slice of every row, in insertion order, and
+    its Node's .value and .grad become views of its value and gradient
+    slices. Values and any gradient allocated before packing are copied in.
+    A view that a caller later replaces by assignment (`node.grad = ...`) is
+    copied into its slice and rebound at the next zero_grad() or adam_step().
+    A packed store takes no new parameters.
     """
 
     def __init__(self):
         self._nodes: dict[str, Node] = {}
-        self._adam_m: dict[str, np.ndarray] = {}
-        self._adam_v: dict[str, np.ndarray] = {}
+        self._flat: np.ndarray | None = None
+        self._views: list[tuple[Node, np.ndarray, np.ndarray]] = []
 
     def add(self, name: str, value) -> Node:
         if not name or _is_reserved(name):
             raise ConfigError(f"invalid parameter name {name!r}")
         if name in self._nodes:
             raise ConfigError(f"duplicate parameter name {name!r}")
+        if self._flat is not None:
+            raise StateError(f"cannot add parameter {name!r} to a store packed for training")
         node = Node(value, op="param")
         self._nodes[name] = node
         return node
@@ -76,8 +99,7 @@ class ParamStore:
         return self._nodes.items()
 
     def zero_grad(self) -> None:
-        for node in self._nodes.values():
-            node.grad[...] = 0.0
+        self._packed()[_GRAD].fill(0.0)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copy of all current values, for checkpointing."""
@@ -87,13 +109,26 @@ class ParamStore:
         for name, arr in values.items():
             self._nodes[name].value[...] = arr
 
-    def adam_buffers(self, name: str) -> tuple[np.ndarray, np.ndarray]:
-        """Moment buffers for one parameter, created as zeros on first use."""
-        if name not in self._adam_m:
-            shape = self._nodes[name].value.shape
-            self._adam_m[name] = np.zeros(shape)
-            self._adam_v[name] = np.zeros(shape)
-        return self._adam_m[name], self._adam_v[name]
+    def _packed(self) -> np.ndarray:
+        """The [6, n] training buffer, packed on first use, with every view bound."""
+        if self._flat is None:
+            sizes = [node.value.size for node in self._nodes.values()]
+            self._flat = np.zeros((_ROWS, sum(sizes)))
+            start = 0
+            for node, size in zip(self._nodes.values(), sizes):
+                value, grad = (self._flat[row, start : start + size].reshape(node.value.shape)
+                               for row in (_VALUE, _GRAD))
+                self._views.append((node, value, grad))
+                start += size
+        for node, value, grad in self._views:
+            if node.value is not value:
+                value[...] = node.value
+                node.value = value
+            if node._grad is not grad:
+                if node._grad is not None:
+                    grad[...] = node._grad
+                node._grad = grad
+        return self._flat
 
 
 def _is_reserved(name: str) -> bool:
@@ -115,21 +150,37 @@ def adam_step(
     eps: float = 1e-8,
     t: int = 1,
 ) -> None:
-    """Standard in-place Adam update with bias correction at step t >= 1."""
+    """Standard in-place Adam update with bias correction at step t >= 1.
+
+    Each element takes the per-parameter formula's operations in the same
+    order, lr * (m/bc1) / (sqrt(v/bc2) + eps), so the update is bit-identical
+    to evaluating it array by array; it allocates nothing once the store is
+    packed. A non-finite gradient raises NumericError naming the first such
+    parameter before any value changes.
+    """
     if t < 1:
         raise ConfigError(f"adam_step: step count must be >= 1, got {t}")
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    for name, node in store.items():
-        g = node.grad
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient for parameter '{name}'")
-        m, v = store.adam_buffers(name)
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        node.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    value, g, m, v, s, u = store._packed()
+    # the flags go into scratch memory that is overwritten below
+    if not np.isfinite(g, out=s.view(np.bool_)[: g.size]).all():
+        name = next(n for n, node in store.items() if not np.isfinite(node.grad).all())
+        raise NumericError(f"non-finite gradient for parameter '{name}'")
+    np.multiply(m, beta1, out=m)
+    np.multiply(g, 1.0 - beta1, out=s)
+    np.add(m, s, out=m)
+    np.multiply(v, beta2, out=v)
+    np.multiply(g, g, out=s)
+    np.multiply(s, 1.0 - beta2, out=s)
+    np.add(v, s, out=v)
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    np.add(s, eps, out=s)
+    np.divide(m, bc1, out=u)
+    np.multiply(u, lr, out=u)
+    np.divide(u, s, out=u)
+    np.subtract(value, u, out=value)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +231,7 @@ class _Reader:
 def load(path: str | Path) -> ParamStore:
     """Read a CVDP file back into a ParamStore; moment entries are dropped."""
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise ParseError(f"weight file not found: {p}")
     r = _Reader(p.read_bytes(), str(p))
     magic = r.take(4)

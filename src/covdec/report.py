@@ -82,7 +82,7 @@ def write_curves_csv(path: str | Path, curves: list[CurvePoint]) -> None:
 
 def read_curves_csv(path: str | Path) -> list[CurvePoint]:
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():
         raise StateError(f"missing curves file: {p}")
     reader = csv.DictReader(io.StringIO(_read_utf8(p, ParseError), newline=""))
     out = []
@@ -140,15 +140,15 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     stores = {}
     for stage in STAGE_FILES + ("norm",):
         path = run / f"{stage}.cvdp"
-        if not path.exists():
+        if not path.is_file():
             raise StateError(f"missing stage weights '{stage}': {path}")
         stores[stage] = pstore.load(path)
     config_path = run / "config.txt"
-    if not config_path.exists():
+    if not config_path.is_file():
         raise StateError(f"missing config echo: {config_path}")
     config = config_from_file(config_path)
     classes_path = run / "classes.txt"
-    if not classes_path.exists():
+    if not classes_path.is_file():
         raise StateError(f"missing class names: {classes_path}")
     classes = [line for line in _read_utf8(classes_path, ParseError).splitlines() if line]
     if len(classes) != config.classes:
@@ -185,7 +185,7 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
 def load_report_json(run_dir: str | Path) -> dict:
     """Parse report.json; ParseError names a missing or malformed REPORT_FIELDS field."""
     p = Path(run_dir) / "report.json"
-    if not p.exists():
+    if not p.is_file():
         raise StateError(f"missing report: {p}")
     try:
         report = json.loads(_read_utf8(p, ParseError))

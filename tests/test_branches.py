@@ -15,8 +15,11 @@ from covdec.branches import (
 )
 from covdec.config import TrainConfig
 from covdec.covariance import CovMatrix
+from covdec.data import SynthSpec, gen_synth
 from covdec.errors import ConfigError, StateError
 from covdec.params import ParamStore
+from covdec.report import load_artifacts, save_run
+from covdec.training import predict_batch, run_training
 
 from conftest import SMALL_CONFIG, lstm_loop, zeroed
 
@@ -129,8 +132,18 @@ def test_feature_extraction_never_touches_params_or_grads(small_cnn, small_rnn):
     assert grads == {n: small_cnn[n].grad.tobytes() for n in small_cnn.names()}
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    trials = gen_synth(SynthSpec(channels=6, samples=64, trials_per_class=4, seed=5))
+    config = dataclasses.replace(SMALL_CONFIG, epochs_stage1=1, epochs_stage2=1,
+                                 epochs_stage3=1)
+    run = tmp_path_factory.mktemp("run")
+    save_run(run, run_training(trials, ["a", "b", "c"], config))
+    return run
+
+
 @pytest.mark.parametrize("branch", ["cnn", "rnn"])
-def test_forward_graph_allocates_no_gradient_buffers(branch):
+def test_forward_graph_allocates_no_gradient_buffers(branch, small_run):
     rng = np.random.default_rng(27)
     mats = np.stack([random_cov(rng).values for _ in range(3)])
     labels = [0, 1, 2]
@@ -158,6 +171,13 @@ def test_forward_graph_allocates_no_gradient_buffers(branch):
     loss.backward()
     assert ({name: grad.tobytes() for name, grad in lazy.items()}
             == {name: node.grad.tobytes() for name, node in params.items()})
+
+    # the inference path: loading a run and decoding packs no store
+    artifacts = load_artifacts(small_run)
+    predict_batch(mats, artifacts)
+    for store in (artifacts.cnn, artifacts.rnn, artifacts.dae, artifacts.head):
+        assert store._flat is None
+        assert all(node._grad is None for _, node in store.items())
 
 
 def test_batched_graph_matches_per_sample_forward(small_cnn, small_rnn):

@@ -176,6 +176,17 @@ def test_unknown_flag_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", [["gen-synth", "--out", "data"], ["gradcheck"]])
+def test_negative_seed_exits_2(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    rc = main([*command, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == "error: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "data").exists()
+
+
 def test_gradcheck_passes_and_is_deterministic(capsys):
     assert main(["gradcheck", "--seed", "2"]) == 0
     first = capsys.readouterr().out
@@ -256,6 +267,15 @@ def test_eval_channel_mismatch_exits_3(trained_run, eight_channel_dataset, capsy
     ("seed = abc\n", [], "'seed': cannot read 'abc'"),
     ("", ["--epochs", "1,x,1"], "'epochs_stage2': cannot read 'x'"),
     ("classes = x\n", [], "'classes': cannot read 'x'"),
+    # values that coerce but used to crash in init or train silently
+    ("cnn_filters1 = 0\n", [], "cnn_filters1 must be >= 1, got 0"),
+    ("cnn_kernel1 = 0\n", [], "cnn_kernel1 must be >= 1, got 0"),
+    ("rnn_hidden1 = 0\n", [], "rnn_hidden1 must be >= 1, got 0"),
+    ("dae_hidden = 0\n", [], "dae_hidden must be >= 1, got 0"),
+    ("head_hidden = 0\n", [], "head_hidden must be >= 1, got 0"),
+    ("lr_stage1 = -0.001\n", [], "lr_stage1 must be a finite number above 0, got -0.001"),
+    ("lr_stage1 = nan\n", [], "lr_stage1 must be a finite number above 0, got nan"),
+    ("", ["--seed", "-1"], "seed must be >= 0, got -1"),
 ])
 def test_uncoercible_config_value_exits_2(dataset, tmp_path, capsys, config_text, flags, named):
     config = tmp_path / "config.txt"
@@ -365,6 +385,54 @@ def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_pa
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "classes.txt" in captured.err
     assert "2 class names" in captured.err and "3 classes" in captured.err
+
+
+@pytest.mark.parametrize("name, command, rc", [
+    ("t0000.eegt", "predict-trial", 3),
+    ("manifest.txt", "eval-data", 3),
+    ("config.txt", "train-config", 2),
+    ("cnn.cvdp", "predict", 2),
+    ("config.txt", "predict", 2),
+    ("classes.txt", "predict", 2),
+    ("report.json", "report", 2),
+    ("curves.csv", "report", 2),
+])
+def test_path_that_is_not_a_file_fails_like_a_missing_one(trained_run, dataset, tmp_path,
+                                                           capsys, name, command, rc):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    path = (tmp_path if "-" in command else run) / name
+    path.unlink(missing_ok=True)
+    args = {
+        "predict-trial": ["predict", "--trial", str(path), "--weights", str(run)],
+        "eval-data": ["eval", "--data", str(path), "--weights", str(run)],
+        "train-config": ["train", "--data", str(dataset / "manifest.txt"),
+                         "--config", str(path), "--out", str(tmp_path / "new")],
+        "predict": _predict_args(run, dataset),
+        "report": ["report", "--run", str(run)],
+    }[command]
+    missing = main(args), capsys.readouterr()
+    path.mkdir()
+    directory = main(args), capsys.readouterr()
+    assert missing == directory
+    assert directory[0] == rc
+    assert directory[1].out == ""
+    assert directory[1].err.startswith("error: ") and str(path) in directory[1].err
+
+
+def test_train_out_that_is_not_a_directory_exits_2_before_training(dataset, tmp_path, capsys,
+                                                                  monkeypatch):
+    import covdec.cli as cli
+
+    monkeypatch.setattr(cli, "run_training", lambda *args: pytest.fail("training started"))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    for out in (blocker, blocker / "run"):
+        rc = main(["train", "--data", str(dataset / "manifest.txt"), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: --out {out}: {blocker} exists and is not a directory\n")
+    assert blocker.read_text() == "keep\n"
 
 
 def _norm_store(mean, std=None):

@@ -47,6 +47,18 @@ def test_validation_errors():
         TrainConfig(rnn_order="fc-last").validate()
     with pytest.raises(ConfigError, match="latent"):
         TrainConfig(dae_latent=300).validate()
+    for key in ("cnn_filters1", "cnn_filters2", "cnn_kernel1", "cnn_kernel2", "cnn_fc1",
+                "cnn_feature", "rnn_fc1", "rnn_fc2", "rnn_hidden1", "rnn_hidden2",
+                "dae_hidden", "dae_latent", "head_hidden"):
+        with pytest.raises(ConfigError, match=f"^{key} must be >= 1, got 0$"):
+            TrainConfig(**{key: 0}).validate()
+    for key in ("lr_stage1", "lr_stage2", "lr_stage3"):
+        for lr in (0.0, -0.001, float("nan"), float("inf")):
+            message = f"^{key} must be a finite number above 0, got {lr}$"
+            with pytest.raises(ConfigError, match=message):
+                TrainConfig(**{key: lr}).validate()
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1).validate()
 
 
 def test_feature_width_tracks_rnn_order():

@@ -3,7 +3,9 @@ import struct
 import numpy as np
 import pytest
 
+from covdec import autodiff as ad
 from covdec import params as ps
+from covdec.autodiff import Node
 from covdec.errors import ConfigError, NumericError, ParseError
 from covdec.params import ParamStore, adam_step, require
 from covdec.errors import StateError
@@ -27,6 +29,9 @@ def test_names_unique_and_ordered():
         store.add("w::adam_m", np.zeros(1))
     with pytest.raises(ConfigError, match="invalid"):
         store.add("", np.zeros(1))
+    store.zero_grad()
+    with pytest.raises(StateError, match="'c' to a store packed for training"):
+        store.add("c", np.zeros(1))
 
 
 def test_snapshot_is_a_copy():
@@ -73,10 +78,72 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_rejects_nonfinite_gradient_naming_parameter():
-    store = make_store()
-    store["b"].grad[...] = np.nan
-    with pytest.raises(NumericError, match="'b'"):
-        adam_step(store, lr=0.1, t=1)
+    # the first, a middle and the last parameter, before and after packing
+    for name in ("k", "w", "b"):
+        for packed in (False, True):
+            store = ParamStore()
+            store.add("k", np.ones((2, 3, 2)))
+            store.add("w", np.arange(6.0).reshape(2, 3))
+            store.add("b", np.array([0.5, -0.5, 0.25]))
+            if packed:
+                store.zero_grad()
+            for other in store.names():
+                store[other].grad[...] = 0.125
+            store[name].grad.flat[-1] = np.inf if packed else np.nan
+            before = store_bytes(store)
+            with pytest.raises(NumericError, match=f"parameter '{name}'$"):
+                adam_step(store, lr=0.1, t=1)
+            assert store_bytes(store) == before  # no parameter moved
+
+
+def reference_adam(values, grads, ms, vs, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam step as a plain loop over the parameters, one array each."""
+    bc1 = 1.0 - beta1**t
+    bc2 = 1.0 - beta2**t
+    for name, g in grads.items():
+        m, v = ms[name], vs[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * (g * g)
+        values[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+
+
+def test_adam_matches_per_parameter_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(3, 4)))
+    store.add("b", rng.normal(size=4))
+    store.add("k", rng.normal(size=(2, 3, 5)))  # outside the graph
+    store.add("s", rng.normal(size=()))
+    x, target = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
+    values = store.snapshot()
+    ms = {name: np.zeros_like(v) for name, v in values.items()}
+    vs = {name: np.zeros_like(v) for name, v in values.items()}
+
+    def backward():
+        pred = ad.linear(Node(x), store["w"], store["b"])
+        ad.mse(pred, target * store["s"].value).backward()
+
+    for t in range(1, 8):
+        if t == 1:
+            backward()  # allocates w and b's gradients lazily, before packing
+        elif t == 4:
+            for name, node in store.items():  # replaces every packed view
+                node.grad = rng.normal(size=node.value.shape)
+        else:
+            store.zero_grad()
+            backward()
+            if t == 3:
+                store["k"].grad = rng.normal(size=(2, 3, 5))
+            else:
+                store["k"].grad += rng.normal(size=(2, 3, 5))
+            store["s"].grad[...] = rng.normal()
+        grads = {name: np.zeros_like(v) if store[name]._grad is None else store[name].grad.copy()
+                 for name, v in values.items()}
+        reference_adam(values, grads, ms, vs, lr=0.05, t=t)
+        adam_step(store, lr=0.05, t=t)
+        assert store_bytes(store) == {name: v.tobytes() for name, v in values.items()}
 
 
 def test_adam_rejects_bad_step_count():
@@ -212,6 +279,8 @@ def test_load_rejects_nonfinite_entries(tmp_path):
         ps.load(path)
 
 
-def test_load_missing_file():
+def test_load_missing_file(tmp_path):
     with pytest.raises(ParseError, match="not found"):
         ps.load("/nonexistent/weights.cvdp")
+    with pytest.raises(ParseError, match="not found"):
+        ps.load(tmp_path)

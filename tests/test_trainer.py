@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from covdec import autodiff as ad
 from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, init_dae_params, init_head_params
 from covdec.branches import init_cnn_params, init_rnn_params
@@ -10,8 +11,10 @@ from covdec.config import TrainConfig
 from covdec.covariance import Trial, ccv, standardize
 from covdec.data import SynthSpec, gen_synth
 from covdec.errors import DataError
+from covdec.params import ParamStore, adam_step
 from covdec.training import (
     _derived_seeds,
+    _fit,
     evaluate,
     evaluate_matrices,
     run_training,
@@ -207,6 +210,38 @@ def test_early_stopping_returns_minimum_validation_checkpoint():
 
     loss, _ = _xent_eval(lambda z, p: head_graph(Node(z), p), result.params, vlat, vlab)
     assert loss == pytest.approx(min(val_losses), abs=1e-12)
+
+
+def test_restore_returns_best_epoch_values_into_the_packed_store():
+    rng = np.random.default_rng(12)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(4, 3)))
+    store.add("b", np.zeros(3))
+    x, y = rng.normal(size=(12, 4)), rng.integers(0, 3, size=12)
+
+    def loss_fn(xb, yb):
+        return ad.softmax_xent(ad.linear(Node(xb), store["w"], store["b"]), yb)
+
+    # epoch 0 is the untrained store; epoch 1 is best, then two stale epochs
+    scripted = iter([1.0, 0.5, 0.7, 0.9])
+    seen = []
+
+    def validate():
+        seen.append(store.snapshot())
+        return next(scripted), 0.0
+
+    result = _fit(loss_fn, store, x, y, lr=0.01, epochs=10, batch_size=4, shuffle_seed=3,
+                  stage="head", validate=validate, patience=2)
+    assert (result.best_epoch, result.epochs_run) == (1, 3)
+    assert result.params is store
+    assert store_bytes(store) == {name: v.tobytes() for name, v in seen[1].items()}
+    assert store_bytes(store) != {name: v.tobytes() for name, v in seen[3].items()}
+
+    store.zero_grad()
+    loss_fn(x, y).backward()
+    adam_step(store, lr=0.01, t=4)
+    for name in store.names():
+        assert not np.array_equal(store[name].value, seen[1][name])
 
 
 def test_patience_off_returns_final_epoch_weights():
