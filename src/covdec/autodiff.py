@@ -8,6 +8,14 @@ topological order, accumulating (+=) into each .grad. Everything is float64
 and deterministic: two identical backward passes over freshly zeroed
 gradients produce bit-identical results.
 
+Inside `with no_grad():` operations record no graph: the Node an op returns
+keeps neither its parents nor its backward closure, so every intermediate
+array (and whatever a closure held for backward, such as conv1d's window
+matrix or lstm's gate history) is freed as soon as the next op has read it.
+Values are bit-identical to a recorded pass. backward() on such a result
+raises StateError. The scope nests, and leaving it, also by an exception,
+restores the state it was entered in.
+
 Vector arguments may be 1-D ([n]) or batched 2-D ([B, n]); conv1d accepts
 [Cin, L] or [B, Cin, L]; lstm maps a [B, T, d] sequence to [B, T, H] hidden
 states, and last_step picks [B, H] out of them. No broadcasting beyond what
@@ -16,11 +24,27 @@ the layer types need.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from contextlib import contextmanager
+from contextvars import ContextVar
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError, StateError
+
+# False inside no_grad(); a context variable, so that each thread and task
+# has its own scope
+_recording: ContextVar[bool] = ContextVar("covdec_autodiff_recording", default=True)
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which operations build no backward graph (see module docstring)."""
+    token = _recording.set(False)
+    try:
+        yield
+    finally:
+        _recording.reset(token)
 
 
 def as_tensor(x) -> np.ndarray:
@@ -35,7 +59,11 @@ def as_tensor(x) -> np.ndarray:
 
 
 class Node:
-    """One vertex of the computation graph."""
+    """One vertex of the computation graph.
+
+    `parents` is None for an op result built inside no_grad(): it recorded no
+    graph to differentiate through.
+    """
 
     __slots__ = ("value", "_grad", "op", "parents", "_backward")
 
@@ -49,6 +77,8 @@ class Node:
         self.value = as_tensor(value)
         self._grad = None
         self.op = op
+        if parents and not _recording.get():
+            parents, backward = None, None
         self.parents = parents
         self._backward = backward
 
@@ -72,6 +102,11 @@ class Node:
 
     def backward(self) -> None:
         """Seed d(self)/d(self) = 1 and propagate to every ancestor once."""
+        if self.parents is None:
+            raise StateError(
+                f"backward() on a {self.op!r} result built under no_grad(), "
+                f"which recorded no graph"
+            )
         order = _toposort(self)
         self.grad = self.grad + np.ones_like(self.value)
         for node in reversed(order):
@@ -93,7 +128,8 @@ def _toposort(root: Node) -> list[Node]:
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for parent in node.parents:
+        # a no_grad() result reached from a recorded graph is a constant
+        for parent in node.parents or ():
             if id(parent) not in visited:
                 stack.append((parent, False))
     return order
@@ -242,10 +278,10 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
     is computed via tanh so large |x| cannot overflow.
 
     The gates' parameters are concatenated once per call, so the input
-    projection of all T steps is one matrix product and each step holds its
-    gates in one [B, 4H] array. Backward runs BPTT over the stored gate values,
-    produces dWx, dWh and db with one matrix product each, and splits them back
-    into the per-gate parameters' gradients.
+    projection of all T steps is one matrix product, and each step overwrites
+    its [B, 4H] block of that projection with its gate values. Backward runs
+    BPTT over the stored gate values, produces dWx, dWh and db with one matrix
+    product each, and splits them back into the per-gate parameters' gradients.
     """
     if xs.value.ndim != 3:
         raise ShapeError(f"lstm: input must be [B, T, d], got {xs.value.shape}")
@@ -266,10 +302,12 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
 
     # step-major [T, B, .] arrays, so that step t is one contiguous block
     x2 = xs.value.transpose(1, 0, 2).reshape(steps * batch, d)
-    pre_x = (x2 @ wx + b).reshape(steps, batch, 4 * hidden)
+    # the input projections of all steps; step t's gate values overwrite its
+    # projection in place, so that one [T, B, 4H] buffer serves both
+    gates = (x2 @ wx).reshape(steps, batch, 4 * hidden)
+    gates += b
     hs = np.zeros((steps + 1, batch, hidden))  # hs[0], cs[0]: the zero state
     cs = np.zeros((steps + 1, batch, hidden))
-    gates = np.empty((steps, batch, 4 * hidden))
     tanh_cs = np.empty((steps, batch, hidden))
     sig = 3 * hidden
 
@@ -277,10 +315,11 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
         return (a[..., k * hidden:(k + 1) * hidden] for k in range(4))
 
     for t in range(steps):
-        z = pre_x[t] + hs[t] @ wh
-        gates[t, :, :sig] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :sig]))
-        gates[t, :, sig:] = np.tanh(z[:, sig:])
-        i, f, o, g = split(gates[t])
+        z = gates[t]
+        z += hs[t] @ wh
+        z[:, :sig] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :sig]))
+        z[:, sig:] = np.tanh(z[:, sig:])
+        i, f, o, g = split(z)
         cs[t + 1] = f * cs[t] + i * g
         tanh_cs[t] = np.tanh(cs[t + 1])
         hs[t + 1] = o * tanh_cs[t]

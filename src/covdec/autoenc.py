@@ -62,8 +62,10 @@ def dae_graph(features: Node, params: ParamStore) -> tuple[Node, Node]:
 
 
 def dae_encode(features: np.ndarray, params: ParamStore) -> np.ndarray:
-    """Deterministic latent code(s) for [n] or [B, n] features."""
-    latent, _ = dae_graph(Node(features), params)
+    """Deterministic latent code(s) for [n] or [B, n] features; records no
+    backward graph."""
+    with ad.no_grad():
+        latent, _ = dae_graph(Node(features), params)
     return latent.value.copy()
 
 
@@ -82,5 +84,6 @@ def head_graph(latents: Node, params: ParamStore) -> Node:
 
 
 def head_forward(latent: np.ndarray, params: ParamStore) -> np.ndarray:
-    """Logits for one latent code or a batch of them."""
-    return head_graph(Node(latent), params).value.copy()
+    """Logits for one latent code or a batch of them; records no backward graph."""
+    with ad.no_grad():
+        return head_graph(Node(latent), params).value.copy()

@@ -200,9 +200,12 @@ def extract_features_batch(
     order: str = "fc-first",
     axis: str = "rows",
 ) -> np.ndarray:
-    """[B, C, C] -> [B, cnn_width + rnn_width] joint encodings, CNN first."""
-    cnn_feat, _ = cnn_graph(Node(mats), cnn_params)
-    rnn_feat, _ = rnn_graph(mats, rnn_params, order, axis)
+    """[B, C, C] -> [B, cnn_width + rnn_width] joint encodings, CNN first.
+
+    A forward-only pass: it records no backward graph."""
+    with ad.no_grad():
+        cnn_feat, _ = cnn_graph(Node(mats), cnn_params)
+        rnn_feat, _ = rnn_graph(mats, rnn_params, order, axis)
     return np.concatenate([cnn_feat.value, rnn_feat.value], axis=1)
 
 

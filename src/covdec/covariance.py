@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -107,24 +108,46 @@ def standardize(
     return out, stats
 
 
+def covariances(
+    trials: Iterable[Trial], tau: int, channels: int | None = None
+) -> tuple[list[CovMatrix], np.ndarray]:
+    """Trials -> (their lag-tau covariances, labels), one trial at a time.
+
+    `trials` may be any iterable and is read once. Each trial is reduced to
+    its covariance as it arrives and no reference to it is kept, so a lazy
+    source such as `data.load` has one raw trial in memory at a time. Every
+    trial must have `channels` channels (by default, the first trial's).
+    """
+    covs: list[CovMatrix] = []
+    labels: list[int] = []
+    for trial in trials:
+        if channels is None:
+            channels = trial.channels
+        if trial.channels != channels:
+            raise DataError(
+                f"trial '{trial.trial_id}' has {trial.channels} channels, "
+                f"expected {channels}"
+            )
+        covs.append(ccv(trial, tau))
+        labels.append(trial.label)
+        del trial  # release it before the source makes the next one
+    return covs, np.array(labels, dtype=np.int64)
+
+
 def prepare(
-    trials: list[Trial], tau: int, norm: NormStats | None = None
+    trials: Iterable[Trial], tau: int, norm: NormStats | None = None
 ) -> tuple[np.ndarray, np.ndarray, NormStats]:
     """Trials -> (standardized [N, C, C] lag-tau covariances, labels, stats).
 
     The one way trials become model input: fits the statistics when `norm` is
-    None, else applies it. Every trial must have the channel count of the
-    statistics (or of the first trial, when fitting).
+    None, else applies it. `trials` may be any iterable, read once through
+    `covariances`, so a lazy source holds one raw trial at a time. Every
+    trial must have the channel count of the statistics (or of the first
+    trial, when fitting).
     """
-    if not trials:
+    channels = None if norm is None else norm.mean.shape[0]
+    covs, labels = covariances(trials, tau, channels)
+    if not covs:
         raise DataError("prepare: empty trial set")
-    channels = trials[0].channels if norm is None else norm.mean.shape[0]
-    for t in trials:
-        if t.channels != channels:
-            raise DataError(
-                f"trial '{t.trial_id}' has {t.channels} channels, expected {channels}"
-            )
-    covs, norm = standardize([ccv(t, tau) for t in trials], norm)
-    mats = np.stack([c.values for c in covs])
-    labels = np.array([t.label for t in trials], dtype=np.int64)
-    return mats, labels, norm
+    covs, norm = standardize(covs, norm)
+    return np.stack([c.values for c in covs]), labels, norm

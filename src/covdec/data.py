@@ -23,6 +23,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -164,15 +165,25 @@ def save_manifest(path: str | Path, manifest: Manifest) -> None:
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load(manifest_path: str | Path) -> tuple[list[Trial], Manifest]:
-    """Load every trial referenced by a manifest, labels validated against it."""
+def load(manifest_path: str | Path) -> tuple[Iterator[Trial], Manifest]:
+    """(the manifest's trials, the manifest), the trials read lazily.
+
+    The manifest is read and checked at once. The trials come from an
+    iterator that reads each file only when asked for the next trial, in
+    manifest order, checking its label against the manifest's classes then;
+    it keeps no reference to a trial it has yielded, so a consumer that
+    reduces each trial as it arrives (`covariance.prepare`) holds one raw
+    trial at a time. The iterator can be consumed once.
+    """
     manifest = load_manifest(manifest_path)
+    return _read_trials(manifest), manifest
+
+
+def _read_trials(manifest: Manifest) -> Iterator[Trial]:
     k = len(manifest.classes)
-    trials = []
     for tp in manifest.trial_paths:
-        trial, _ = load_trial(tp, max_label=k, subject_id=manifest.subject)
-        trials.append(trial)
-    return trials, manifest
+        # no local name: a suspended generator would keep the trial alive
+        yield load_trial(tp, max_label=k, subject_id=manifest.subject)[0]
 
 
 # ---------------------------------------------------------------------------

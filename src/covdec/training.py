@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .autodiff import Node
 from .autoenc import dae_encode, dae_loss, head_graph, init_dae_params, init_head_params
 from .branches import cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params, rnn_graph
 from .config import TrainConfig
-from .covariance import NormStats, Trial, prepare
+from .covariance import NormStats, Trial, covariances, prepare, standardize
 from .errors import DataError, NumericError
 from .params import ParamStore, adam_step
 
@@ -31,29 +32,38 @@ from .params import ParamStore, adam_step
 # ---------------------------------------------------------------------------
 
 
-def split(
-    trials: list[Trial], fraction: float, seed: int, classes: int | None = None
-) -> tuple[list[Trial], list[Trial]]:
-    """Stratified, seeded partition into (train, validation).
+def _split_indices(
+    labels: Sequence[int], fraction: float, seed: int, classes: int | None = None
+) -> tuple[list[int], list[int]]:
+    """Stratified, seeded partition of the indices of `labels` into
+    (train, validation).
 
-    Per class, train gets floor(n * fraction + 0.5) trials (halves round
+    Per class, train gets floor(n * fraction + 0.5) items (halves round
     toward train); the split is disjoint, exhaustive, and deterministic.
     """
-    labels = sorted({t.label for t in trials})
+    present = sorted(set(labels))
     if classes is not None:
         for k in range(classes):
-            if k not in labels:
+            if k not in present:
                 raise DataError(f"class {k} has no trials")
     rng = np.random.default_rng(seed)
-    train: list[Trial] = []
-    val: list[Trial] = []
-    for k in labels:
-        members = [t for t in trials if t.label == k]
+    train: list[int] = []
+    val: list[int] = []
+    for k in present:
+        members = [i for i, label in enumerate(labels) if label == k]
         order = rng.permutation(len(members))
         n_train = int(np.floor(len(members) * fraction + 0.5))
         train.extend(members[i] for i in order[:n_train])
         val.extend(members[i] for i in order[n_train:])
     return train, val
+
+
+def split(
+    trials: list[Trial], fraction: float, seed: int, classes: int | None = None
+) -> tuple[list[Trial], list[Trial]]:
+    """The partition `run_training` makes, as (train, validation) trial lists."""
+    train, val = _split_indices([t.label for t in trials], fraction, seed, classes)
+    return [trials[i] for i in train], [trials[i] for i in val]
 
 
 def _derived_seeds(seed: int) -> dict[str, int]:
@@ -118,9 +128,11 @@ def _fit(
     n = x.shape[0]
 
     def point(epoch: int, train_loss: float) -> CurvePoint:
-        return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
+        with ad.no_grad():
+            return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
 
-    curves = [point(0, float(loss_fn(x, y).value))]
+    with ad.no_grad():
+        curves = [point(0, float(loss_fn(x, y).value))]
 
     # the untrained weights are checkpoint candidate number zero
     best_val = curves[0].val_loss
@@ -276,14 +288,20 @@ def predict_batch(mats: np.ndarray, artifacts: PipelineArtifacts) -> tuple[np.nd
     """(predicted labels, softmax probabilities) for standardized [N, C, C] input.
 
     The one inference path; a single trial is a batch of one. Ties go to the
-    lowest class index.
+    lowest class index. A forward-only pass: it records no backward graph.
     """
     cfg = artifacts.config
     features = extract_features_batch(
         mats, artifacts.cnn, artifacts.rnn, cfg.rnn_order, cfg.rnn_axis
     )
     latents = dae_encode(features, artifacts.dae)
-    logits = head_graph(Node(latents), artifacts.head).value
+    return _head_predict(latents, artifacts.head)
+
+
+def _head_predict(latents: np.ndarray, head: ParamStore) -> tuple[np.ndarray, np.ndarray]:
+    """predict_batch from the latent codes on."""
+    with ad.no_grad():
+        logits = head_graph(Node(latents), head).value
     probs = ad.softmax(logits)
     return np.argmax(probs, axis=1), probs
 
@@ -293,8 +311,11 @@ def evaluate_matrices(
 ) -> EvalResult:
     if mats.shape[0] == 0:
         raise DataError("evaluate: empty trial set")
-    k = artifacts.config.classes
     predicted, _ = predict_batch(mats, artifacts)
+    return _score(labels, predicted, artifacts.config.classes)
+
+
+def _score(labels: np.ndarray, predicted: np.ndarray, k: int) -> EvalResult:
     confusion = np.zeros((k, k), dtype=np.int64)
     for true, pred in zip(labels, predicted):
         confusion[true, pred] += 1
@@ -308,8 +329,10 @@ def evaluate_matrices(
     return EvalResult(accuracy, confusion, precision, recall, int(total))
 
 
-def evaluate(trials: list[Trial], artifacts: PipelineArtifacts) -> EvalResult:
-    """Full-pipeline evaluation of raw trials against the stored statistics."""
+def evaluate(trials: Iterable[Trial], artifacts: PipelineArtifacts) -> EvalResult:
+    """Full-pipeline evaluation of raw trials against the stored statistics.
+
+    `trials` may be any iterable; `prepare` reads it once, a trial at a time."""
     mats, labels, _ = prepare(trials, artifacts.config.tau, artifacts.norm)
     return evaluate_matrices(mats, labels, artifacts)
 
@@ -330,9 +353,18 @@ class RunOutcome:
 
 
 def run_training(
-    trials: list[Trial], class_names: list[str], config: TrainConfig
+    trials: Iterable[Trial], class_names: list[str], config: TrainConfig
 ) -> RunOutcome:
-    """Split, standardize, train all three stages, and evaluate."""
+    """Reduce trials to covariances, split, standardize, train all three
+    stages, and evaluate.
+
+    `trials` may be any iterable, read once: each trial is reduced to its
+    lag-tau covariance as it arrives (`covariances`), so a lazy source holds
+    one raw trial at a time. The covariances are then split on their labels
+    (the `split` partition), and the standardization statistics are fitted on
+    the training part only. The final train/validation evaluation reuses the
+    stage-3 latents.
+    """
     config.validate()
     if len(class_names) != config.classes:
         raise DataError(
@@ -342,16 +374,22 @@ def run_training(
     clock: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    train_trials, val_trials = split(
-        trials, config.split_fraction, config.seed, classes=config.classes
+    covs, labels = covariances(trials, config.tau)
+    train_idx, val_idx = _split_indices(
+        labels, config.split_fraction, config.seed, classes=config.classes
     )
-    if not val_trials:
-        raise DataError(
-            f"validation split is empty ({len(trials)} trials at fraction "
-            f"{config.split_fraction}); add trials or lower the fraction"
-        )
-    train_mats, train_labels, norm = prepare(train_trials, config.tau)
-    val_mats, val_labels, _ = prepare(val_trials, config.tau, norm)
+    for part, idx, advice in (("training", train_idx, "raise"),
+                              ("validation", val_idx, "lower")):
+        if not idx:
+            raise DataError(
+                f"{part} split is empty ({len(labels)} trials at fraction "
+                f"{config.split_fraction}); add trials or {advice} the fraction"
+            )
+    train_covs, norm = standardize([covs[i] for i in train_idx])
+    val_covs, _ = standardize([covs[i] for i in val_idx], norm)
+    train_mats = np.stack([c.values for c in train_covs])
+    val_mats = np.stack([c.values for c in val_covs])
+    train_labels, val_labels = labels[train_idx], labels[val_idx]
     clock["prep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -382,8 +420,10 @@ def run_training(
         dae=stage2.params, head=stage3.params, norm=norm,
     )
     t0 = time.perf_counter()
-    train_eval = evaluate_matrices(train_mats, train_labels, artifacts)
-    val_eval = evaluate_matrices(val_mats, val_labels, artifacts)
+    train_pred, _ = _head_predict(train_latents, stage3.params)
+    val_pred, _ = _head_predict(val_latents, stage3.params)
+    train_eval = _score(train_labels, train_pred, config.classes)
+    val_eval = _score(val_labels, val_pred, config.classes)
     clock["eval"] = time.perf_counter() - t0
 
     return RunOutcome(artifacts, stage1, stage2, stage3, train_eval, val_eval, clock)

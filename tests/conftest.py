@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from covdec.autodiff import LSTM_GATES
 from covdec.autoenc import init_dae_params, init_head_params
 from covdec.branches import init_cnn_params, init_rnn_params
 from covdec.config import TrainConfig
+from covdec.covariance import Trial
 from covdec.params import ParamStore
 
 # feature width 8 + 4 = 12 feeds the small DAE
@@ -102,3 +105,28 @@ def complex_step_grads(f, arrays: list[np.ndarray], step: float = 1e-30) -> list
             grad[idx] = np.imag(f(*probe)) / step
         grads.append(grad)
     return grads
+
+
+class TrialCounter:
+    """Counts the trials it registers that are alive at the same time.
+
+    `register` records a new trial, weakly, and returns it; `peak` is the most
+    registered trials ever alive at once, `made` how many were registered.
+    """
+
+    def __init__(self):
+        self._alive = weakref.WeakValueDictionary()  # Trial is unhashable
+        self.peak = 0
+        self.made = 0
+
+    def register(self, trial: Trial) -> Trial:
+        self._alive[self.made] = trial
+        self.made += 1
+        self.peak = max(self.peak, len(self._alive))
+        return trial
+
+    def stream(self, trials: list[Trial]):
+        """Fresh copies of `trials`, made one at a time as they are asked for."""
+        for t in trials:
+            # no local name: a suspended generator would keep the copy alive
+            yield self.register(Trial(t.data.copy(), t.label, t.subject_id, t.trial_id))

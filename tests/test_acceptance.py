@@ -115,7 +115,7 @@ def _branch_train_accuracy(run_dir, data_dir):
     artifacts = load_artifacts(run_dir)
     cfg = artifacts.config
     trials, _ = load(data_dir / "manifest.txt")
-    train_trials, _ = split(trials, cfg.split_fraction, cfg.seed, cfg.classes)
+    train_trials, _ = split(list(trials), cfg.split_fraction, cfg.seed, cfg.classes)
     covs, _ = standardize([ccv(t, cfg.tau) for t in train_trials], artifacts.norm)
     mats = np.stack([c.values for c in covs])
     labels = np.array([t.label for t in train_trials])

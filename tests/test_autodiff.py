@@ -6,7 +6,7 @@ import pytest
 
 import covdec.autodiff as ad
 from covdec.autodiff import Node
-from covdec.errors import ConfigError, DataError, ShapeError
+from covdec.errors import ConfigError, DataError, ShapeError, StateError
 
 from conftest import complex_step_grads, lstm_arrays, lstm_loop
 
@@ -340,3 +340,66 @@ def test_no_nonfinite_from_bounded_inputs():
     assert np.isfinite(float(loss.value))
     assert np.all(np.isfinite(x.grad)) and np.all(np.isfinite(w.grad))
     assert all(np.all(np.isfinite(node.grad)) for node in nodes.values())
+
+
+def _no_grad_ops(rng):
+    """One result of each op kind from the same inputs: conv1d, linear, relu,
+    reshape, lstm, last_step and both losses."""
+    x = Node(rng.normal(size=(2, 3, 5)))
+    w, b = Node(rng.normal(size=(4, 3, 2))), Node(rng.normal(size=4))
+    lstm_params = {k: Node(v) for k, v in lstm_arrays(rng, 4, 3).items()}
+    wl = Node(rng.normal(size=(3, 2)))
+    conv = ad.relu(ad.conv1d(x, w, b))
+    seq = ad.lstm(ad.reshape(conv, (2, 4, 4)), lstm_params)
+    logits = ad.linear(ad.last_step(seq), wl)
+    return [conv, seq, logits, ad.softmax_xent(logits, [0, 1]), ad.mse(logits, np.zeros((2, 2)))]
+
+
+def test_no_grad_records_no_graph_and_keeps_values():
+    recorded = _no_grad_ops(np.random.default_rng(31))
+    with ad.no_grad():
+        unrecorded = _no_grad_ops(np.random.default_rng(31))
+    for rec, unrec in zip(recorded, unrecorded):
+        assert rec.parents and rec._backward is not None
+        assert unrec.parents is None and unrec._backward is None
+        assert unrec.value.tobytes() == rec.value.tobytes()
+        assert unrec._grad is None
+    with pytest.raises(StateError, match="'softmax_xent'.*no_grad"):
+        unrecorded[3].backward()
+    recorded[3].backward()  # the same graph, recorded, differentiates
+
+
+def test_no_grad_result_is_a_constant_in_a_recorded_graph():
+    rng = np.random.default_rng(32)
+    x, w1, w2 = (Node(rng.normal(size=s)) for s in ((3, 4), (4, 4), (4, 2)))
+    with ad.no_grad():
+        h = ad.relu(ad.linear(x, w1))
+    y = ad.mse(ad.linear(h, w2), np.zeros((3, 2)))
+    y.backward()
+    assert np.array_equal(w2.grad, h.value.T @ (2.0 / 6 * (h.value @ w2.value)))
+    assert x._grad is None and w1._grad is None
+
+
+def test_no_grad_nests_and_restores_recording_after_an_exception():
+    x, w = Node([[1.0, 2.0]]), Node([[3.0], [4.0]])
+
+    def records():
+        return ad.linear(x, w).parents is not None
+
+    assert records()
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not records()
+        assert not records()  # leaving the inner scope keeps the outer one
+        with pytest.raises(ShapeError):
+            with ad.no_grad():
+                ad.linear(w, w)
+        assert not records()
+    assert records()
+    with pytest.raises(ShapeError):
+        with ad.no_grad():
+            ad.linear(w, w)
+    assert records()
+    y = ad.linear(x, w)
+    y.backward()
+    assert np.array_equal(w.grad, [[1.0], [2.0]])

@@ -17,7 +17,7 @@ from covdec.report import load_artifacts, load_report_json, read_curves_csv
 from covdec.training import _derived_seeds
 from covdec.branches import init_cnn_params
 
-from conftest import store_bytes
+from conftest import TrialCounter, store_bytes
 
 CONFIG_SMALL = """
 batch_size = 8
@@ -159,6 +159,24 @@ def test_config_classes_mismatch_exits_3(dataset, tmp_path, capsys):
                "--config", str(config), "--out", str(tmp_path / "run")])
     assert rc == 3
     assert "classes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fraction, split, advice", [
+    ("0.01", "training", "raise"),
+    ("0.99", "validation", "lower"),
+])
+def test_empty_split_exits_3_naming_split_count_and_fraction(dataset, tmp_path, capsys,
+                                                             fraction, split, advice):
+    config = tmp_path / "config.txt"
+    config.write_text(f"split_fraction = {fraction}\n")
+    rc = main(["train", "--data", str(dataset / "manifest.txt"),
+               "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        f"error: {split} split is empty (24 trials at fraction {fraction}); "
+        f"add trials or {advice} the fraction\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def test_unknown_config_key_exits_2(dataset, tmp_path, capsys):
@@ -537,3 +555,55 @@ def test_blas_thread_count_does_not_change_weights(tmp_path):
         runs[threads] = {stage: (out / f"{stage}.cvdp").read_bytes()
                          for stage in ("cnn", "rnn", "dae", "head")}
     assert runs["1"] == runs["2"]
+
+
+def _run_files(run_dir: Path) -> dict[str, bytes]:
+    """Every file of a run directory, report.json without its wall-clock times."""
+    files = {p.name: p.read_bytes() for p in run_dir.iterdir()}
+    report = json.loads(files.pop("report.json"))
+    del report["wall_clock"]
+    files["report.json"] = json.dumps(report).encode()
+    return files
+
+
+def test_train_and_eval_hold_one_raw_trial_at_a_time(dataset, tmp_path, capsys, monkeypatch):
+    import covdec.cli as cli
+    import covdec.data as data
+
+    config = tmp_path / "config.txt"
+    config.write_text(CONFIG_SMALL)
+    manifest = str(dataset / "manifest.txt")
+
+    def train_and_eval(name, before_each=lambda: None):
+        run_dir = tmp_path / name
+        before_each()
+        assert main(["train", "--data", manifest, "--config", str(config),
+                     "--out", str(run_dir), "--seed", "13"]) == 0
+        capsys.readouterr()
+        before_each()
+        assert main(["eval", "--data", manifest, "--weights", str(run_dir)]) == 0
+        return _run_files(run_dir), capsys.readouterr().out
+
+    # reference: every trial loaded into a list before training or evaluating
+    load = data.load
+
+    def load_list(path):
+        trials, manifest = load(path)
+        return list(trials), manifest
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "load", load_list)
+        listed = train_and_eval("listed")
+
+    counters = []
+    load_trial = data.load_trial
+
+    def counting_load_trial(*args, **kwargs):
+        trial, rate = load_trial(*args, **kwargs)
+        return counters[-1].register(trial), rate
+
+    monkeypatch.setattr(data, "load_trial", counting_load_trial)
+    streamed = train_and_eval("streamed", lambda: counters.append(TrialCounter()))
+    # one counter for train, one for eval: each read all 24 trials, one at a time
+    assert [(c.made, c.peak) for c in counters] == [(24, 1), (24, 1)]
+    assert streamed == listed

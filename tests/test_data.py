@@ -79,8 +79,10 @@ def test_label_out_of_manifest_range_names_file(tmp_path):
     manifest = Manifest("demo", ["a", "b", "c"], "S1",
                         [(tmp_path / "trials" / "bad.eegt").resolve()])
     save_manifest(tmp_path / "manifest.txt", manifest)
+    # trials are read lazily: the label is checked when the trial is read
+    trials, _ = load(tmp_path / "manifest.txt")
     with pytest.raises(ParseError, match=r"bad.eegt.*label 5 out of range \[0, 3\)"):
-        load(tmp_path / "manifest.txt")
+        next(trials)
 
 
 def test_missing_manifest_names_path():
@@ -193,6 +195,7 @@ def test_write_synth_dataset_roundtrip(tmp_path):
     spec = SynthSpec(channels=5, samples=32, classes=2, trials_per_class=3, seed=9)
     manifest_path = write_synth_dataset(tmp_path, spec)
     trials, manifest = load(manifest_path)
+    trials = list(trials)
     reference = gen_synth(spec)
     assert manifest.classes == ["class0", "class1"]
     assert len(trials) == len(reference)

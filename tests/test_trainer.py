@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,15 +10,17 @@ from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, init_dae_params, init_head_params
 from covdec.branches import init_cnn_params, init_rnn_params
 from covdec.config import TrainConfig
-from covdec.covariance import Trial, ccv, standardize
+from covdec.covariance import NormStats, Trial, ccv, standardize
 from covdec.data import SynthSpec, gen_synth
 from covdec.errors import DataError
 from covdec.params import ParamStore, adam_step
 from covdec.training import (
+    PipelineArtifacts,
     _derived_seeds,
     _fit,
     evaluate,
     evaluate_matrices,
+    predict_batch,
     run_training,
     split,
     train_stage1,
@@ -24,7 +28,7 @@ from covdec.training import (
     train_stage3,
 )
 
-from conftest import store_bytes, zeroed
+from conftest import TrialCounter, store_bytes, zeroed
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -270,9 +274,6 @@ def test_early_stopping_halts_on_stale_validation():
 
 
 def zero_param_artifacts(config, channels=6):
-    from covdec.covariance import NormStats
-    from covdec.training import PipelineArtifacts
-
     seeds = _derived_seeds(config.seed)
     return PipelineArtifacts(
         config=config,
@@ -376,3 +377,70 @@ def test_validation_perturbation_canary_exact_epoch_mode():
         assert store_bytes(getattr(a.artifacts, stage)) == store_bytes(getattr(b.artifacts, stage))
     assert a.artifacts.norm.mean.tobytes() == b.artifacts.norm.mean.tobytes()
     assert a.artifacts.norm.std.tobytes() == b.artifacts.norm.std.tobytes()
+
+
+def _eval_bytes(result):
+    return (result.accuracy, result.count, result.confusion.tobytes(),
+            result.precision.tobytes(), result.recall.tobytes())
+
+
+def test_streamed_trials_are_held_one_at_a_time_with_identical_results():
+    config = small_config()
+    trials = synth_trials()
+    counter = TrialCounter()
+    streamed = run_training(counter.stream(trials), ["a", "b", "c"], config)
+    assert counter.made == len(trials)
+    assert counter.peak == 1
+    listed = run_training(trials, ["a", "b", "c"], config)
+    for stage in ("cnn", "rnn", "dae", "head"):
+        assert (store_bytes(getattr(streamed.artifacts, stage))
+                == store_bytes(getattr(listed.artifacts, stage)))
+    assert streamed.artifacts.norm.mean.tobytes() == listed.artifacts.norm.mean.tobytes()
+    assert streamed.artifacts.norm.std.tobytes() == listed.artifacts.norm.std.tobytes()
+    assert streamed.curves == listed.curves
+    assert _eval_bytes(streamed.val_eval) == _eval_bytes(listed.val_eval)
+
+    counter = TrialCounter()
+    result = evaluate(counter.stream(trials), listed.artifacts)
+    assert counter.made == len(trials)
+    assert counter.peak == 1
+    assert _eval_bytes(result) == _eval_bytes(evaluate(trials, listed.artifacts))
+
+
+def test_final_evaluation_equals_evaluate_matrices_on_each_split():
+    # run_training scores its stage-3 latents; evaluate_matrices recomputes them
+    config = small_config()
+    trials = synth_trials()
+    outcome = run_training(trials, ["a", "b", "c"], config)
+    train_x, train_y, val_x, val_y = prepared(trials, config)
+    assert (_eval_bytes(outcome.train_eval)
+            == _eval_bytes(evaluate_matrices(train_x, train_y, outcome.artifacts)))
+    assert (_eval_bytes(outcome.val_eval)
+            == _eval_bytes(evaluate_matrices(val_x, val_y, outcome.artifacts)))
+
+
+def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass(monkeypatch):
+    config = TrainConfig(classes=3).validate()
+    channels = 32
+    artifacts = PipelineArtifacts(
+        config=config, classes=["a", "b", "c"],
+        cnn=init_cnn_params(config, channels, 1), rnn=init_rnn_params(config, channels, 2),
+        dae=init_dae_params(config, 3), head=init_head_params(config, 4),
+        norm=NormStats(np.zeros((channels, channels)), np.ones((channels, channels))),
+    )
+    mats = np.random.default_rng(9).normal(size=(64, channels, channels))
+
+    def traced_predict():
+        tracemalloc.start()
+        try:
+            labels, probs = predict_batch(mats, artifacts)
+            return tracemalloc.get_traced_memory()[1], probs.tobytes()
+        finally:
+            tracemalloc.stop()
+
+    peak, probs = traced_predict()
+    # the same forward pass with the backward tape recorded
+    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
+    recorded_peak, recorded_probs = traced_predict()
+    assert probs == recorded_probs
+    assert peak <= 0.5 * recorded_peak, (peak, recorded_peak)
