@@ -279,7 +279,13 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
 
     The gates' parameters are concatenated once per call, so the input
     projection of all T steps is one matrix product, and each step overwrites
-    its [B, 4H] block of that projection with its gate values. Backward runs
+    its [B, 4H] block of that projection with its gate values. The gates are
+    activated as whole contiguous [B, 4H] rows: scale by 0.5 on the sigmoid
+    gates and 1.0 on g, tanh in place, scale again, then add 0.5 to the
+    sigmoid gates alone. Halving is exact, so this is 0.5 * (1 + tanh(z / 2))
+    bit for bit, and g gets no 0.0 shift that would turn -0.0 into +0.0. Step
+    0 starts from the zero state, so it skips the recurrent product, and
+    backward skips the gradient that would flow into that state. Backward runs
     BPTT over the stored gate values, produces dWx, dWh and db with one matrix
     product each, and splits them back into the per-gate parameters' gradients.
     """
@@ -310,19 +316,26 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
     cs = np.zeros((steps + 1, batch, hidden))
     tanh_cs = np.empty((steps, batch, hidden))
     sig = 3 * hidden
+    # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on the sigmoid gates, tanh(z) on g
+    scale = np.full(4 * hidden, 0.5)
+    scale[sig:] = 1.0
 
     def split(a):
         return (a[..., k * hidden:(k + 1) * hidden] for k in range(4))
 
     for t in range(steps):
         z = gates[t]
-        z += hs[t] @ wh
-        z[:, :sig] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :sig]))
-        z[:, sig:] = np.tanh(z[:, sig:])
+        if t:  # hs[0] is zero
+            z += hs[t] @ wh
+        z *= scale
+        np.tanh(z, out=z)
+        z *= scale
+        z[:, :sig] += 0.5
         i, f, o, g = split(z)
-        cs[t + 1] = f * cs[t] + i * g
-        tanh_cs[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = o * tanh_cs[t]
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+        np.tanh(cs[t + 1], out=tanh_cs[t])
+        np.multiply(o, tanh_cs[t], out=hs[t + 1])
 
     def backward(grad):
         grad_t = grad.transpose(1, 0, 2)
@@ -340,7 +353,8 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
             do[...] = dh * tc * o * (1.0 - o)
             dg[...] = dc * i * (1.0 - g * g)
             dc = dc * f
-            dh = dz[t] @ wh.T
+            if t:  # dh at step 0 would flow into the zero state
+                dh = dz[t] @ wh.T
         dz2 = dz.reshape(steps * batch, 4 * hidden)
         fused = {
             "wx": x2.T @ dz2,

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .config import config_from_dict, read_config_values
@@ -19,7 +20,13 @@ from .report import format_confusion, format_report, load_artifacts, save_run
 from .training import evaluate, predict_batch, run_training
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as it was.
+
+    Each subcommand's handler is bound here; a handler looks its library calls
+    up when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="covdec",
         description="Hierarchical covariance-feature decoder for EEG trials.",

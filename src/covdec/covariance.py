@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -59,6 +60,13 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
     W = T - |lag| overlapping samples, with mu the per-channel mean of that
     window. lag 0 is the ordinary sample covariance, mirrored for exact
     symmetry.
+
+    At lag 0 the window is centred once and multiplied by a copy of itself.
+    The copy is needed for the bits: `a @ a.T` on one buffer makes numpy call
+    BLAS `syrk`, whose sums round differently from the `gemm` that two
+    buffers get (entries moved by up to 6.7e-16). The mean is `sum / W`,
+    which is what `mean` computes, and the result is mirrored from its upper
+    triangle.
     """
     t_len = trial.samples
     if abs(lag) >= t_len:
@@ -67,7 +75,13 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
     if window <= 1:
         raise DataError(f"degenerate {window}-sample overlap for lag {lag}")
 
-    if lag >= 0:
+    if lag == 0:
+        a = trial.data - trial.data.sum(axis=1, keepdims=True) / window
+        m = (a @ a.copy().T) / (window - 1)
+        rows, cols = _strict_lower(trial.channels)
+        m[rows, cols] = m[cols, rows]
+        return CovMatrix(m, lag)
+    if lag > 0:
         a = trial.data[:, : window]
         b = trial.data[:, lag : lag + window]
     else:
@@ -75,10 +89,13 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
         b = trial.data[:, : window]
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
-    m = (a @ b.T) / (window - 1)
-    if lag == 0:
-        m = np.triu(m) + np.triu(m, 1).T
-    return CovMatrix(m, lag)
+    return CovMatrix((a @ b.T) / (window - 1), lag)
+
+
+@lru_cache(maxsize=16)
+def _strict_lower(channels: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, cols) of the entries below the diagonal of a [C, C] matrix."""
+    return np.tril_indices(channels, -1)
 
 
 @dataclass(frozen=True)

@@ -136,6 +136,8 @@ def load_manifest(path: str | Path) -> Manifest:
         raise DataError(f"manifest not found: {p}")
     task, subject, classes = "", "", []
     trial_paths: list[Path] = []
+    # resolved once: an entry is joined to it as written, not resolved itself
+    root = p.parent.resolve()
     for lineno, key, value in _read_key_values(p, ParseError):
         if key == "task":
             task = value
@@ -144,7 +146,7 @@ def load_manifest(path: str | Path) -> Manifest:
         elif key == "classes":
             classes = [c.strip() for c in value.split(",") if c.strip()]
         elif key == "trial":
-            trial_paths.append((p.parent / value).resolve())
+            trial_paths.append(root / value)
         else:
             raise ParseError(f"{p}:{lineno}: unknown key {key!r}")
     return Manifest(task, classes, subject, trial_paths)

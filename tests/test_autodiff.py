@@ -403,3 +403,86 @@ def test_no_grad_nests_and_restores_recording_after_an_exception():
     y = ad.linear(x, w)
     y.backward()
     assert np.array_equal(w.grad, [[1.0], [2.0]])
+
+
+def _lstm_before(xs, arrays, grad):
+    """ad.lstm's value and gradients for loss = sum(out * grad), by the loop it
+    ran before the whole-row gate activation: sigmoid gates as
+    0.5 * (1 + tanh(0.5 * z)), tanh on g apart, the recurrent product made at
+    every step and the gradient into the zero state computed."""
+    batch, steps, d = xs.shape
+    hidden = arrays["b_i"].size
+    order = ("i", "f", "o", "g")
+    wx = np.concatenate([arrays[f"wx_{k}"] for k in order], axis=1)
+    wh = np.concatenate([arrays[f"wh_{k}"] for k in order], axis=1)
+    b = np.concatenate([arrays[f"b_{k}"] for k in order])
+    x2 = xs.transpose(1, 0, 2).reshape(steps * batch, d)
+    gates = (x2 @ wx).reshape(steps, batch, 4 * hidden)
+    gates += b
+    hs = np.zeros((steps + 1, batch, hidden))
+    cs = np.zeros((steps + 1, batch, hidden))
+    tanh_cs = np.empty((steps, batch, hidden))
+    sig = 3 * hidden
+
+    def split(a):
+        return (a[..., k * hidden:(k + 1) * hidden] for k in range(4))
+
+    for t in range(steps):
+        z = gates[t]
+        z += hs[t] @ wh
+        z[:, :sig] = 0.5 * (1.0 + np.tanh(0.5 * z[:, :sig]))
+        z[:, sig:] = np.tanh(z[:, sig:])
+        i, f, o, g = split(z)
+        cs[t + 1] = f * cs[t] + i * g
+        tanh_cs[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o * tanh_cs[t]
+
+    grad_t = grad.transpose(1, 0, 2)
+    dz = np.empty((steps, batch, 4 * hidden))
+    dh = np.zeros((batch, hidden))
+    dc = np.zeros((batch, hidden))
+    for t in reversed(range(steps)):
+        i, f, o, g = split(gates[t])
+        di, df, do, dg = split(dz[t])
+        tc = tanh_cs[t]
+        dh = dh + grad_t[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        di[...] = dc * g * i * (1.0 - i)
+        df[...] = dc * cs[t] * f * (1.0 - f)
+        do[...] = dh * tc * o * (1.0 - o)
+        dg[...] = dc * i * (1.0 - g * g)
+        dc = dc * f
+        dh = dz[t] @ wh.T
+    dz2 = dz.reshape(steps * batch, 4 * hidden)
+    fused = {
+        "wx": x2.T @ dz2,
+        "wh": hs[:-1].reshape(steps * batch, hidden).T @ dz2,
+        "b": dz2.sum(axis=0),
+    }
+    grads = {"xs": (dz2 @ wx.T).reshape(steps, batch, d).transpose(1, 0, 2)}
+    for kind, grad_k in fused.items():
+        for gate, part in zip(order, split(grad_k)):
+            grads[f"{kind}_{gate}"] = part
+    return hs[1:].transpose(1, 0, 2), grads
+
+
+@pytest.mark.parametrize("batch, steps, zero", [
+    (1, 1, False), (1, 8, False), (16, 8, False), (16, 8, True),
+], ids=["b1-t1", "b1-t8", "b16-t8", "zero-params"])
+def test_lstm_bytes_equal_loop_before_whole_row_gates(batch, steps, zero):
+    d, hidden = 6, 5
+    rng = np.random.default_rng(batch * 100 + steps)
+    xs = rng.normal(size=(batch, steps, d))
+    arrays = lstm_arrays(rng, d, hidden)
+    if zero:
+        arrays = {k: np.zeros_like(v) for k, v in arrays.items()}
+    grad = rng.normal(size=(batch, steps, hidden))
+    xn, nodes = Node(xs), {k: Node(v) for k, v in arrays.items()}
+    out = ad.lstm(xn, nodes)
+    _backward_with(out, grad)
+
+    want_out, want_grads = _lstm_before(xs, arrays, grad)
+    assert out.value.tobytes() == want_out.tobytes()
+    got_grads = {"xs": xn.grad, **{k: n.grad for k, n in nodes.items()}}
+    for name, want in want_grads.items():
+        assert got_grads[name].tobytes() == want.tobytes(), name

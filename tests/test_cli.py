@@ -257,6 +257,38 @@ def test_numeric_abort_exits_4(dataset, tmp_path, capsys, monkeypatch):
     assert "non-finite loss" in err
 
 
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    import covdec.cli as cli
+    from covdec.errors import NumericError
+
+    def gen(out, classes):
+        return main(["gen-synth", "--out", str(tmp_path / out), "--channels", "3",
+                     "--samples", "16", "--classes", str(classes),
+                     "--trials-per-class", "2"])
+
+    seen = []
+
+    def stop_training(trials, classes, config):
+        seen.append((len(list(trials)), classes, config.seed))
+        raise NumericError("stopped")
+
+    assert gen("a", 2) == 0
+    with pytest.raises(SystemExit):
+        main(["train", "--data"])
+    # the parser is built before run_training is replaced: the handler looks
+    # it up when it runs
+    monkeypatch.setattr(cli, "run_training", stop_training)
+    manifest = str(tmp_path / "a" / "manifest.txt")
+    for extra in (["--seed", "5"], []):
+        assert main(["train", "--data", manifest, "--out", str(tmp_path / "run"),
+                     *extra]) == 4
+    assert gen("b", 3) == 0
+    assert seen == [(4, ["class0", "class1"], 5), (4, ["class0", "class1"], 0)]
+    out = capsys.readouterr().out
+    assert "wrote 4 trials" in out and "wrote 6 trials" in out
+    assert cli._build_parser() is cli._build_parser()
+
+
 @pytest.fixture(scope="module")
 def eight_channel_dataset(tmp_path_factory):
     root = tmp_path_factory.mktemp("eight")

@@ -192,3 +192,36 @@ def test_prepare_rejects_channel_count_naming_trial():
         prepare([three], 0, norm)
     with pytest.raises(DataError, match="empty"):
         prepare([], 0, norm)
+
+
+def _ccv_two_centrings(data: np.ndarray, lag: int) -> np.ndarray:
+    """The lag-tau covariance as ccv once computed it at every lag: each
+    operand centred on its own, then the lag-0 result mirrored through triu."""
+    window = data.shape[1] - abs(lag)
+    if lag >= 0:
+        a, b = data[:, :window], data[:, lag:lag + window]
+    else:
+        a, b = data[:, -lag:], data[:, :window]
+    a = a - a.mean(axis=1, keepdims=True)
+    b = b - b.mean(axis=1, keepdims=True)
+    m = (a @ b.T) / (window - 1)
+    if lag == 0:
+        m = np.triu(m) + np.triu(m, 1).T
+    return m
+
+
+# every lag that leaves at least 2 overlapping samples
+@pytest.mark.parametrize("shape, lag", [
+    pytest.param(shape, lag, id=f"{shape[0]}x{shape[1]}-lag{lag}")
+    for shape in [(2, 2), (3, 5), (8, 128), (17, 300), (64, 1280)]
+    for lag in (0, 1, -3) if abs(lag) < shape[1] - 1
+])
+@pytest.mark.parametrize("snapped", [False, True], ids=["f64", "f32-snapped"])
+def test_ccv_bytes_equal_two_centrings_formula(shape, lag, snapped):
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    data = rng.normal(size=shape) * 3.7 + 1.5
+    if snapped:
+        data = data.astype(np.float32).astype(np.float64)
+    data[-1] = 2.25  # a flat channel: its centred row is exactly zero
+    got = ccv(Trial(data, label=0), lag).values
+    assert got.tobytes() == _ccv_two_centrings(data, lag).tobytes()

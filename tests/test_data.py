@@ -202,3 +202,30 @@ def test_write_synth_dataset_roundtrip(tmp_path):
     for got, want in zip(trials, reference):
         assert got.label == want.label
         assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_manifest_entries_through_dotdot_symlinks_and_absolute_paths(tmp_path):
+    real = tmp_path / "real"
+    real.mkdir()
+    for j in range(3):
+        save_trial(real / f"t{j}.eegt", sample_trial(seed=j, label=j % 2))
+    (tmp_path / "linked").symlink_to(real, target_is_directory=True)
+    (real / "alias.eegt").symlink_to(real / "t0.eegt")
+    sub = tmp_path / "sets" / "a"
+    sub.mkdir(parents=True)
+    entries = ["../../real/t0.eegt", "../../linked/t1.eegt", str(real / "t2.eegt"),
+               "../../real/alias.eegt"]
+    (sub / "manifest.txt").write_text(
+        "task = demo\nclasses = x,y\nsubject = S1\n"
+        + "".join(f"trial = {e}\n" for e in entries))
+
+    trials, manifest = load(sub / "manifest.txt")
+    # each entry is joined to the resolved manifest directory, not normalised
+    assert manifest.trial_paths == [sub.resolve() / e for e in entries]
+    got = list(trials)
+    for trial, path in zip(got, manifest.trial_paths):
+        want, _ = load_trial(path.resolve())
+        assert (trial.data.tobytes(), trial.label) == (want.data.tobytes(), want.label)
+    # a symlinked trial file keeps its own name as its trial id
+    assert [t.trial_id for t in got] == ["t0", "t1", "t2", "alias"]
+
