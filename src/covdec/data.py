@@ -259,12 +259,13 @@ def write_synth_dataset(out_dir: str | Path, spec: SynthSpec, task: str = "synth
     """Materialize gen_synth output as trial files plus a manifest."""
     out = Path(out_dir)
     (out / "trials").mkdir(parents=True, exist_ok=True)
+    root = out.resolve()  # resolving each trial path would follow a symlinked trials/
     trials = gen_synth(spec)
     paths = []
     for i, trial in enumerate(trials):
-        rel = Path("trials") / f"t{i:04d}.eegt"
-        save_trial(out / rel, trial, sample_rate_hz=0.0)
-        paths.append((out / rel).resolve())
+        path = root / "trials" / f"t{i:04d}.eegt"
+        save_trial(path, trial, sample_rate_hz=0.0)
+        paths.append(path)
     manifest = Manifest(
         task=task,
         classes=[f"class{k}" for k in range(spec.classes)],

@@ -203,71 +203,97 @@ def save(store: ParamStore, path: str | Path) -> None:
     Path(path).write_bytes(blob)
 
 
-class _Reader:
-    """Byte cursor that reports the exact offset on truncation."""
-
-    def __init__(self, data: bytes, path: str):
-        self.data = data
-        self.path = path
-        self.off = 0
-
-    def take(self, n: int) -> bytes:
-        if self.off + n > len(self.data):
-            raise ParseError(
-                f"{self.path}: truncated at byte {self.off} "
-                f"(need {n} bytes, {len(self.data) - self.off} available)"
-            )
-        out = self.data[self.off : self.off + n]
-        self.off += n
-        return out
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
 
 
 def load(path: str | Path) -> ParamStore:
-    """Read a CVDP file back into a ParamStore; moment entries are dropped."""
+    """Read a CVDP file back into a ParamStore; moment entries are dropped.
+
+    Every header is walked and checked (truncation, names, dims, trailing
+    bytes) before any payload is read; the payloads are then copied out and
+    checked for non-finite values in entry order.
+    """
     p = Path(path)
-    if not p.is_file():
-        raise ParseError(f"weight file not found: {p}")
-    r = _Reader(p.read_bytes(), str(p))
-    magic = r.take(4)
-    if magic != MAGIC:
-        raise ParseError(f"{p}: bad magic {magic!r} at byte 0 (expected {MAGIC!r})")
-    version = r.u32()
+    try:
+        data = p.read_bytes()
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+        raise ParseError(f"weight file not found: {p}") from None
+    end = len(data)
+
+    def truncated(off: int, n: int) -> ParseError:
+        return ParseError(f"{p}: truncated at byte {off} (need {n} bytes, {end - off} available)")
+
+    if end < 4:
+        raise truncated(0, 4)
+    if data[:4] != MAGIC:
+        raise ParseError(f"{p}: bad magic {data[:4]!r} at byte 0 (expected {MAGIC!r})")
+    if end < 8:
+        raise truncated(4, 4)
+    (version,) = _U32.unpack_from(data, 4)
     if version != FORMAT_VERSION:
         raise ParseError(f"{p}: unsupported format version {version}")
-    count = r.u32()
+    if end < 12:
+        raise truncated(8, 4)
+    (count,) = _U32.unpack_from(data, 8)
 
-    store = ParamStore()
+    # pass 1: headers; each entry becomes (name, its byte offset, payload view)
+    entries = []
+    params: set[str] = set()
     moments: list[str] = []
+    off = 12
     for _ in range(count):
-        name_off = r.off
-        name_bytes = r.take(r.u16())
+        start = off
+        if off + 2 > end:
+            raise truncated(off, 2)
+        (n,) = _U16.unpack_from(data, off)
+        off += 2
+        if off + n > end:
+            raise truncated(off, n)
         try:
-            name = name_bytes.decode("utf-8")
+            name = data[off : off + n].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(
-                f"{p}: entry name is not valid UTF-8 at byte {name_off + 2 + exc.start}"
-            ) from None
-        rank = r.u32()
-        dims = [r.u32() for _ in range(rank)]
+            raise ParseError(f"{p}: entry name is not valid UTF-8 at byte {off + exc.start}") from None
+        off += n
+        if off + 4 > end:
+            raise truncated(off, 4)
+        (rank,) = _U32.unpack_from(data, off)
+        off += 4
+        if off + 4 * rank > end:
+            raise truncated(off + (end - off) // 4 * 4, 4)  # the first missing dim
+        dims = struct.unpack_from(f"<{rank}I", data, off)
+        off += 4 * rank
         size = math.prod(dims)  # exact; a wrapped int64 product could pass as 0
-        payload = r.take(8 * size)
-        arr = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise ParseError(f"{p}: non-finite values in entry '{name}' at byte {name_off}")
+        if off + 8 * size > end:
+            raise truncated(off, 8 * size)
+        if not name:
+            raise ParseError(f"{p}: empty entry name at byte {start}")
         if _is_reserved(name):
             moments.append(name)
+        elif name in params:
+            raise ParseError(f"{p}: duplicate entry '{name}' at byte {start}")
         else:
-            if name in store:
-                raise ParseError(f"{p}: duplicate entry '{name}' at byte {name_off}")
-            store.add(name, arr)
-    if r.off != len(r.data):
-        raise ParseError(f"{p}: {len(r.data) - r.off} trailing bytes at byte {r.off}")
+            params.add(name)
+        try:
+            view = np.frombuffer(data, "<f8", size, off).reshape(dims)
+        except ValueError as exc:  # more dims than numpy takes, or a 0 beside huge dims
+            raise ParseError(
+                f"{p}: entry '{name}' at byte {start} has {rank} dims that no array can hold ({exc})"
+            ) from None
+        entries.append((name, start, view))
+        off += 8 * size
+    if off != end:
+        raise ParseError(f"{p}: {end - off} trailing bytes at byte {off}")
+
+    # pass 2: payloads, copied into aligned arrays; names are checked, so
+    # nodes go into the store without ParamStore.add's checks
+    store = ParamStore()
+    for name, start, view in entries:
+        arr = view.astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise ParseError(f"{p}: non-finite values in entry '{name}' at byte {start}")
+        if name in params:
+            store._nodes[name] = Node(arr, op="param")
 
     paired: dict[str, set[str]] = {_ADAM_M: set(), _ADAM_V: set()}
     for full_name in moments:

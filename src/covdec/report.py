@@ -24,7 +24,7 @@ import numpy as np
 from . import params as pstore
 from .config import _read_utf8, config_from_file, write_config
 from .covariance import STD_FLOOR, NormStats
-from .errors import ParseError, StateError
+from .errors import CovdecError, ParseError, StateError
 from .training import CurvePoint, PipelineArtifacts, RunOutcome
 
 REPORT_FORMAT_VERSION = 1
@@ -133,30 +133,38 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
+def _run_file(read, path: Path, missing: str):
+    """read(path); if that fails and path is not a file, StateError `missing`.
+
+    The file is opened once and stat'ed only when reading it failed.
+    """
+    try:
+        return read(path)
+    except (CovdecError, OSError):
+        if path.is_file():
+            raise
+        raise StateError(f"{missing}: {path}") from None
+
+
 def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     """Load a trained run directory; missing or mis-shaped pieces, and weights
     whose widths disagree with config.txt, raise StateError."""
     run = Path(run_dir)
-    stores = {}
-    for stage in STAGE_FILES + ("norm",):
-        path = run / f"{stage}.cvdp"
-        if not path.is_file():
-            raise StateError(f"missing stage weights '{stage}': {path}")
-        stores[stage] = pstore.load(path)
+    paths = {stage: run / f"{stage}.cvdp" for stage in STAGE_FILES + ("norm",)}
+    stores = {stage: _run_file(pstore.load, path, f"missing stage weights '{stage}'")
+              for stage, path in paths.items()}
     config_path = run / "config.txt"
-    if not config_path.is_file():
-        raise StateError(f"missing config echo: {config_path}")
-    config = config_from_file(config_path)
+    config = _run_file(config_from_file, config_path, "missing config echo")
     classes_path = run / "classes.txt"
-    if not classes_path.is_file():
-        raise StateError(f"missing class names: {classes_path}")
-    classes = [line for line in _read_utf8(classes_path, ParseError).splitlines() if line]
+    text = _run_file(lambda path: _read_utf8(path, ParseError), classes_path,
+                     "missing class names")
+    classes = [line for line in text.splitlines() if line]
     if len(classes) != config.classes:
         raise StateError(
             f"{classes_path}: {len(classes)} class names for a model trained "
             f"on {config.classes} classes"
         )
-    norm_path = run / "norm.cvdp"
+    norm_path = paths["norm"]
     pstore.require(stores["norm"], ("mean", "std"), str(norm_path))
     mean, std = stores["norm"]["mean"].value, stores["norm"]["std"].value
     if mean.ndim != 2 or mean.shape[0] != mean.shape[1] or std.shape != mean.shape:
@@ -167,12 +175,11 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     if np.any(std < STD_FLOOR):
         raise StateError(f"{norm_path}: std has entries below {STD_FLOOR:g}")
     for stage, name, field in CONFIG_WIDTHS:
-        path = run / f"{stage}.cvdp"
-        pstore.require(stores[stage], (name,), str(path))
+        pstore.require(stores[stage], (name,), str(paths[stage]))
         shape, width = stores[stage][name].value.shape, getattr(config, field)
         if shape != (width,):
             raise StateError(
-                f"{path}: '{name}' has shape {shape}, but {config_path.name} "
+                f"{paths[stage]}: '{name}' has shape {shape}, but {config_path.name} "
                 f"sets {field} = {width}"
             )
     return PipelineArtifacts(

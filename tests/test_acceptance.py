@@ -7,7 +7,9 @@ covdec.data.REFERENCE_LONG_WORD_ACCURACY) are not desk-reproducible; the gate
 rests on the property suite below.
 """
 
+import importlib.util
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +28,7 @@ from covdec.data import (
 )
 from covdec.errors import ParseError
 from covdec.gradcheck import run_suite
-from covdec.report import load_artifacts, load_report_json, read_curves_csv
+from covdec.report import STAGE_FILES, load_artifacts, load_report_json, read_curves_csv
 from covdec.training import run_training, split, train_stage1, train_stage2, train_stage3
 from covdec.config import TrainConfig
 
@@ -322,6 +324,37 @@ def test_format_roundtrips(tmp_path):
         ok,
         f"trial bytes identical ({trial_ok}), weights bytes identical "
         f"({store_ok}), corrupted files raise located parse errors",
+    )
+
+
+def bench_reference():
+    """bench/reference.py, the benchmark's independent decoder, imported read-only."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("bench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_weights_load_as_the_reference_reader_reads_them(acceptance_run):
+    read_cvdp = bench_reference().read_cvdp
+    entries = 0
+    for stage in STAGE_FILES + ("norm",):
+        path = acceptance_run["run"] / f"{stage}.cvdp"
+        loaded, reference = ps.load(path), read_cvdp(path)
+        assert loaded.names() == list(reference), stage
+        for name, want in reference.items():
+            got = loaded[name].value
+            assert got.dtype == np.float64 and got.shape == want.shape, (stage, name)
+            assert got.flags["C_CONTIGUOUS"] and got.flags["ALIGNED"], (stage, name)
+            assert got.flags["WRITEABLE"], (stage, name)
+            assert got.tobytes() == want.tobytes(), (stage, name)
+            entries += 1
+    criterion(
+        "weights read as documented",
+        True,
+        f"{entries} entries in {len(STAGE_FILES) + 1} files: names, order, shapes and "
+        f"bytes equal to the reference reader's",
     )
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -639,3 +640,40 @@ def test_train_and_eval_hold_one_raw_trial_at_a_time(dataset, tmp_path, capsys, 
     # one counter for train, one for eval: each read all 24 trials, one at a time
     assert [(c.made, c.peak) for c in counters] == [(24, 1), (24, 1)]
     assert streamed == listed
+
+
+def test_empty_entry_name_in_weights_exits_3_naming_file_and_offset(trained_run, dataset,
+                                                                    tmp_path, capsys):
+    broken = tmp_path / "broken"
+    shutil.copytree(trained_run, broken)
+    path = broken / "head.cvdp"
+    path.write_bytes(b"CVDP" + struct.pack("<IIHII", 1, 1, 0, 1, 1) + struct.pack("<d", 0.5))
+    rc = main(_predict_args(broken, dataset))
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: empty entry name at byte 12\n"
+
+
+def test_gen_synth_writes_through_a_symlinked_trials_directory(tmp_path):
+    args = ["--channels", "6", "--samples", "32", "--classes", "2", "--trials-per-class", "3",
+            "--seed", "5"]
+    expected = "task = synth\nclasses = class0,class1\nsubject = synth\n" + "".join(
+        f"trial = trials/t{i:04d}.eegt\n" for i in range(6))
+    plain, linked, elsewhere = tmp_path / "plain", tmp_path / "linked", tmp_path / "elsewhere"
+    assert main(["gen-synth", "--out", str(plain), *args]) == 0
+    assert (plain / "manifest.txt").read_text(encoding="utf-8") == expected
+    elsewhere.mkdir()
+    linked.mkdir()
+    (linked / "trials").symlink_to(elsewhere, target_is_directory=True)
+    assert main(["gen-synth", "--out", str(linked), *args]) == 0
+    assert (linked / "manifest.txt").read_text(encoding="utf-8") == expected
+    assert sorted(p.name for p in elsewhere.iterdir()) == [f"t{i:04d}.eegt" for i in range(6)]
+    for i in range(6):
+        name = f"t{i:04d}.eegt"
+        assert (elsewhere / name).read_bytes() == (plain / "trials" / name).read_bytes()
+    config = tmp_path / "config.txt"
+    config.write_text(CONFIG_SMALL + "split_fraction = 0.66\n")
+    rc = main(["train", "--data", str(linked / "manifest.txt"), "--config", str(config),
+               "--epochs", "1,1,1", "--out", str(tmp_path / "run")])
+    assert rc == 0

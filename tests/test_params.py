@@ -284,3 +284,116 @@ def test_load_missing_file(tmp_path):
         ps.load("/nonexistent/weights.cvdp")
     with pytest.raises(ParseError, match="not found"):
         ps.load(tmp_path)
+
+
+# ---------------------------------------------------------------------------
+# the reader, pinned field by field
+# ---------------------------------------------------------------------------
+
+
+# rank 0, 1, 2 and 3 entries, then a moment pair for "w"
+LAYOUT_ENTRIES = (
+    ("s", np.array(-1.5)),
+    ("fc.b", np.array([0.5, -0.5, 0.25])),
+    ("w", np.arange(6.0).reshape(2, 3)),
+    ("k", np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)),
+    ("w::adam_m", np.full((2, 3), 0.1)),
+    ("w::adam_v", np.full((2, 3), 0.2)),
+)
+
+
+def layout_fields(entries) -> list[tuple[int, int]]:
+    """(offset, size) of every field the reader takes, in reading order."""
+    fields, off = [], 0
+    for size in (4, 4, 4):  # magic, version, count
+        fields.append((off, size))
+        off += size
+    for name, arr in entries:
+        sizes = [2, len(name.encode("utf-8")), 4] + [4] * arr.ndim + [8 * arr.size]
+        for size in sizes:
+            fields.append((off, size))
+            off += size
+    return fields
+
+
+def test_truncation_at_every_length_names_the_missing_field(tmp_path):
+    blob = cvdp(*(entry(name, arr) for name, arr in LAYOUT_ENTRIES))
+    fields = layout_fields(LAYOUT_ENTRIES)
+    assert sum(size for _, size in fields) == len(blob)
+    path = tmp_path / "weights.cvdp"
+    for length in range(len(blob)):
+        path.write_bytes(blob[:length])
+        off, need = next((o, n) for o, n in fields if o + n > length)
+        with pytest.raises(ParseError) as exc:
+            ps.load(path)
+        assert str(exc.value) == (
+            f"{path}: truncated at byte {off} (need {need} bytes, {length - off} available)"
+        ), length
+    path.write_bytes(blob)
+    loaded = ps.load(path)
+    assert loaded.names() == ["s", "fc.b", "w", "k"]
+    for name, arr in LAYOUT_ENTRIES[:4]:
+        assert loaded[name].value.shape == arr.shape
+        assert loaded[name].value.tobytes() == arr.tobytes()
+
+
+def test_loaded_values_are_owned_aligned_writable_float64(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    # a 1-byte name puts every payload at an odd offset of the file
+    path.write_bytes(cvdp(*(entry(name, arr) for name, arr in LAYOUT_ENTRIES)))
+    for name, node in ps.load(path).items():
+        arr = node.value
+        assert arr.dtype == np.float64 and arr.dtype.isnative, name
+        assert arr.flags["C_CONTIGUOUS"] and arr.flags["ALIGNED"], name
+        assert arr.flags["WRITEABLE"] and arr.flags["OWNDATA"], name
+
+
+def test_load_rejects_empty_entry_name_with_offset(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    path.write_bytes(cvdp(entry("w", [1.0]), entry("", [2.0])))
+    with pytest.raises(ParseError) as exc:
+        ps.load(path)
+    # the second entry starts after the header (12) and the 19-byte first entry
+    assert str(exc.value) == f"{path}: empty entry name at byte 31"
+
+
+def test_load_rejects_dims_no_array_can_hold(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    # a zero dim makes the payload empty, but numpy cannot shape the others
+    huge = struct.pack("<H", 1) + b"w" + struct.pack("<I4I", 4, 0, 2**32 - 1, 2**32 - 1, 7)
+    # 65 dims of 1: one value, more dims than an array takes
+    deep = (struct.pack("<H", 1) + b"d" + struct.pack("<I", 65) + struct.pack("<65I", *[1] * 65)
+            + struct.pack("<d", 1.0))
+    for blob in (cvdp(huge), cvdp(entry("a", [1.0]), deep)):
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=r"weights\.cvdp: entry '[wd]' at byte \d+ has "
+                                             r"(4|65) dims that no array can hold \(.+\)$"):
+            ps.load(path)
+
+
+def test_headers_are_checked_before_any_payload(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    bad = entry("bad", [1.0, np.nan])
+    cases = [
+        (cvdp(bad, entry("w", [1.0, 2.0]))[:-3], r"truncated at byte 52 \(need 16 bytes, 13 available\)"),
+        (cvdp(bad, entry("w", [1.0])) + b"xy", "2 trailing bytes at byte 60"),
+        (cvdp(bad, entry("bad", [1.0])), "duplicate entry 'bad' at byte 41"),
+        (cvdp(bad, entry("", [1.0])), "empty entry name at byte 41"),
+    ]
+    for blob, message in cases:
+        path.write_bytes(blob)
+        with pytest.raises(ParseError, match=message):
+            ps.load(path)
+
+
+def test_nonfinite_payload_names_the_first_bad_entry(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    path.write_bytes(cvdp(entry("w", [1.0]), entry("b", [np.inf]), entry("c", [np.nan]),
+                          entry("w::adam_m", [np.nan]), entry("w::adam_v", [0.0])))
+    with pytest.raises(ParseError) as exc:
+        ps.load(path)
+    assert str(exc.value) == f"{path}: non-finite values in entry 'b' at byte 31"
+    path.write_bytes(cvdp(entry("w", [1.0]), entry("w::adam_m", [np.nan]),
+                          entry("w::adam_v", [0.0])))
+    with pytest.raises(ParseError, match="non-finite values in entry 'w::adam_m' at byte 31"):
+        ps.load(path)
