@@ -15,6 +15,8 @@ feature is `cnn_feature` wide and the RNN feature `rnn_feature`.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import autodiff as ad
@@ -23,6 +25,12 @@ from .config import RNN_AXES, RNN_ORDERS, TrainConfig
 from .covariance import CovMatrix
 from .errors import ConfigError
 from .params import ParamStore, require
+
+# trials per chunk of a forward-only pass over a whole set (feature
+# extraction, a branch's epoch-0 loss and validation), so that its memory
+# does not grow with the set
+_CHUNK = 64
+
 
 def _he(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
@@ -193,6 +201,25 @@ def rnn_graph(
 # ---------------------------------------------------------------------------
 
 
+def _forward_in_chunks(forward: Callable[[np.ndarray], np.ndarray],
+                       mats: np.ndarray) -> np.ndarray:
+    """forward(chunk) over consecutive chunks of the [N, ...] batch `mats`,
+    concatenated along the batch axis, recording no backward graph.
+
+    Every chunk holds `_CHUNK` trials except the last, which takes the
+    remainder (up to 2 * _CHUNK - 1; all N when N < _CHUNK). With at least
+    _CHUNK rows per chunk, no matrix product drops to the small-row BLAS
+    kernels whose sums round differently, so the result is byte-identical to
+    forward(mats) on this BLAS build.
+    """
+    n = mats.shape[0]
+    bounds = [*range(0, max(1, n // _CHUNK) * _CHUNK, _CHUNK), n]
+    with ad.no_grad():
+        return np.concatenate(
+            [forward(mats[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+        )
+
+
 def extract_features_batch(
     mats: np.ndarray,
     cnn_params: ParamStore,
@@ -202,11 +229,14 @@ def extract_features_batch(
 ) -> np.ndarray:
     """[B, C, C] -> [B, cnn_width + rnn_width] joint encodings, CNN first.
 
-    A forward-only pass: it records no backward graph."""
-    with ad.no_grad():
-        cnn_feat, _ = cnn_graph(Node(mats), cnn_params)
-        rnn_feat, _ = rnn_graph(mats, rnn_params, order, axis)
-    return np.concatenate([cnn_feat.value, rnn_feat.value], axis=1)
+    A forward-only pass in chunks of trials: it records no backward graph."""
+
+    def forward(chunk: np.ndarray) -> np.ndarray:
+        cnn_feat, _ = cnn_graph(Node(chunk), cnn_params)
+        rnn_feat, _ = rnn_graph(chunk, rnn_params, order, axis)
+        return np.concatenate([cnn_feat.value, rnn_feat.value], axis=1)
+
+    return _forward_in_chunks(forward, mats)
 
 
 def extract_features(

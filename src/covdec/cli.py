@@ -72,7 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(out: str) -> None:
+    """Raise ConfigError, before anything is written, when the output
+    directory `out` is, or lies under, an existing non-directory."""
+    path = Path(out)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"--out {path}: {existing} exists and is not a directory")
+
+
 def _cmd_gen_synth(args) -> int:
+    _check_out(args.out)
     spec = SynthSpec(
         channels=args.channels, samples=args.samples, classes=args.classes,
         trials_per_class=args.trials_per_class, noise_sigma=args.noise,
@@ -97,10 +107,7 @@ def _cmd_gen_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     # save_run creates --out after the whole training; fail before it instead
-    out = Path(args.out)
-    existing = next(p for p in (out, *out.parents) if p.exists())
-    if not existing.is_dir():
-        raise ConfigError(f"--out {out}: {existing} exists and is not a directory")
+    _check_out(args.out)
     trials, manifest = load(args.data)
     values: dict = read_config_values(args.config) if args.config else {}
     if args.seed is not None:

@@ -227,6 +227,12 @@ def gen_synth(spec: SynthSpec) -> list[Trial]:
     covariance is then Q_k diag(gains^2) Q_k^T + noise, so separability decays
     as noise grows.
     """
+    return list(_synth_trials(spec))
+
+
+def _synth_trials(spec: SynthSpec) -> Iterator[Trial]:
+    """gen_synth's trials, drawn one at a time as they are asked for: the class
+    mixers first, then per trial its frequencies, phases and noise."""
     rng = np.random.default_rng(spec.seed)
     c, t_len = spec.channels, spec.samples
     gains = np.linspace(1.0, 1.0 + spec.signature_strength, c)
@@ -238,7 +244,6 @@ def gen_synth(spec: SynthSpec) -> list[Trial]:
         mixers.append(q * gains)
 
     t_axis = np.arange(t_len)
-    trials = []
     for k in range(spec.classes):
         for j in range(spec.trials_per_class):
             freqs = rng.choice(np.arange(1, t_len // 2), size=c, replace=False)
@@ -249,23 +254,27 @@ def gen_synth(spec: SynthSpec) -> list[Trial]:
             x = mixers[k] @ sources
             if spec.noise_sigma > 0:
                 x = x + spec.noise_sigma * rng.standard_normal((c, t_len))
-            # snap to storage precision so save -> load is the identity
-            x = x.astype(np.float32).astype(np.float64)
-            trials.append(Trial(x, k, subject_id="synth", trial_id=f"c{k}-t{j:03d}"))
-    return trials
+            # snap to storage precision so save -> load is the identity; no
+            # local name, since a suspended generator would keep the trial alive
+            yield Trial(x.astype(np.float32).astype(np.float64), k,
+                        subject_id="synth", trial_id=f"c{k}-t{j:03d}")
 
 
 def write_synth_dataset(out_dir: str | Path, spec: SynthSpec, task: str = "synth") -> Path:
-    """Materialize gen_synth output as trial files plus a manifest."""
+    """Materialize gen_synth output as trial files plus a manifest.
+
+    Each trial is written as soon as it is drawn, so one trial is in memory
+    at a time."""
     out = Path(out_dir)
     (out / "trials").mkdir(parents=True, exist_ok=True)
     root = out.resolve()  # resolving each trial path would follow a symlinked trials/
-    trials = gen_synth(spec)
     paths = []
-    for i, trial in enumerate(trials):
-        path = root / "trials" / f"t{i:04d}.eegt"
+    # no enumerate(): its reused result tuple would keep the last trial alive
+    for trial in _synth_trials(spec):
+        path = root / "trials" / f"t{len(paths):04d}.eegt"
         save_trial(path, trial, sample_rate_hz=0.0)
         paths.append(path)
+        del trial  # release it before the generator draws the next one
     manifest = Manifest(
         task=task,
         classes=[f"class{k}" for k in range(spec.classes)],

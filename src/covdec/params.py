@@ -61,7 +61,8 @@ class ParamStore:
     slices. Values and any gradient allocated before packing are copied in.
     A view that a caller later replaces by assignment (`node.grad = ...`) is
     copied into its slice and rebound at the next zero_grad() or adam_step().
-    A packed store takes no new parameters.
+    A packed store takes no new parameters; unpack() returns it to owned
+    value arrays and frees the buffer.
     """
 
     def __init__(self):
@@ -108,6 +109,19 @@ class ParamStore:
     def load_values(self, values: dict[str, np.ndarray]) -> None:
         for name, arr in values.items():
             self._nodes[name].value[...] = arr
+
+    def unpack(self) -> None:
+        """Free the training buffers: each value becomes an owned copy of its
+        slice, and the gradients, Adam moments and scratch rows are dropped.
+        A later zero_grad() or adam_step() packs the store again, with zeroed
+        moments."""
+        if self._flat is None:
+            return
+        for node in self._nodes.values():
+            node.value = node.value.copy()
+            node._grad = None
+        self._flat = None
+        self._views = []
 
     def _packed(self) -> np.ndarray:
         """The [6, n] training buffer, packed on first use, with every view bound."""

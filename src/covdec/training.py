@@ -20,7 +20,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .autoenc import dae_encode, dae_loss, head_graph, init_dae_params, init_head_params
-from .branches import cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params, rnn_graph
+from .branches import (
+    _forward_in_chunks, cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params,
+    rnn_graph,
+)
 from .config import TrainConfig
 from .covariance import NormStats, Trial, covariances, prepare, standardize
 from .errors import DataError, NumericError
@@ -97,10 +100,18 @@ class StageResult:
     epochs_run: int
 
 
-def _xent_eval(graph_fn, params, x, y) -> tuple[float, float]:
-    logits = graph_fn(x, params)
-    loss = float(ad.softmax_xent(logits, y).value)
-    acc = float(np.mean(np.argmax(logits.value, axis=1) == y))
+def _xent_eval(graph_fn, params, x, y, chunked: bool = False) -> tuple[float, float]:
+    """(cross-entropy, accuracy) of graph_fn's logits over the whole set (x, y).
+
+    With `chunked`, the network runs in branch chunks and the loss is taken
+    once over all their logits, as a single batch would sum it."""
+
+    def logits(xs: np.ndarray) -> np.ndarray:
+        return graph_fn(xs, params).value
+
+    z = _forward_in_chunks(logits, x) if chunked else logits(x)
+    loss = float(ad.softmax_xent(Node(z), y).value)
+    acc = float(np.mean(np.argmax(z, axis=1) == y))
     return loss, acc
 
 
@@ -115,14 +126,18 @@ def _fit(
     batch_size: int,
     shuffle_seed: int,
     stage: str,
+    set_loss=None,
     validate=None,
     patience: int | None = None,
 ) -> StageResult:
     """The one training loop: minibatch Adam on loss_fn(x_batch, y_batch).
 
-    validate() returns (val_loss, val_acc) for every curve point. With
-    patience set too, training stops after `patience` epochs without a lower
-    validation loss and the best checkpoint is returned.
+    set_loss(x, y) gives the epoch-0 loss over the whole training set
+    (default: loss_fn's value). validate() returns (val_loss, val_acc) for
+    every curve point. With patience set too, training stops after
+    `patience` epochs without a lower validation loss and the best checkpoint
+    is returned. The store keeps its values only: its gradients and Adam
+    state are freed on return.
     """
     rng = np.random.default_rng(shuffle_seed)
     n = x.shape[0]
@@ -132,7 +147,8 @@ def _fit(
             return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
 
     with ad.no_grad():
-        curves = [point(0, float(loss_fn(x, y).value))]
+        initial = float(loss_fn(x, y).value) if set_loss is None else set_loss(x, y)
+        curves = [point(0, initial)]
 
     # the untrained weights are checkpoint candidate number zero
     best_val = curves[0].val_loss
@@ -171,14 +187,20 @@ def _fit(
         params.load_values(best_snap)
     else:
         best_epoch = epochs_run
+    params.unpack()
     return StageResult(params, curves, best_epoch, epochs_run)
 
 
-def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, **kwargs) -> StageResult:
-    """_fit on cross-entropy of graph_fn's logits, validated on (val_x, val_y)."""
+def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, *,
+                    chunked: bool = False, **kwargs) -> StageResult:
+    """_fit on cross-entropy of graph_fn's logits, validated on (val_x, val_y).
+
+    With `chunked`, the whole-set passes (the epoch-0 loss and validation)
+    run the network in branch chunks."""
     return _fit(
         lambda x, y: ad.softmax_xent(graph_fn(x, params), y), params, train_x, train_y,
-        validate=lambda: _xent_eval(graph_fn, params, val_x, val_y), **kwargs,
+        set_loss=lambda x, y: _xent_eval(graph_fn, params, x, y, chunked)[0],
+        validate=lambda: _xent_eval(graph_fn, params, val_x, val_y, chunked), **kwargs,
     )
 
 
@@ -213,7 +235,7 @@ def train_stage1(
 
     common = dict(
         lr=config.lr_stage1, epochs=config.epochs_stage1,
-        batch_size=config.batch_size, patience=config.patience,
+        batch_size=config.batch_size, patience=config.patience, chunked=True,
     )
     cnn_result = _fit_classifier(
         cnn_fn, cnn_params, train_mats, train_labels, val_mats, val_labels,
@@ -386,9 +408,9 @@ def run_training(
                 f"{config.split_fraction}); add trials or {advice} the fraction"
             )
     train_covs, norm = standardize([covs[i] for i in train_idx])
-    val_covs, _ = standardize([covs[i] for i in val_idx], norm)
     train_mats = np.stack([c.values for c in train_covs])
-    val_mats = np.stack([c.values for c in val_covs])
+    val_mats = np.stack([c.values for c in standardize([covs[i] for i in val_idx], norm)[0]])
+    del covs, train_covs  # the stages read the stacked arrays only
     train_labels, val_labels = labels[train_idx], labels[val_idx]
     clock["prep"] = time.perf_counter() - t0
 

@@ -7,6 +7,7 @@ covdec.data.REFERENCE_LONG_WORD_ACCURACY) are not desk-reproducible; the gate
 rests on the property suite below.
 """
 
+import hashlib
 import importlib.util
 import time
 from pathlib import Path
@@ -28,7 +29,9 @@ from covdec.data import (
 )
 from covdec.errors import ParseError
 from covdec.gradcheck import run_suite
-from covdec.report import STAGE_FILES, load_artifacts, load_report_json, read_curves_csv
+from covdec.report import (
+    STAGE_FILES, load_artifacts, load_report_json, read_curves_csv, save_run,
+)
 from covdec.training import run_training, split, train_stage1, train_stage2, train_stage3
 from covdec.config import TrainConfig
 
@@ -168,6 +171,30 @@ def test_chance_level_sanity():
         "chance-level sanity",
         ok,
         f"dominant noise val acc {val_acc:.3f} within 1/3 +/- 0.15",
+    )
+
+
+def test_hard_preset_digest(tmp_path):
+    # noisy enough that accuracy is off its ceiling and early stopping fires
+    # and restores a checkpoint in all three supervised stages
+    trials = gen_synth(SynthSpec(seed=7, noise_sigma=2.5, trials_per_class=100))
+    config = TrainConfig(seed=11, epochs_stage1=20, epochs_stage2=40, epochs_stage3=20,
+                         patience=5).validate()
+    outcome = run_training(trials, ["class0", "class1", "class2"], config)
+    stages = {s.curves[0].stage: (s.best_epoch, s.epochs_run)
+              for s in (outcome.stage1.cnn, outcome.stage1.rnn, outcome.stage2, outcome.stage3)}
+    save_run(tmp_path, outcome)
+    curves = hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest()
+    ok = (outcome.val_eval.accuracy == 48 / 60
+          and outcome.val_eval.confusion.tolist() == [[14, 1, 5], [1, 19, 0], [5, 0, 15]]
+          and stages == {"cnn": (3, 8), "rnn": (7, 12), "dae": (40, 40), "head": (10, 15)}
+          and curves == "17c9e9be539796e5bf1180b07aadc8b448472c64bed482439a9ac3d1164fe3b5")
+    criterion(
+        "hard preset digest",
+        ok,
+        f"val acc {outcome.val_eval.accuracy:.3f}, confusion "
+        f"{outcome.val_eval.confusion.tolist()}, (best epoch, epochs run) {stages}, "
+        f"curves.csv sha256 {curves[:12]}",
     )
 
 

@@ -486,6 +486,18 @@ def test_train_out_that_is_not_a_directory_exits_2_before_training(dataset, tmp_
     assert blocker.read_text() == "keep\n"
 
 
+def test_gen_synth_out_that_is_not_a_directory_exits_2_writing_nothing(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    for out in (blocker, blocker / "data"):
+        rc = main(["gen-synth", "--out", str(out), "--trials-per-class", "2"])
+        assert rc == 2
+        assert capsys.readouterr() == (
+            "", f"error: --out {out}: {blocker} exists and is not a directory\n")
+    assert blocker.read_text() == "keep\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["blocker"]
+
+
 def _norm_store(mean, std=None):
     store = ParamStore()
     store.add("mean", mean)

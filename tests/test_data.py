@@ -16,6 +16,8 @@ from covdec.data import (
 )
 from covdec.errors import ConfigError, DataError, ParseError
 
+from conftest import TrialCounter
+
 
 def sample_trial(seed=0, c=4, t=16, label=1):
     rng = np.random.default_rng(seed)
@@ -202,6 +204,22 @@ def test_write_synth_dataset_roundtrip(tmp_path):
     for got, want in zip(trials, reference):
         assert got.label == want.label
         assert got.data.tobytes() == want.data.tobytes()
+
+
+def test_write_synth_dataset_holds_one_trial_at_a_time(tmp_path, monkeypatch):
+    import covdec.data as data
+
+    spec = SynthSpec(channels=5, samples=32, classes=2, trials_per_class=3, seed=9)
+    counter = TrialCounter()
+    monkeypatch.setattr(data, "Trial", lambda *a, **k: counter.register(Trial(*a, **k)))
+    write_synth_dataset(tmp_path, spec)
+    assert (counter.made, counter.peak) == (6, 1)
+    monkeypatch.undo()
+    # the streamed files hold what gen_synth draws, in its order
+    written = [tmp_path / "trials" / f"t{i:04d}.eegt" for i in range(6)]
+    for path, want in zip(written, gen_synth(spec)):
+        got, _ = load_trial(path)
+        assert (got.label, got.data.tobytes()) == (want.label, want.data.tobytes())
 
 
 def test_manifest_entries_through_dotdot_symlinks_and_absolute_paths(tmp_path):

@@ -8,7 +8,7 @@ import pytest
 from covdec import autodiff as ad
 from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, init_dae_params, init_head_params
-from covdec.branches import init_cnn_params, init_rnn_params
+from covdec.branches import extract_features_batch, init_cnn_params, init_rnn_params
 from covdec.config import TrainConfig
 from covdec.covariance import NormStats, Trial, ccv, standardize
 from covdec.data import SynthSpec, gen_synth
@@ -419,16 +419,19 @@ def test_final_evaluation_equals_evaluate_matrices_on_each_split():
             == _eval_bytes(evaluate_matrices(val_x, val_y, outcome.artifacts)))
 
 
-def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass(monkeypatch):
+def _random_artifacts(channels: int) -> PipelineArtifacts:
     config = TrainConfig(classes=3).validate()
-    channels = 32
-    artifacts = PipelineArtifacts(
+    return PipelineArtifacts(
         config=config, classes=["a", "b", "c"],
         cnn=init_cnn_params(config, channels, 1), rnn=init_rnn_params(config, channels, 2),
         dae=init_dae_params(config, 3), head=init_head_params(config, 4),
         norm=NormStats(np.zeros((channels, channels)), np.ones((channels, channels))),
     )
-    mats = np.random.default_rng(9).normal(size=(64, channels, channels))
+
+
+def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass(monkeypatch):
+    artifacts = _random_artifacts(channels=32)
+    mats = np.random.default_rng(9).normal(size=(64, 32, 32))
 
     def traced_predict():
         tracemalloc.start()
@@ -444,3 +447,47 @@ def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass(monkeypatc
     recorded_peak, recorded_probs = traced_predict()
     assert probs == recorded_probs
     assert peak <= 0.5 * recorded_peak, (peak, recorded_peak)
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 127, 128, 129, 200])
+def test_chunked_forward_is_byte_identical_to_one_batch(n, monkeypatch):
+    import covdec.branches as branches
+
+    artifacts = _random_artifacts(channels=8)
+    cfg = artifacts.config
+    mats = np.random.default_rng(n).normal(size=(n, 8, 8))
+
+    def run():
+        features = extract_features_batch(mats, artifacts.cnn, artifacts.rnn,
+                                          cfg.rnn_order, cfg.rnn_axis)
+        labels, probs = predict_batch(mats, artifacts)
+        return features.tobytes(), labels.tobytes(), probs.tobytes()
+
+    chunked = run()
+    monkeypatch.setattr(branches, "_CHUNK", n + 1)  # one chunk: the whole batch
+    assert run() == chunked
+
+
+def test_predict_batch_peak_memory_is_flat_in_the_trial_count():
+    artifacts = _random_artifacts(channels=32)
+    peaks = {}
+    for n in (64, 256):
+        mats = np.random.default_rng(n).normal(size=(n, 32, 32))
+        tracemalloc.start()
+        try:
+            predict_batch(mats, artifacts)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # a single batch of 256 trials would peak near four times the 64-trial pass
+    assert peaks[256] <= 1.1 * peaks[64], peaks
+
+
+def test_run_training_leaves_no_store_packed():
+    outcome = run_training(synth_trials(), ["a", "b", "c"], small_config())
+    for stage in ("cnn", "rnn", "dae", "head"):
+        store = getattr(outcome.artifacts, stage)
+        assert store._flat is None, stage
+        for name, node in store.items():
+            assert node._grad is None, (stage, name)
+            assert node.value.flags.owndata, (stage, name)
