@@ -214,7 +214,8 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
     out[..., o, t] = b[o] + sum_{i,k} w[o, i, k] * x[..., i, t + k]
 
     Forward builds the window matrix cols[b, i*K + k, t] = x[b, i, t + k]
-    ([B, Cin*K, T], T = L - K + 1) once and keeps it for backward, so that
+    ([B, Cin*K, T], T = L - K + 1) once, as K shifted-slice copies of x into
+    an empty [B, Cin, K, T] array, and keeps it for backward, so that
     out = w.reshape(Cout, Cin*K) @ cols + b, dW is one product of g with cols
     over all (b, t), and dx is w.reshape(Cout, Cin*K).T @ g folded back onto
     the input windows (col2im). A [Cin, L] input runs as a batch of one.
@@ -236,9 +237,10 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
 
     xb = x.value.reshape(-1, cin, length)
     batch, steps = xb.shape[0], length - k + 1
-    # windows[b, i, t, k] = x[b, i, t + k]; the reshape copies into cols
-    windows = np.lib.stride_tricks.sliding_window_view(xb, k, axis=-1)
-    cols = windows.transpose(0, 1, 3, 2).reshape(batch, cin * k, steps)
+    cols = np.empty((batch, cin, k, steps))
+    for j in range(k):
+        cols[:, :, j] = xb[:, :, j:j + steps]
+    cols = cols.reshape(batch, cin * k, steps)
     w2 = w.value.reshape(cout, cin * k)
     out = w2 @ cols + b.value[:, None]
 
@@ -279,15 +281,22 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
 
     The gates' parameters are concatenated once per call, so the input
     projection of all T steps is one matrix product, and each step overwrites
-    its [B, 4H] block of that projection with its gate values. The gates are
-    activated as whole contiguous [B, 4H] rows: scale by 0.5 on the sigmoid
-    gates and 1.0 on g, tanh in place, scale again, then add 0.5 to the
-    sigmoid gates alone. Halving is exact, so this is 0.5 * (1 + tanh(z / 2))
-    bit for bit, and g gets no 0.0 shift that would turn -0.0 into +0.0. Step
-    0 starts from the zero state, so it skips the recurrent product, and
-    backward skips the gradient that would flow into that state. Backward runs
-    BPTT over the stored gate values, produces dWx, dWh and db with one matrix
-    product each, and splits them back into the per-gate parameters' gradients.
+    its contiguous [B, 4H] block of that projection with its gate values,
+    laid out i, f, o, g. A step activates the whole block with full-block
+    `scale` and `shift` arrays made once per call: z *= scale (0.5 on the
+    sigmoid gates, 1.0 on g), tanh in place, z *= scale, z += shift (0.5 on
+    the sigmoid gates, -0.0 on g). Halving is exact, so a sigmoid gate is
+    0.5 * (1 + tanh(z / 2)) bit for bit; -0.0 is the additive identity, so g
+    is tanh(z) bit for bit, a -0.0 candidate included. Step 0 starts from the
+    zero state, so it skips the recurrent product, and backward skips the
+    gradient that would flow into that state.
+
+    Backward runs BPTT over the stored gate values, with every per-step
+    temporary in a buffer made once per call. A step writes dc*g, dc*c_{t-1}
+    and dh*tanh(c_t) into the i, f and o parts of its dz block, then scales
+    those [B, 3H] by s and by (1 - s) in one pass each, so each sigmoid-gate
+    derivative is ((a*b)*s)*(1 - s). dWx, dWh and db are one matrix product
+    each over all steps, split back into the per-gate parameters' gradients.
     """
     if xs.value.ndim != 3:
         raise ShapeError(f"lstm: input must be [B, T, d], got {xs.value.shape}")
@@ -315,13 +324,13 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
     hs = np.zeros((steps + 1, batch, hidden))  # hs[0], cs[0]: the zero state
     cs = np.zeros((steps + 1, batch, hidden))
     tanh_cs = np.empty((steps, batch, hidden))
-    sig = 3 * hidden
-    # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on the sigmoid gates, tanh(z) on g
-    scale = np.full(4 * hidden, 0.5)
-    scale[sig:] = 1.0
-
-    def split(a):
-        return (a[..., k * hidden:(k + 1) * hidden] for k in range(4))
+    h1, h2, sig = hidden, 2 * hidden, 3 * hidden
+    # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on i, f, o; tanh(z) + -0.0 on g
+    scale = np.full((batch, 4 * hidden), 0.5)
+    scale[:, sig:] = 1.0
+    shift = np.full((batch, 4 * hidden), 0.5)
+    shift[:, sig:] = -0.0
+    ig = np.empty((batch, hidden))
 
     for t in range(steps):
         z = gates[t]
@@ -330,10 +339,11 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
         z *= scale
         np.tanh(z, out=z)
         z *= scale
-        z[:, :sig] += 0.5
-        i, f, o, g = split(z)
+        z += shift
+        i, f, o, g = z[:, :h1], z[:, h1:h2], z[:, h2:sig], z[:, sig:]
         np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += i * g
+        np.multiply(i, g, out=ig)
+        cs[t + 1] += ig
         np.tanh(cs[t + 1], out=tanh_cs[t])
         np.multiply(o, tanh_cs[t], out=hs[t + 1])
 
@@ -342,19 +352,32 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
         dz = np.empty((steps, batch, 4 * hidden))
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
+        deriv = np.empty((batch, hidden))  # 1 - tanh(c)^2, then 1 - g^2
+        dc_step = np.empty((batch, hidden))
+        one_minus_s = np.empty((batch, sig))
         for t in reversed(range(steps)):
-            i, f, o, g = split(gates[t])
-            di, df, do, dg = split(dz[t])
+            z, dzt = gates[t], dz[t]
+            s, i, f, o, g = z[:, :sig], z[:, :h1], z[:, h1:h2], z[:, h2:sig], z[:, sig:]
             tc = tanh_cs[t]
-            dh = dh + grad_t[t]
-            dc = dc + dh * o * (1.0 - tc * tc)
-            di[...] = dc * g * i * (1.0 - i)
-            df[...] = dc * cs[t] * f * (1.0 - f)
-            do[...] = dh * tc * o * (1.0 - o)
-            dg[...] = dc * i * (1.0 - g * g)
-            dc = dc * f
+            dh += grad_t[t]
+            np.multiply(tc, tc, out=deriv)
+            np.subtract(1.0, deriv, out=deriv)
+            np.multiply(dh, o, out=dc_step)
+            dc_step *= deriv
+            dc += dc_step
+            np.multiply(dc, g, out=dzt[:, :h1])
+            np.multiply(dc, cs[t], out=dzt[:, h1:h2])
+            np.multiply(dh, tc, out=dzt[:, h2:sig])
+            dzt[:, :sig] *= s
+            np.subtract(1.0, s, out=one_minus_s)
+            dzt[:, :sig] *= one_minus_s
+            np.multiply(g, g, out=deriv)
+            np.subtract(1.0, deriv, out=deriv)
+            np.multiply(dc, i, out=dzt[:, sig:])
+            dzt[:, sig:] *= deriv
+            dc *= f
             if t:  # dh at step 0 would flow into the zero state
-                dh = dz[t] @ wh.T
+                np.matmul(dzt, wh.T, out=dh)
         dz2 = dz.reshape(steps * batch, 4 * hidden)
         fused = {
             "wx": x2.T @ dz2,
@@ -363,8 +386,8 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
         }
         xs.grad += (dz2 @ wx.T).reshape(steps, batch, d).transpose(1, 0, 2)
         for kind, grad_k in fused.items():
-            for node, part in zip(nodes[kind], split(grad_k)):
-                node.grad += part
+            for k, node in enumerate(nodes[kind]):
+                node.grad += grad_k[..., k * hidden:(k + 1) * hidden]
 
     parents = (xs, *(n for kind in expected for n in nodes[kind]))
     return Node(hs[1:].transpose(1, 0, 2), "lstm", parents, backward)

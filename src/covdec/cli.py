@@ -1,12 +1,15 @@
 """Command-line entry point: synthesize data, train, evaluate, inspect.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 configuration/state error,
-3 data error, 4 numeric abort. Diagnostics go to stderr, results to stdout.
+3 data error, 4 numeric abort, 141 (128 + SIGPIPE) when stdout was closed
+before the command finished writing, for example by `| head -n 1`.
+Diagnostics go to stderr, results to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -132,10 +135,12 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     artifacts = load_artifacts(args.weights)
     trials, manifest = load(args.data)
-    if len(manifest.classes) != artifacts.config.classes:
+    # a label is a list position, so the same names in another order would
+    # score every trial against a different class
+    if list(manifest.classes) != list(artifacts.classes):
         raise DataError(
-            f"dataset has {len(manifest.classes)} classes, weights were trained "
-            f"for {artifacts.config.classes}"
+            f"dataset classes {','.join(manifest.classes)} differ from the "
+            f"trained classes {','.join(artifacts.classes)} (classes.txt order)"
         )
     result = evaluate(trials, artifacts)
     print(f"trials = {result.count}")
@@ -180,7 +185,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away; point fd 1 at devnull so that the flush at
+        # interpreter exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ConfigError, StateError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -20,6 +20,7 @@ Manifest grammar (UTF-8, one "key = value" per line, '#' comments):
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -206,6 +207,11 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.channels, self.samples, self.classes, self.trials_per_class) < 1:
             raise ConfigError("synth spec fields must be positive")
+        # NaN compares False against any bound, so finiteness is its own test
+        for name, value in (("noise_sigma", self.noise_sigma),
+                            ("signature_strength", self.signature_strength)):
+            if not math.isfinite(value):
+                raise ConfigError(f"synth spec {name} must be finite, got {value}")
         if self.noise_sigma < 0:
             raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:

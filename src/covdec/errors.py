@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these to exit codes: ConfigError/StateError/ShapeError -> 2,
-DataError (incl. ParseError) -> 3, NumericError -> 4.
+DataError (incl. ParseError) -> 3, NumericError -> 4. A closed stdout
+(BrokenPipeError, not one of these) exits 141, 128 + SIGPIPE.
 """
 
 

@@ -466,11 +466,15 @@ def _lstm_before(xs, arrays, grad):
     return hs[1:].transpose(1, 0, 2), grads
 
 
-@pytest.mark.parametrize("batch, steps, zero", [
-    (1, 1, False), (1, 8, False), (16, 8, False), (16, 8, True),
-], ids=["b1-t1", "b1-t8", "b16-t8", "zero-params"])
-def test_lstm_bytes_equal_loop_before_whole_row_gates(batch, steps, zero):
-    d, hidden = 6, 5
+@pytest.mark.parametrize("batch, steps, d, hidden, zero", [
+    (1, 1, 6, 5, False), (1, 8, 6, 5, False), (16, 8, 6, 5, False), (16, 8, 6, 5, True),
+    # the shapes the benchmark runs at the default widths: one trial and a
+    # chunk of 64 over 8 rows, one trial and a minibatch of 16 over 64 rows
+    (1, 8, 64, 64, False), (64, 8, 64, 64, False),
+    (1, 64, 64, 64, False), (16, 64, 64, 64, False),
+], ids=["b1-t1", "b1-t8", "b16-t8", "zero-params",
+        "b1-t8-h64", "b64-t8-h64", "b1-t64-h64", "b16-t64-h64"])
+def test_lstm_bytes_equal_loop_before_whole_row_gates(batch, steps, d, hidden, zero):
     rng = np.random.default_rng(batch * 100 + steps)
     xs = rng.normal(size=(batch, steps, d))
     arrays = lstm_arrays(rng, d, hidden)
@@ -486,3 +490,56 @@ def test_lstm_bytes_equal_loop_before_whole_row_gates(batch, steps, zero):
     got_grads = {"xs": xn.grad, **{k: n.grad for k, n in nodes.items()}}
     for name, want in want_grads.items():
         assert got_grads[name].tobytes() == want.tobytes(), name
+    with ad.no_grad():
+        unrecorded = ad.lstm(Node(xs), {k: Node(v) for k, v in arrays.items()})
+    assert unrecorded.value.tobytes() == want_out.tobytes()
+
+
+def _conv1d_before(x, w, b, g):
+    """ad.conv1d's value and (dx, dw, db) for loss = sum(out * g), by the code
+    it ran before the shifted-slice window matrix: cols as a transposed
+    sliding_window_view of x, copied by reshape."""
+    cout, cin, k = w.shape
+    length = x.shape[-1]
+    xb = x.reshape(-1, cin, length)
+    batch, steps = xb.shape[0], length - k + 1
+    windows = np.lib.stride_tricks.sliding_window_view(xb, k, axis=-1)
+    cols = windows.transpose(0, 1, 3, 2).reshape(batch, cin * k, steps)
+    w2 = w.reshape(cout, cin * k)
+    out = w2 @ cols + b[:, None]
+    g = g.reshape(batch, cout, steps)
+    db = g.sum(axis=(0, 2))
+    g2 = g.transpose(1, 0, 2).reshape(cout, batch * steps)
+    cols2 = cols.transpose(0, 2, 1).reshape(batch * steps, cin * k)
+    dw = (g2 @ cols2).reshape(cout, cin, k)
+    dcols = (w2.T @ g).reshape(batch, cin, k, steps)
+    dx = np.zeros_like(xb)
+    for j in range(k):
+        dx[:, :, j:j + steps] += dcols[:, :, j]
+    # a fresh gradient buffer is zeros, and the op adds into it
+    return out.reshape(x.shape[:-2] + (cout, steps)), 0.0 + dx.reshape(x.shape), 0.0 + dw, 0.0 + db
+
+
+@pytest.mark.parametrize("x_shape, w_shape", [
+    ((1, 8, 40), (6, 8, 1)), ((1, 8, 40), (6, 8, 3)), ((1, 8, 40), (6, 8, 40)),
+    ((16, 8, 40), (6, 8, 1)), ((16, 8, 40), (6, 8, 3)), ((16, 8, 40), (6, 8, 40)),
+    ((8, 40), (6, 8, 3)),
+], ids=["b1-k1", "b1-k3", "b1-k-eq-l", "b16-k1", "b16-k3", "b16-k-eq-l", "unbatched"])
+def test_conv1d_bytes_equal_sliding_window_before(x_shape, w_shape):
+    rng = np.random.default_rng(x_shape[0] * 100 + w_shape[-1])
+    x = rng.normal(size=x_shape)
+    w = rng.normal(size=w_shape)
+    b = rng.normal(size=w_shape[0])
+    xn, wn, bn = Node(x), Node(w), Node(b)
+    out = ad.conv1d(xn, wn, bn)
+    g = rng.normal(size=out.value.shape)
+    _backward_with(out, g)
+
+    want = _conv1d_before(x, w, b, g)
+    for name, got, ref in zip(["out", "dx", "dw", "db"],
+                              [out.value, xn.grad, wn.grad, bn.grad], want):
+        assert got.shape == ref.shape, name
+        assert got.tobytes() == ref.tobytes(), name
+    with ad.no_grad():
+        unrecorded = ad.conv1d(Node(x), Node(w), Node(b))
+    assert unrecorded.value.tobytes() == want[0].tobytes()

@@ -486,6 +486,57 @@ def test_train_out_that_is_not_a_directory_exits_2_before_training(dataset, tmp_
     assert blocker.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise", "nan", "noise_sigma"), ("--noise", "inf", "noise_sigma"),
+    ("--strength", "inf", "signature_strength"), ("--strength", "nan", "signature_strength"),
+])
+def test_gen_synth_non_finite_spec_exits_2_writing_nothing(tmp_path, capsys, flag, value,
+                                                           field):
+    out = tmp_path / "data"
+    rc = main(["gen-synth", "--out", str(out), flag, value, "--trials-per-class", "2"])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: synth spec {field} must be finite, got {float(value)}\n")
+    assert not out.exists()
+
+
+def test_eval_class_order_differing_from_classes_txt_exits_3(trained_run, dataset, tmp_path,
+                                                             capsys):
+    text = (dataset / "manifest.txt").read_text()
+    assert "classes = class0,class1,class2\n" in text
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(
+        text.replace("classes = class0,class1,class2", "classes = class2,class1,class0")
+        .replace("trial = trials/", f"trial = {dataset}/trials/"))
+    rc = main(["eval", "--data", str(manifest), "--weights", str(trained_run)])
+    assert rc == 3
+    assert capsys.readouterr() == (
+        "", "error: dataset classes class2,class1,class0 differ from the trained "
+            "classes class0,class1,class2 (classes.txt order)\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_closed_stdout_exits_141_without_traceback(trained_run, dataset, command):
+    src = str(Path(covdec.__file__).resolve().parents[1])
+    if command == "predict":
+        args = ["predict", "--trial", str(dataset / "trials" / "t0000.eegt")]
+    else:
+        args = ["eval", "--data", str(dataset / "manifest.txt")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from covdec.cli import main; sys.exit(main(sys.argv[1:]))",
+             *args, "--weights", str(trained_run)],
+            env={**os.environ, "PYTHONPATH": src}, stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
+
+
 def test_gen_synth_out_that_is_not_a_directory_exits_2_writing_nothing(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")

@@ -193,6 +193,16 @@ def test_synth_spec_validation():
         SynthSpec(channels=40, samples=64)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", float("nan")), ("noise_sigma", float("inf")),
+    ("signature_strength", float("inf")), ("signature_strength", float("nan")),
+])
+def test_synth_spec_rejects_non_finite_noise_and_strength(field, value):
+    # nan < 0 is False, so a bound alone lets NaN through
+    with pytest.raises(ConfigError, match=f"synth spec {field} must be finite, got {value}"):
+        SynthSpec(**{field: value})
+
+
 def test_write_synth_dataset_roundtrip(tmp_path):
     spec = SynthSpec(channels=5, samples=32, classes=2, trials_per_class=3, seed=9)
     manifest_path = write_synth_dataset(tmp_path, spec)
