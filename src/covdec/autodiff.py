@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
 
     out = x.value @ w.value
     if b is not None:
-        out = out + b.value
+        out += b.value
     batched = x.value.ndim == 2
 
     def backward(g):
@@ -193,8 +193,9 @@ def last_step(x: Node) -> Node:
 
 
 def relu(x: Node) -> Node:
-    """max(x, 0); subgradient at 0 is 0."""
-    mask = x.value > 0
+    """max(x, 0); subgradient at 0 is 0. The backward mask is built only
+    while recording."""
+    mask = x.value > 0 if _recording.get() else None
 
     def backward(g):
         x.grad += g * mask
@@ -264,28 +265,27 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
 # recurrent layer
 # ---------------------------------------------------------------------------
 
-LSTM_GATES = ("i", "f", "g", "o")
-# gate order inside `lstm`'s fused arrays: the three sigmoid gates first, so
-# that one slice holds them, then the tanh candidate
-_FUSED_GATES = ("i", "f", "o", "g")
+# column order of the gates in `lstm`'s fused parameters: the three sigmoid
+# gates first, so that one slice holds them, then the tanh candidate
+LSTM_GATES = ("i", "f", "o", "g")
 
 
-def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
+def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     """One LSTM layer over a [B, T, d] sequence from a zero state; returns the
     hidden states h_1..h_T as [B, T, H].
 
     Per step, gates i, f, o = sigmoid(x_t@wx_* + h@wh_* + b_*) and candidate
-    g = tanh(same); c_t = f*c_{t-1} + i*g; h_t = o*tanh(c_t). `params` maps
-    "wx_i" [d, H], "wh_i" [H, H], "b_i" [H], ... for the four gates. Sigmoid
-    is computed via tanh so large |x| cannot overflow.
+    g = tanh(same); c_t = f*c_{t-1} + i*g; h_t = o*tanh(c_t). The layer's
+    parameters are fused: wx [d, 4H], wh [H, 4H] and b [4H] hold the four
+    gates' columns side by side in LSTM_GATES order (i, f, o, g). Sigmoid is
+    computed via tanh so large |x| cannot overflow.
 
-    The gates' parameters are concatenated once per call, so the input
-    projection of all T steps is one matrix product, and each step overwrites
-    its contiguous [B, 4H] block of that projection with its gate values,
-    laid out i, f, o, g. A step activates the whole block with full-block
-    `scale` and `shift` arrays made once per call: z *= scale (0.5 on the
-    sigmoid gates, 1.0 on g), tanh in place, z *= scale, z += shift (0.5 on
-    the sigmoid gates, -0.0 on g). Halving is exact, so a sigmoid gate is
+    The input projection of all T steps is one matrix product, and each step
+    overwrites its contiguous [B, 4H] block of that projection with its gate
+    values. A step activates the whole block with full-block `scale` and
+    `shift` arrays made once per call: z *= scale (0.5 on the sigmoid gates,
+    1.0 on g), tanh in place, z *= scale, z += shift (0.5 on the sigmoid
+    gates, -0.0 on g). Halving is exact, so a sigmoid gate is
     0.5 * (1 + tanh(z / 2)) bit for bit; -0.0 is the additive identity, so g
     is tanh(z) bit for bit, a -0.0 candidate included. Step 0 starts from the
     zero state, so it skips the recurrent product, and backward skips the
@@ -295,32 +295,29 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
     temporary in a buffer made once per call. A step writes dc*g, dc*c_{t-1}
     and dh*tanh(c_t) into the i, f and o parts of its dz block, then scales
     those [B, 3H] by s and by (1 - s) in one pass each, so each sigmoid-gate
-    derivative is ((a*b)*s)*(1 - s). dWx, dWh and db are one matrix product
-    each over all steps, split back into the per-gate parameters' gradients.
+    derivative is ((a*b)*s)*(1 - s). The gradients of wx, wh and b are one
+    matrix product (or sum) each over all steps, added straight into theirs.
     """
     if xs.value.ndim != 3:
         raise ShapeError(f"lstm: input must be [B, T, d], got {xs.value.shape}")
     batch, steps, d = xs.value.shape
-    hidden = params["b_i"].value.size
-    expected = {"wx": (d, hidden), "wh": (hidden, hidden), "b": (hidden,)}
-    nodes = {}
-    for kind, shape in expected.items():
-        nodes[kind] = [params[f"{kind}_{gate}"] for gate in _FUSED_GATES]
-        for gate, node in zip(_FUSED_GATES, nodes[kind]):
-            if node.value.shape != shape:
-                raise ShapeError(
-                    f"lstm: {kind}_{gate} {node.value.shape} vs expected {shape} "
-                    f"for input {xs.value.shape} and hidden width {hidden}"
-                )
-    wx, wh = (np.concatenate([n.value for n in nodes[k]], axis=1) for k in ("wx", "wh"))
-    b = np.concatenate([n.value for n in nodes["b"]])
+    if b.value.ndim != 1 or b.value.size % 4:
+        raise ShapeError(f"lstm: b must be [4H], got {b.value.shape}")
+    hidden = b.value.size // 4
+    for name, node, shape in (("wx", wx, (d, 4 * hidden)), ("wh", wh, (hidden, 4 * hidden))):
+        if node.value.shape != shape:
+            raise ShapeError(
+                f"lstm: {name} {node.value.shape} vs expected {shape} "
+                f"for input {xs.value.shape} and hidden width {hidden}"
+            )
+    wx_v, wh_v = wx.value, wh.value
 
     # step-major [T, B, .] arrays, so that step t is one contiguous block
     x2 = xs.value.transpose(1, 0, 2).reshape(steps * batch, d)
     # the input projections of all steps; step t's gate values overwrite its
     # projection in place, so that one [T, B, 4H] buffer serves both
-    gates = (x2 @ wx).reshape(steps, batch, 4 * hidden)
-    gates += b
+    gates = (x2 @ wx_v).reshape(steps, batch, 4 * hidden)
+    gates += b.value
     hs = np.zeros((steps + 1, batch, hidden))  # hs[0], cs[0]: the zero state
     cs = np.zeros((steps + 1, batch, hidden))
     tanh_cs = np.empty((steps, batch, hidden))
@@ -335,7 +332,7 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
     for t in range(steps):
         z = gates[t]
         if t:  # hs[0] is zero
-            z += hs[t] @ wh
+            z += hs[t] @ wh_v
         z *= scale
         np.tanh(z, out=z)
         z *= scale
@@ -377,20 +374,14 @@ def lstm(xs: Node, params: Mapping[str, Node]) -> Node:
             dzt[:, sig:] *= deriv
             dc *= f
             if t:  # dh at step 0 would flow into the zero state
-                np.matmul(dzt, wh.T, out=dh)
+                np.matmul(dzt, wh_v.T, out=dh)
         dz2 = dz.reshape(steps * batch, 4 * hidden)
-        fused = {
-            "wx": x2.T @ dz2,
-            "wh": hs[:-1].reshape(steps * batch, hidden).T @ dz2,
-            "b": dz2.sum(axis=0),
-        }
-        xs.grad += (dz2 @ wx.T).reshape(steps, batch, d).transpose(1, 0, 2)
-        for kind, grad_k in fused.items():
-            for k, node in enumerate(nodes[kind]):
-                node.grad += grad_k[..., k * hidden:(k + 1) * hidden]
+        xs.grad += (dz2 @ wx_v.T).reshape(steps, batch, d).transpose(1, 0, 2)
+        wx.grad += x2.T @ dz2
+        wh.grad += hs[:-1].reshape(steps * batch, hidden).T @ dz2
+        b.grad += dz2.sum(axis=0)
 
-    parents = (xs, *(n for kind in expected for n in nodes[kind]))
-    return Node(hs[1:].transpose(1, 0, 2), "lstm", parents, backward)
+    return Node(hs[1:].transpose(1, 0, 2), "lstm", (xs, wx, wh, b), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Deep autoencoder over concatenated branch features, plus the softmax head.
 
 The DAE has two ReLU encoder layers, a linear-output two-layer decoder that
-mirrors them, and trains unsupervised on reconstruction MSE. Its input is
+mirrors them, and trains unsupervised on reconstruction MSE; encoding
+(`dae_encode`) runs the encoder layers only. Its input is
 `TrainConfig.feature_width` wide (CNN plus RNN feature), its layers
 `dae_hidden` and `dae_latent`. The head is a two-layer FC network over latent
 codes, `head_hidden` wide; softmax is applied only inside the loss or at
@@ -51,22 +52,26 @@ def init_head_params(config: TrainConfig, seed: int) -> ParamStore:
     return store
 
 
-def dae_graph(features: Node, params: ParamStore) -> tuple[Node, Node]:
-    """(latent, reconstruction) nodes for [n] or [B, n] feature input."""
+def dae_graph(features: Node, params: ParamStore,
+              decode: bool = True) -> tuple[Node, Node | None]:
+    """(latent, reconstruction) nodes for [n] or [B, n] feature input. With
+    `decode` false only the encoder runs and the reconstruction is None."""
     require(params, DAE_PARAM_NAMES, "dae")
     h = ad.relu(ad.linear(features, params["enc1.w"], params["enc1.b"]))
     latent = ad.relu(ad.linear(h, params["enc2.w"], params["enc2.b"]))
+    if not decode:
+        return latent, None
     h = ad.relu(ad.linear(latent, params["dec1.w"], params["dec1.b"]))
     recon = ad.linear(h, params["dec2.w"], params["dec2.b"])
     return latent, recon
 
 
 def dae_encode(features: np.ndarray, params: ParamStore) -> np.ndarray:
-    """Deterministic latent code(s) for [n] or [B, n] features; records no
-    backward graph."""
+    """Deterministic latent code(s) for [n] or [B, n] features: the encoder
+    alone, recording no backward graph."""
     with ad.no_grad():
-        latent, _ = dae_graph(Node(features), params)
-    return latent.value.copy()
+        latent, _ = dae_graph(Node(features), params, decode=False)
+    return latent.value
 
 
 def dae_loss(features: np.ndarray, params: ParamStore) -> Node:
@@ -86,4 +91,4 @@ def head_graph(latents: Node, params: ParamStore) -> Node:
 def head_forward(latent: np.ndarray, params: ParamStore) -> np.ndarray:
     """Logits for one latent code or a batch of them; records no backward graph."""
     with ad.no_grad():
-        return head_graph(Node(latent), params).value.copy()
+        return head_graph(Node(latent), params).value

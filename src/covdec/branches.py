@@ -9,8 +9,11 @@ once, over the steps of all trials as one [B*C, C] batch. With `lstm-first`
 the LSTMs read the raw steps and the FC pair maps the last hidden state. In
 both nets the last hidden activation is the exported feature; a small affine
 head on top produces logits used only while the branch itself is being
-trained. The init functions read every width from a `TrainConfig`: the CNN
-feature is `cnn_feature` wide and the RNN feature `rnn_feature`.
+trained, so feature extraction does not run it. The init functions read every
+width from a `TrainConfig`: the CNN feature is `cnn_feature` wide and the RNN
+feature `rnn_feature`. In memory each LSTM layer is the three fused parameters
+`autodiff.lstm` takes, `lstmN.wx`, `lstmN.wh` and `lstmN.b`; rnn.cvdp keeps
+twelve per-gate entries per layer (`split_rnn_gates`, `join_rnn_gates`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import Node
 from .config import RNN_AXES, RNN_ORDERS, TrainConfig
 from .covariance import CovMatrix
-from .errors import ConfigError
+from .errors import ConfigError, StateError
 from .params import ParamStore, require
 
 # trials per chunk of a forward-only pass over a whole set (feature
@@ -46,30 +49,20 @@ def _out_layer(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.normal(0.0, 0.01, size=shape)
 
 
+# rnn.cvdp keeps each LSTM layer as twelve per-gate entries, wx_*, wh_* and
+# b_* for each gate in this order, the order init_rnn_params draws them in
+_FILE_GATES = ("i", "f", "g", "o")
+_LSTM_LAYERS = ("lstm1", "lstm2")
+
+
 def _add_lstm_params(
     store: ParamStore, prefix: str, rng: np.random.Generator, d: int, h: int
 ) -> None:
-    for gate in ad.LSTM_GATES:
+    for gate in _FILE_GATES:
         store.add(f"{prefix}.wx_{gate}", _xavier(rng, d, h, (d, h)))
         store.add(f"{prefix}.wh_{gate}", _xavier(rng, h, h, (h, h)))
         bias = np.full(h, 1.0) if gate == "f" else np.zeros(h)
         store.add(f"{prefix}.b_{gate}", bias)
-
-
-def _lstm_view(store: ParamStore, prefix: str) -> dict[str, Node]:
-    view = {}
-    for gate in ad.LSTM_GATES:
-        for kind in ("wx", "wh", "b"):
-            view[f"{kind}_{gate}"] = store[f"{prefix}.{kind}_{gate}"]
-    return view
-
-
-def _lstm_names(prefix: str) -> list[str]:
-    return [
-        f"{prefix}.{kind}_{gate}"
-        for gate in ad.LSTM_GATES
-        for kind in ("wx", "wh", "b")
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -115,8 +108,9 @@ def init_cnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore
     return store
 
 
-def cnn_graph(mats: Node, params: ParamStore) -> tuple[Node, Node]:
-    """Forward graph over a [B, C, C] batch; returns (features, logits) nodes."""
+def cnn_graph(mats: Node, params: ParamStore, logits: bool = True) -> tuple[Node, Node | None]:
+    """Forward graph over a [B, C, C] batch; returns (features, logits) nodes.
+    With `logits` false the logit layer does not run and logits is None."""
     require(params, CNN_PARAM_NAMES, "cnn")
     h = ad.relu(ad.conv1d(mats, params["conv1.w"], params["conv1.b"]))
     h = ad.relu(ad.conv1d(h, params["conv2.w"], params["conv2.b"]))
@@ -124,19 +118,23 @@ def cnn_graph(mats: Node, params: ParamStore) -> tuple[Node, Node]:
     h = ad.reshape(h, (batch, h.value.shape[1] * h.value.shape[2]))
     h = ad.relu(ad.linear(h, params["fc1.w"], params["fc1.b"]))
     feature = ad.relu(ad.linear(h, params["fc2.w"], params["fc2.b"]))
-    logits = ad.linear(feature, params["out.w"], params["out.b"])
-    return feature, logits
+    return feature, ad.linear(feature, params["out.w"], params["out.b"]) if logits else None
 
 
 # ---------------------------------------------------------------------------
 # RNN branch
 # ---------------------------------------------------------------------------
 
-RNN_PARAM_NAMES = tuple(
-    ["fc1.w", "fc1.b", "fc2.w", "fc2.b"]
-    + _lstm_names("lstm1")
-    + _lstm_names("lstm2")
-    + ["out.w", "out.b"]
+RNN_PARAM_NAMES = (
+    "fc1.w", "fc1.b", "fc2.w", "fc2.b",
+    "lstm1.wx", "lstm1.wh", "lstm1.b", "lstm2.wx", "lstm2.wh", "lstm2.b",
+    "out.w", "out.b",
+)
+RNN_FILE_NAMES = (
+    "fc1.w", "fc1.b", "fc2.w", "fc2.b",
+    *(f"{layer}.{kind}_{gate}" for layer in _LSTM_LAYERS for gate in _FILE_GATES
+      for kind in ("wx", "wh", "b")),
+    "out.w", "out.b",
 )
 
 
@@ -160,6 +158,53 @@ def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore
     _add_lstm_params(store, "lstm2", rng, hidden1, hidden2)
     store.add("out.w", _out_layer(rng, (config.rnn_feature, config.classes)))
     store.add("out.b", np.zeros(config.classes))
+    return join_rnn_gates(store, "rnn")
+
+
+def split_rnn_gates(params: ParamStore) -> ParamStore:
+    """The rnn.cvdp layout of an RNN store: each LSTM layer's fused wx, wh
+    and b split into its twelve per-gate entries, all entries in file order."""
+    require(params, RNN_PARAM_NAMES, "rnn")
+    values = {name: node.value for name, node in params.items()}
+    for layer in _LSTM_LAYERS:
+        for kind in ("wx", "wh", "b"):
+            blocks = np.split(values[f"{layer}.{kind}"], 4, axis=-1)
+            values.update({f"{layer}.{kind}_{g}": v for g, v in zip(ad.LSTM_GATES, blocks)})
+    out = ParamStore()
+    for name in RNN_FILE_NAMES:
+        out.add(name, values[name])
+    return out
+
+
+def join_rnn_gates(entries: ParamStore, source: str) -> ParamStore:
+    """The RNN store of a store in the rnn.cvdp layout: each LSTM layer's
+    per-gate entries joined into its fused wx, wh and b (`autodiff.lstm`).
+
+    A missing entry, or a gate entry whose shape is not its layer's
+    (wx_* [d, H], wh_* [H, H], b_* [H], with H from b_i and d from wx_i),
+    raises StateError naming `source` and the entry.
+    """
+    require(entries, RNN_FILE_NAMES, source)
+    for layer in _LSTM_LAYERS:
+        h = entries[f"{layer}.b_i"].value.size
+        wx_i = entries[f"{layer}.wx_i"].value
+        want = {"wx": (wx_i.shape[0] if wx_i.ndim == 2 else 0, h), "wh": (h, h), "b": (h,)}
+        for gate in _FILE_GATES:
+            for kind, shape in want.items():
+                name = f"{layer}.{kind}_{gate}"
+                if entries[name].value.shape != shape:
+                    raise StateError(
+                        f"{source}: '{name}' has shape {entries[name].value.shape}, "
+                        f"but the gates of {layer} want {shape}"
+                    )
+    store = ParamStore()
+    for param in RNN_PARAM_NAMES:
+        layer, _, kind = param.partition(".")
+        if layer in _LSTM_LAYERS:
+            parts = [entries[f"{layer}.{kind}_{gate}"].value for gate in ad.LSTM_GATES]
+            store.add(param, np.concatenate(parts, axis=-1))
+        else:
+            store.add(param, entries[param].value)
     return store
 
 
@@ -168,8 +213,10 @@ def rnn_graph(
     params: ParamStore,
     order: str = "fc-first",
     axis: str = "rows",
-) -> tuple[Node, Node]:
-    """Forward graph over a [B, C, C] batch; returns (features, logits) nodes."""
+    logits: bool = True,
+) -> tuple[Node, Node | None]:
+    """Forward graph over a [B, C, C] batch; returns (features, logits) nodes.
+    With `logits` false the logit layer does not run and logits is None."""
     require(params, RNN_PARAM_NAMES, "rnn")
     if order not in RNN_ORDERS:
         raise ConfigError(f"rnn order must be one of {RNN_ORDERS}, got {order!r}")
@@ -178,7 +225,9 @@ def rnn_graph(
     mats = np.asarray(mats, dtype=np.float64)
     if axis == "cols":
         mats = mats.transpose(0, 2, 1)
-    lstm1, lstm2 = _lstm_view(params, "lstm1"), _lstm_view(params, "lstm2")
+
+    def lstm(x: Node, layer: str) -> Node:
+        return ad.lstm(x, *(params[f"{layer}.{kind}"] for kind in ("wx", "wh", "b")))
 
     def fc_pair(x: Node) -> Node:
         x = ad.relu(ad.linear(x, params["fc1.w"], params["fc1.b"]))
@@ -189,11 +238,10 @@ def rnn_graph(
         batch, steps, width = mats.shape
         fc = fc_pair(Node(mats.reshape(batch * steps, width)))
         seq = ad.reshape(fc, (batch, steps, fc.value.shape[1]))
-        feature = ad.last_step(ad.lstm(ad.lstm(seq, lstm1), lstm2))
+        feature = ad.last_step(lstm(lstm(seq, "lstm1"), "lstm2"))
     else:
-        feature = fc_pair(ad.last_step(ad.lstm(ad.lstm(Node(mats), lstm1), lstm2)))
-    logits = ad.linear(feature, params["out.w"], params["out.b"])
-    return feature, logits
+        feature = fc_pair(ad.last_step(lstm(lstm(Node(mats), "lstm1"), "lstm2")))
+    return feature, ad.linear(feature, params["out.w"], params["out.b"]) if logits else None
 
 
 # ---------------------------------------------------------------------------
@@ -229,11 +277,12 @@ def extract_features_batch(
 ) -> np.ndarray:
     """[B, C, C] -> [B, cnn_width + rnn_width] joint encodings, CNN first.
 
-    A forward-only pass in chunks of trials: it records no backward graph."""
+    A forward-only pass in chunks of trials: it records no backward graph and
+    runs no branch logit layer."""
 
     def forward(chunk: np.ndarray) -> np.ndarray:
-        cnn_feat, _ = cnn_graph(Node(chunk), cnn_params)
-        rnn_feat, _ = rnn_graph(chunk, rnn_params, order, axis)
+        cnn_feat, _ = cnn_graph(Node(chunk), cnn_params, logits=False)
+        rnn_feat, _ = rnn_graph(chunk, rnn_params, order, axis, logits=False)
         return np.concatenate([cnn_feat.value, rnn_feat.value], axis=1)
 
     return _forward_in_chunks(forward, mats)

@@ -111,31 +111,35 @@ class NormStats:
 
 
 def standardize(
-    mats: list[CovMatrix], stats: NormStats | None = None
-) -> tuple[list[CovMatrix], NormStats]:
-    """Per-entry z-scoring. Fit stats when none are given, else apply them."""
-    if not mats:
-        raise DataError("standardize: empty matrix list")
-    stacked = np.stack([m.values for m in mats])
+    mats: np.ndarray, stats: NormStats | None = None
+) -> tuple[np.ndarray, NormStats]:
+    """Per-entry z-scoring of a stacked [N, C, C] float64 array, in place:
+    fits the stats when none are given, then writes (mats - mean) / std over
+    `mats` and returns it with them."""
+    if mats.ndim != 3 or mats.shape[0] == 0:
+        raise DataError(f"standardize: need a non-empty [N, C, C] array, got {mats.shape}")
     if stats is None:
-        mean = stacked.mean(axis=0)
-        std = np.maximum(stacked.std(axis=0), STD_FLOOR)
+        mean = mats.mean(axis=0)
+        std = np.maximum(mats.std(axis=0), STD_FLOOR)
         stats = NormStats(mean, std)
-    out = [CovMatrix((m.values - stats.mean) / stats.std, m.lag) for m in mats]
-    return out, stats
+    mats -= stats.mean
+    mats /= stats.std
+    return mats, stats
 
 
 def covariances(
     trials: Iterable[Trial], tau: int, channels: int | None = None
-) -> tuple[list[CovMatrix], np.ndarray]:
-    """Trials -> (their lag-tau covariances, labels), one trial at a time.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials -> (their lag-tau covariances as one [N, C, C] array, labels),
+    one trial at a time.
 
     `trials` may be any iterable and is read once. Each trial is reduced to
     its covariance as it arrives and no reference to it is kept, so a lazy
     source such as `data.load` has one raw trial in memory at a time. Every
-    trial must have `channels` channels (by default, the first trial's).
+    trial must have `channels` channels (by default, the first trial's). The
+    set is held twice only while it is stacked; no trials give [0, 0, 0].
     """
-    covs: list[CovMatrix] = []
+    covs: list[np.ndarray] = []
     labels: list[int] = []
     for trial in trials:
         if channels is None:
@@ -145,10 +149,11 @@ def covariances(
                 f"trial '{trial.trial_id}' has {trial.channels} channels, "
                 f"expected {channels}"
             )
-        covs.append(ccv(trial, tau))
+        covs.append(ccv(trial, tau).values)
         labels.append(trial.label)
         del trial  # release it before the source makes the next one
-    return covs, np.array(labels, dtype=np.int64)
+    mats = np.stack(covs) if covs else np.empty((0, 0, 0))
+    return mats, np.array(labels, dtype=np.int64)
 
 
 def prepare(
@@ -158,13 +163,14 @@ def prepare(
 
     The one way trials become model input: fits the statistics when `norm` is
     None, else applies it. `trials` may be any iterable, read once through
-    `covariances`, so a lazy source holds one raw trial at a time. Every
-    trial must have the channel count of the statistics (or of the first
-    trial, when fitting).
+    `covariances`, so a lazy source holds one raw trial at a time, and the
+    covariance set is standardized where it was stacked. Every trial must
+    have the channel count of the statistics (or of the first trial, when
+    fitting).
     """
     channels = None if norm is None else norm.mean.shape[0]
-    covs, labels = covariances(trials, tau, channels)
-    if not covs:
+    mats, labels = covariances(trials, tau, channels)
+    if not labels.size:
         raise DataError("prepare: empty trial set")
-    covs, norm = standardize(covs, norm)
-    return np.stack([c.values for c in covs]), labels, norm
+    mats, norm = standardize(mats, norm)
+    return mats, labels, norm

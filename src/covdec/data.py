@@ -194,6 +194,13 @@ def _read_trials(manifest: Manifest) -> Iterator[Trial]:
 # ---------------------------------------------------------------------------
 
 
+# the largest |noise_sigma| and |signature_strength| gen_synth takes: a sample
+# is at most (1 + |strength|) * sqrt(2 * channels) + noise_sigma * |z|, under
+# 1e35 with fewer than 2**31 channels and |z| < 1e3 (beyond any normal draw),
+# so every sample is finite in float32 (max 3.4e38)
+SYNTH_SCALE_MAX = 1e30
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     channels: int = 8
@@ -212,6 +219,11 @@ class SynthSpec:
                             ("signature_strength", self.signature_strength)):
             if not math.isfinite(value):
                 raise ConfigError(f"synth spec {name} must be finite, got {value}")
+            if abs(value) > SYNTH_SCALE_MAX:
+                raise ConfigError(
+                    f"synth spec {name} must be at most {SYNTH_SCALE_MAX:g} in "
+                    f"magnitude, got {value}"
+                )
         if self.noise_sigma < 0:
             raise ConfigError(f"noise sigma must be >= 0, got {self.noise_sigma}")
         if self.seed < 0:

@@ -152,19 +152,17 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
 
 def _lstm_check(rng) -> CheckResult:
     d, h, steps = 4, 3, 5
-    arrays = {}
-    for gate in ad.LSTM_GATES:
-        arrays[f"wx_{gate}"] = rng.normal(size=(d, h)) * 0.5
-        arrays[f"wh_{gate}"] = rng.normal(size=(h, h)) * 0.5
-        arrays[f"b_{gate}"] = rng.normal(size=h) * 0.1
+    # the fused parameters, four gates' columns side by side
+    wx = rng.normal(size=(d, 4 * h)) * 0.5
+    wh = rng.normal(size=(h, 4 * h)) * 0.5
+    b = rng.normal(size=4 * h) * 0.1
     xs = rng.normal(size=(1, steps, d))
     weights = rng.normal(size=(1, steps, h))
 
     def build():
-        params = {k: Node(v) for k, v in arrays.items()}
-        return _weighted_sum(ad.lstm(Node(xs), params), weights)
+        return _weighted_sum(ad.lstm(Node(xs), Node(wx), Node(wh), Node(b)), weights)
 
-    return _check("lstm", 1e-5, build, list(arrays.values()) + [xs])
+    return _check("lstm", 1e-5, build, [wx, wh, b, xs])
 
 
 def _cnn_check(rng) -> CheckResult:

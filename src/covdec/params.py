@@ -170,7 +170,8 @@ def adam_step(
     order, lr * (m/bc1) / (sqrt(v/bc2) + eps), so the update is bit-identical
     to evaluating it array by array; it allocates nothing once the store is
     packed. A non-finite gradient raises NumericError naming the first such
-    parameter before any value changes.
+    parameter of the store (for the RNN, a fused LSTM parameter such as
+    `lstm1.wh`) before any value changes.
     """
     if t < 1:
         raise ConfigError(f"adam_step: step count must be >= 1, got {t}")

@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import params as pstore
+from .branches import join_rnn_gates, split_rnn_gates
 from .config import _read_utf8, config_from_file, write_config
 from .covariance import STD_FLOOR, NormStats
 from .errors import CovdecError, ParseError, StateError
@@ -106,7 +107,8 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
     out.mkdir(parents=True, exist_ok=True)
     artifacts = outcome.artifacts
     for stage in STAGE_FILES:
-        pstore.save(getattr(artifacts, stage), out / f"{stage}.cvdp")
+        store = split_rnn_gates(artifacts.rnn) if stage == "rnn" else getattr(artifacts, stage)
+        pstore.save(store, out / f"{stage}.cvdp")
     norm_store = pstore.ParamStore()
     norm_store.add("mean", artifacts.norm.mean)
     norm_store.add("std", artifacts.norm.std)
@@ -148,7 +150,8 @@ def _run_file(read, path: Path, missing: str):
 
 def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     """Load a trained run directory; missing or mis-shaped pieces, and weights
-    whose widths disagree with config.txt, raise StateError."""
+    whose widths disagree with config.txt, raise StateError naming the entry
+    as the file holds it; rnn.cvdp's gate entries are fused last."""
     run = Path(run_dir)
     paths = {stage: run / f"{stage}.cvdp" for stage in STAGE_FILES + ("norm",)}
     stores = {stage: _run_file(pstore.load, path, f"missing stage weights '{stage}'")
@@ -184,7 +187,7 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             )
     return PipelineArtifacts(
         config=config, classes=classes,
-        cnn=stores["cnn"], rnn=stores["rnn"],
+        cnn=stores["cnn"], rnn=join_rnn_gates(stores["rnn"], str(paths["rnn"])),
         dae=stores["dae"], head=stores["head"], norm=NormStats(mean, std),
     )
 

@@ -396,7 +396,7 @@ def run_training(
     clock: dict[str, float] = {}
 
     t0 = time.perf_counter()
-    covs, labels = covariances(trials, config.tau)
+    mats, labels = covariances(trials, config.tau)
     train_idx, val_idx = _split_indices(
         labels, config.split_fraction, config.seed, classes=config.classes
     )
@@ -407,10 +407,10 @@ def run_training(
                 f"{part} split is empty ({len(labels)} trials at fraction "
                 f"{config.split_fraction}); add trials or {advice} the fraction"
             )
-    train_covs, norm = standardize([covs[i] for i in train_idx])
-    train_mats = np.stack([c.values for c in train_covs])
-    val_mats = np.stack([c.values for c in standardize([covs[i] for i in val_idx], norm)[0]])
-    del covs, train_covs  # the stages read the stacked arrays only
+    train_mats, val_mats = mats[train_idx], mats[val_idx]
+    del mats  # the stages read the split arrays only
+    train_mats, norm = standardize(train_mats)
+    val_mats, _ = standardize(val_mats, norm)
     train_labels, val_labels = labels[train_idx], labels[val_idx]
     clock["prep"] = time.perf_counter() - t0
 

@@ -54,13 +54,24 @@ def rng_trial_data(rng: np.random.Generator, channels: int, samples: int) -> np.
 
 
 def lstm_arrays(rng: np.random.Generator, d: int, hidden: int) -> dict[str, np.ndarray]:
-    """Random per-gate LSTM parameters, named as `autodiff.lstm` reads them."""
-    arrays = {}
-    for gate in LSTM_GATES:
-        arrays[f"wx_{gate}"] = rng.normal(size=(d, hidden)) * 0.5
-        arrays[f"wh_{gate}"] = rng.normal(size=(hidden, hidden)) * 0.5
-        arrays[f"b_{gate}"] = rng.normal(size=hidden) * 0.1
-    return arrays
+    """Random fused LSTM parameters "wx" [d, 4H], "wh" [H, 4H] and "b" [4H],
+    as `autodiff.lstm` takes them. Each gate's blocks are drawn apart, gate
+    by gate in the order i, f, g, o, then laid side by side in LSTM_GATES
+    order."""
+    blocks = {}
+    for gate in ("i", "f", "g", "o"):
+        blocks[gate] = (rng.normal(size=(d, hidden)) * 0.5,
+                        rng.normal(size=(hidden, hidden)) * 0.5,
+                        rng.normal(size=hidden) * 0.1)
+    return {kind: np.concatenate([blocks[gate][k] for gate in LSTM_GATES], axis=-1)
+            for k, kind in enumerate(("wx", "wh", "b"))}
+
+
+def gate_block(fused: np.ndarray, gate: str) -> np.ndarray:
+    """The columns of one gate in a fused LSTM array, as a view."""
+    h = fused.shape[-1] // 4
+    k = LSTM_GATES.index(gate)
+    return fused[..., k * h:(k + 1) * h]
 
 
 def _sigmoid(z):
@@ -72,19 +83,21 @@ def lstm_loop(xs, arrays) -> np.ndarray:
     loop of the cell formula with every gate apart:
 
         i, f, o = sigmoid(x_t @ wx_* + h @ wh_* + b_*), g = tanh(same),
-        c = f*c + i*g, h = o*tanh(c).
+        c = f*c + i*g, h = o*tanh(c),
 
-    Every step is analytic, so it also runs on complex arrays.
+    each gate's wx_*, wh_* and b_* being its block of the fused arrays'
+    columns. Every step is analytic, so it also runs on complex arrays.
     """
     batch, steps, _ = xs.shape
-    hidden = arrays["b_i"].shape[0]
+    hidden = arrays["b"].shape[0] // 4
     dtype = np.result_type(xs, *arrays.values())
+    wx, wh, b = ({gate: gate_block(arrays[kind], gate) for gate in LSTM_GATES}
+                 for kind in ("wx", "wh", "b"))
     h = np.zeros((batch, hidden), dtype)
     c = np.zeros((batch, hidden), dtype)
     out = []
     for t in range(steps):
-        pre = {gate: xs[:, t] @ arrays[f"wx_{gate}"] + h @ arrays[f"wh_{gate}"]
-               + arrays[f"b_{gate}"] for gate in LSTM_GATES}
+        pre = {gate: xs[:, t] @ wx[gate] + h @ wh[gate] + b[gate] for gate in LSTM_GATES}
         c = _sigmoid(pre["f"]) * c + _sigmoid(pre["i"]) * np.tanh(pre["g"])
         h = _sigmoid(pre["o"]) * np.tanh(c)
         out.append(h)

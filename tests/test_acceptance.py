@@ -121,8 +121,8 @@ def _branch_train_accuracy(run_dir, data_dir):
     cfg = artifacts.config
     trials, _ = load(data_dir / "manifest.txt")
     train_trials, _ = split(list(trials), cfg.split_fraction, cfg.seed, cfg.classes)
-    covs, _ = standardize([ccv(t, cfg.tau) for t in train_trials], artifacts.norm)
-    mats = np.stack([c.values for c in covs])
+    mats, _ = standardize(np.stack([ccv(t, cfg.tau).values for t in train_trials]),
+                          artifacts.norm)
     labels = np.array([t.label for t in train_trials])
     _, cnn_logits = cnn_graph(Node(mats), artifacts.cnn)
     _, rnn_logits = rnn_graph(mats, artifacts.rnn, cfg.rnn_order, cfg.rnn_axis)
@@ -255,10 +255,8 @@ def test_stage_isolation_and_leakage_canary():
     from covdec.branches import extract_features_batch
 
     train_t, val_t = split(trials, config.split_fraction, config.seed, 3)
-    train_covs, norm = standardize([ccv(t) for t in train_t])
-    val_covs, _ = standardize([ccv(t) for t in val_t], norm)
-    train_mats = np.stack([c.values for c in train_covs])
-    val_mats = np.stack([c.values for c in val_covs])
+    train_mats, norm = standardize(np.stack([ccv(t).values for t in train_t]))
+    val_mats, _ = standardize(np.stack([ccv(t).values for t in val_t]), norm)
     train_y = np.array([t.label for t in train_t])
     val_y = np.array([t.label for t in val_t])
 

@@ -8,17 +8,17 @@ import covdec.autodiff as ad
 from covdec.autodiff import Node
 from covdec.errors import ConfigError, DataError, ShapeError, StateError
 
-from conftest import complex_step_grads, lstm_arrays, lstm_loop
+from conftest import complex_step_grads, gate_block, lstm_arrays, lstm_loop
 
 
 def lstm_nodes(d, hidden, **biases):
-    """Per-gate LSTM parameter nodes: zero weights, zero biases except those given."""
-    nodes = {}
-    for gate in ad.LSTM_GATES:
-        nodes[f"wx_{gate}"] = Node(np.zeros((d, hidden)))
-        nodes[f"wh_{gate}"] = Node(np.zeros((hidden, hidden)))
-        nodes[f"b_{gate}"] = Node(np.full(hidden, biases.get(gate, 0.0)))
-    return nodes
+    """Fused LSTM parameter nodes wx, wh and b: zero weights, zero biases
+    except the gates given."""
+    b = np.zeros(4 * hidden)
+    for gate, value in biases.items():
+        gate_block(b, gate)[:] = value
+    return {"wx": Node(np.zeros((d, 4 * hidden))),
+            "wh": Node(np.zeros((hidden, 4 * hidden))), "b": Node(b)}
 
 
 # the matrix product is linear without a bias
@@ -60,10 +60,10 @@ def test_sigmoid_tanh_at_zero():
     # the LSTM's gates at zero pre-activation; a bias of 50 saturates a gate to exactly 1
     xs = Node(np.zeros((1, 2, 3)))
     # g = tanh(0) = 0 with i = o = 1: nothing enters the cell, so h = tanh(0)
-    h = ad.lstm(xs, lstm_nodes(3, 2, i=50.0, o=50.0)).value
+    h = ad.lstm(xs, **lstm_nodes(3, 2, i=50.0, o=50.0)).value
     assert np.array_equal(h, np.zeros((1, 2, 2)))
     # i = f = o = sigmoid(0) = 0.5 with g = 1: c_1 = 0.5, c_2 = 0.5*0.5 + 0.5
-    h = ad.lstm(xs, lstm_nodes(3, 2, g=50.0)).value
+    h = ad.lstm(xs, **lstm_nodes(3, 2, g=50.0)).value
     assert np.array_equal(h[0, 0], np.full(2, 0.5 * np.tanh(0.5)))
     assert np.array_equal(h[0, 1], np.full(2, 0.5 * np.tanh(0.75)))
 
@@ -77,7 +77,7 @@ def test_activations_stable_for_huge_inputs():
     nodes = {k: Node(v) for k, v in lstm_arrays(rng, 2, 3).items()}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = ad.lstm(xs, nodes)
+        out = ad.lstm(xs, **nodes)
         out.backward()
     assert np.all(np.isfinite(out.value))
     assert np.all(np.isfinite(xs.grad))
@@ -210,15 +210,19 @@ def test_mse_shape_mismatch():
 
 def test_lstm_shape_errors():
     with pytest.raises(ShapeError, match=r"\[B, T, d\]"):
-        ad.lstm(Node(np.zeros((2, 3))), lstm_nodes(3, 4))
+        ad.lstm(Node(np.zeros((2, 3))), **lstm_nodes(3, 4))
     nodes = lstm_nodes(3, 4)
-    nodes["wx_g"] = Node(np.zeros((2, 4)))
-    with pytest.raises(ShapeError, match=r"wx_g \(2, 4\) vs expected \(3, 4\)"):
-        ad.lstm(Node(np.zeros((1, 5, 3))), nodes)
+    nodes["wx"] = Node(np.zeros((2, 16)))
+    with pytest.raises(ShapeError, match=r"wx \(2, 16\) vs expected \(3, 16\)"):
+        ad.lstm(Node(np.zeros((1, 5, 3))), **nodes)
     nodes = lstm_nodes(3, 4)
-    nodes["wh_f"] = Node(np.zeros((4, 5)))
-    with pytest.raises(ShapeError, match=r"wh_f \(4, 5\) vs expected \(4, 4\)"):
-        ad.lstm(Node(np.zeros((1, 5, 3))), nodes)
+    nodes["wh"] = Node(np.zeros((4, 20)))
+    with pytest.raises(ShapeError, match=r"wh \(4, 20\) vs expected \(4, 16\)"):
+        ad.lstm(Node(np.zeros((1, 5, 3))), **nodes)
+    nodes = lstm_nodes(3, 4)
+    nodes["b"] = Node(np.zeros(15))
+    with pytest.raises(ShapeError, match=r"b must be \[4H\], got \(15,\)"):
+        ad.lstm(Node(np.zeros((1, 5, 3))), **nodes)
     with pytest.raises(ShapeError, match=r"\[B, T, H\]"):
         ad.last_step(Node(np.zeros((2, 3))))
 
@@ -241,7 +245,7 @@ def test_reshape_roundtrips_gradient():
 
 def test_lstm_zero_params_fixed_point():
     # h = o*tanh(c) with o = 0.5, so h = 0 means c = 0 too
-    h_t = ad.lstm(Node([[[5.0, -2.0, 9.0]]]), lstm_nodes(3, 4))
+    h_t = ad.lstm(Node([[[5.0, -2.0, 9.0]]]), **lstm_nodes(3, 4))
     assert np.array_equal(h_t.value, np.zeros((1, 1, 4)))
 
 
@@ -251,12 +255,13 @@ def test_lstm_saturated_gates_carry_cell_state():
     d, h = 2, 3
     rng = np.random.default_rng(5)
     nodes = lstm_nodes(d, h)
-    nodes["wx_i"].value[:] = [[50.0], [-50.0]]
-    nodes["wx_f"].value[:] = [[-50.0], [50.0]]
-    nodes["wx_g"].value[0] = rng.normal(size=h)
-    nodes["wx_o"].value[:] = 50.0
-    out = ad.lstm(Node([[[1.0, 0.0], [0.0, 1.0]]]), nodes).value[0]
-    assert np.allclose(out[0], np.tanh(np.tanh(nodes["wx_g"].value[0])), atol=1e-3)
+    wx = {gate: gate_block(nodes["wx"].value, gate) for gate in ad.LSTM_GATES}
+    wx["i"][:] = [[50.0], [-50.0]]
+    wx["f"][:] = [[-50.0], [50.0]]
+    wx["g"][0] = rng.normal(size=h)
+    wx["o"][:] = 50.0
+    out = ad.lstm(Node([[[1.0, 0.0], [0.0, 1.0]]]), **nodes).value[0]
+    assert np.allclose(out[0], np.tanh(np.tanh(wx["g"][0])), atol=1e-3)
     assert np.allclose(out[1], out[0], atol=1e-3)
 
 
@@ -271,7 +276,7 @@ def test_lstm_matches_loop_formula(batch, steps, d, hidden):
     xs = rng.normal(size=(batch, steps, d))
     arrays = lstm_arrays(rng, d, hidden)
     xn, nodes = Node(xs), {k: Node(v) for k, v in arrays.items()}
-    out = ad.lstm(xn, nodes)
+    out = ad.lstm(xn, **nodes)
     g = rng.normal(size=(batch, steps, hidden))
     _backward_with(out, g)
 
@@ -334,7 +339,7 @@ def test_no_nonfinite_from_bounded_inputs():
     x = Node(rng.uniform(-1e3, 1e3, size=(4, 1, 6)))
     nodes = {k: Node(v * 2e3) for k, v in lstm_arrays(rng, 6, 3).items()}
     w = Node(rng.uniform(-1e3, 1e3, size=(3, 3)))
-    logits = ad.linear(ad.last_step(ad.lstm(x, nodes)), w)
+    logits = ad.linear(ad.last_step(ad.lstm(x, **nodes)), w)
     loss = ad.softmax_xent(logits, [0, 1, 2, 0])
     loss.backward()
     assert np.isfinite(float(loss.value))
@@ -350,7 +355,7 @@ def _no_grad_ops(rng):
     lstm_params = {k: Node(v) for k, v in lstm_arrays(rng, 4, 3).items()}
     wl = Node(rng.normal(size=(3, 2)))
     conv = ad.relu(ad.conv1d(x, w, b))
-    seq = ad.lstm(ad.reshape(conv, (2, 4, 4)), lstm_params)
+    seq = ad.lstm(ad.reshape(conv, (2, 4, 4)), **lstm_params)
     logits = ad.linear(ad.last_step(seq), wl)
     return [conv, seq, logits, ad.softmax_xent(logits, [0, 1]), ad.mse(logits, np.zeros((2, 2)))]
 
@@ -411,11 +416,9 @@ def _lstm_before(xs, arrays, grad):
     0.5 * (1 + tanh(0.5 * z)), tanh on g apart, the recurrent product made at
     every step and the gradient into the zero state computed."""
     batch, steps, d = xs.shape
-    hidden = arrays["b_i"].size
+    hidden = arrays["b"].size // 4
     order = ("i", "f", "o", "g")
-    wx = np.concatenate([arrays[f"wx_{k}"] for k in order], axis=1)
-    wh = np.concatenate([arrays[f"wh_{k}"] for k in order], axis=1)
-    b = np.concatenate([arrays[f"b_{k}"] for k in order])
+    wx, wh, b = arrays["wx"], arrays["wh"], arrays["b"]
     x2 = xs.transpose(1, 0, 2).reshape(steps * batch, d)
     gates = (x2 @ wx).reshape(steps, batch, 4 * hidden)
     gates += b
@@ -482,16 +485,21 @@ def test_lstm_bytes_equal_loop_before_whole_row_gates(batch, steps, d, hidden, z
         arrays = {k: np.zeros_like(v) for k, v in arrays.items()}
     grad = rng.normal(size=(batch, steps, hidden))
     xn, nodes = Node(xs), {k: Node(v) for k, v in arrays.items()}
-    out = ad.lstm(xn, nodes)
+    out = ad.lstm(xn, **nodes)
     _backward_with(out, grad)
 
     want_out, want_grads = _lstm_before(xs, arrays, grad)
     assert out.value.tobytes() == want_out.tobytes()
-    got_grads = {"xs": xn.grad, **{k: n.grad for k, n in nodes.items()}}
+    # each gate's slice of a fused gradient is that gate's old gradient
+    got_grads = {"xs": xn.grad}
+    for kind, node in nodes.items():
+        for gate in ad.LSTM_GATES:
+            got_grads[f"{kind}_{gate}"] = gate_block(node.grad, gate)
+    assert got_grads.keys() == want_grads.keys()
     for name, want in want_grads.items():
         assert got_grads[name].tobytes() == want.tobytes(), name
     with ad.no_grad():
-        unrecorded = ad.lstm(Node(xs), {k: Node(v) for k, v in arrays.items()})
+        unrecorded = ad.lstm(Node(xs), **{k: Node(v) for k, v in arrays.items()})
     assert unrecorded.value.tobytes() == want_out.tobytes()
 
 

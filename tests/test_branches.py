@@ -6,12 +6,16 @@ import pytest
 import covdec.autodiff as ad
 from covdec.autodiff import Node
 from covdec.branches import (
+    RNN_FILE_NAMES,
+    RNN_PARAM_NAMES,
     cnn_graph,
     extract_features,
     extract_features_batch,
     init_cnn_params,
     init_rnn_params,
+    join_rnn_gates,
     rnn_graph,
+    split_rnn_gates,
 )
 from covdec.config import TrainConfig
 from covdec.covariance import CovMatrix
@@ -21,7 +25,7 @@ from covdec.params import ParamStore
 from covdec.report import load_artifacts, save_run
 from covdec.training import predict_batch, run_training
 
-from conftest import SMALL_CONFIG, lstm_loop, zeroed
+from conftest import SMALL_CONFIG, gate_block, lstm_loop, store_bytes, zeroed
 
 
 def random_cov(rng, c=6):
@@ -288,8 +292,20 @@ def test_he_init_statistics():
 
 def test_lstm_forget_bias_is_one():
     params = init_rnn_params(TrainConfig(), channels=8, seed=123)
-    assert np.array_equal(params["lstm1.b_f"].value, np.ones(64))
-    assert np.array_equal(params["lstm1.b_i"].value, np.zeros(64))
+    assert np.array_equal(gate_block(params["lstm1.b"].value, "f"), np.ones(64))
+    assert np.array_equal(gate_block(params["lstm1.b"].value, "i"), np.zeros(64))
+
+
+def test_rnn_file_layout_splits_and_joins_byte_for_byte(small_rnn):
+    entries = split_rnn_gates(small_rnn)
+    assert entries.names() == list(RNN_FILE_NAMES)
+    assert entries.names()[4:7] == ["lstm1.wx_i", "lstm1.wh_i", "lstm1.b_i"]
+    for gate in ("i", "f", "g", "o"):
+        assert np.array_equal(entries[f"lstm2.wh_{gate}"].value,
+                              gate_block(small_rnn["lstm2.wh"].value, gate))
+    joined = join_rnn_gates(entries, "rnn.cvdp")
+    assert joined.names() == list(RNN_PARAM_NAMES)
+    assert store_bytes(joined) == store_bytes(small_rnn)
 
 
 def test_extract_features_batch_matches_singles(small_cnn, small_rnn):

@@ -13,6 +13,7 @@ import covdec
 import covdec.autodiff
 from covdec.cli import main
 from covdec.config import config_from_file
+from covdec.data import load
 from covdec.params import ParamStore, load as load_store, save as save_store
 from covdec.report import load_artifacts, load_report_json, read_curves_csv
 from covdec.training import _derived_seeds
@@ -500,6 +501,31 @@ def test_gen_synth_non_finite_spec_exits_2_writing_nothing(tmp_path, capsys, fla
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, field", [
+    ("--noise", "1e200", "noise_sigma"), ("--noise", "1.0000001e30", "noise_sigma"),
+    ("--strength", "1e308", "signature_strength"), ("--strength", "1e40", "signature_strength"),
+    ("--strength", "-1e31", "signature_strength"),
+])
+def test_gen_synth_scale_beyond_float32_exits_2_writing_nothing(tmp_path, capsys, flag, value,
+                                                                field):
+    out = tmp_path / "data"
+    rc = main(["gen-synth", "--out", str(out), f"{flag}={value}", "--trials-per-class", "1"])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: synth spec {field} must be at most 1e+30 in magnitude, "
+            f"got {float(value)}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise", "--strength"])
+def test_gen_synth_at_the_scale_bound_writes_finite_trials(tmp_path, capsys, flag):
+    out = tmp_path / "data"
+    rc = main(["gen-synth", "--out", str(out), flag, "1e30", "--trials-per-class", "1"])
+    assert rc == 0
+    trials, _ = load(out / "manifest.txt")
+    assert all(np.isfinite(t.data).all() and np.abs(t.data).max() > 1e28 for t in trials)
+
+
 def test_eval_class_order_differing_from_classes_txt_exits_3(trained_run, dataset, tmp_path,
                                                              capsys):
     text = (dataset / "manifest.txt").read_text()
@@ -562,6 +588,13 @@ def _head_out_b_short(store):
     return store
 
 
+def _rnn_gate_reshaped(store):
+    # same size, other shape: the gates of lstm1 no longer fuse into one matrix
+    assert store["lstm1.wh_g"].value.shape == (10, 10)
+    store["lstm1.wh_g"].value = store["lstm1.wh_g"].value.reshape(5, 20)
+    return store
+
+
 @pytest.mark.parametrize("name, corrupt, named", [
     ("norm.cvdp", lambda s: _norm_store(s["mean"].value),
      "missing parameter(s): std"),
@@ -572,8 +605,10 @@ def _head_out_b_short(store):
     ("norm.cvdp", lambda s: _norm_store(s["mean"].value[:, :5], s["std"].value[:, :5]),
      "not one square [C, C] shape"),
     ("head.cvdp", _head_out_b_short, "'out.b' has shape (2,)"),
+    ("rnn.cvdp", _rnn_gate_reshaped,
+     "'lstm1.wh_g' has shape (5, 20), but the gates of lstm1 want (10, 10)"),
 ], ids=["norm-no-std", "norm-zero-std", "norm-vector-mean", "norm-not-square",
-        "head-two-classes"])
+        "head-two-classes", "rnn-gate-shape"])
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_bad_norm_or_head_exits_2(trained_run, dataset, tmp_path, capsys,
                                   name, corrupt, named, command):

@@ -1,7 +1,10 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from covdec.covariance import CovMatrix, Trial, ccv, prepare, standardize
+from covdec.covariance import Trial, ccv, prepare, standardize
 from covdec.errors import ConfigError, DataError
 
 
@@ -117,22 +120,24 @@ def test_trial_validation():
 
 
 def random_covs(rng, n, c=4, t=30):
-    return [ccv(Trial(rng.normal(size=(c, t)) * rng.uniform(0.5, 2.0), label=0)) for _ in range(n)]
+    """n covariances stacked as one [n, c, c] array."""
+    return np.stack([ccv(Trial(rng.normal(size=(c, t)) * rng.uniform(0.5, 2.0), label=0)).values
+                     for _ in range(n)])
 
 
 def test_single_matrix_standardizes_to_zero():
     rng = np.random.default_rng(16)
-    (out,), _ = standardize(random_covs(rng, 1))
-    assert np.allclose(out.values, 0.0, atol=1e-12)
+    out, _ = standardize(random_covs(rng, 1))
+    assert out.shape == (1, 4, 4)
+    assert np.allclose(out, 0.0, atol=1e-12)
 
 
 def test_fitted_stats_zscore_the_fitting_set():
     rng = np.random.default_rng(17)
     out, stats = standardize(random_covs(rng, 20))
-    stacked = np.stack([m.values for m in out])
     above_floor = stats.std > 1e-8
-    assert np.all(np.abs(stacked.mean(axis=0)) < 1e-9)
-    assert np.allclose(stacked.std(axis=0)[above_floor], 1.0, atol=1e-6)
+    assert np.all(np.abs(out.mean(axis=0)) < 1e-9)
+    assert np.allclose(out.std(axis=0)[above_floor], 1.0, atol=1e-6)
 
 
 def test_train_stats_applied_to_other_set_differ_from_self_fit():
@@ -140,45 +145,87 @@ def test_train_stats_applied_to_other_set_differ_from_self_fit():
     set_a = random_covs(rng, 15)
     set_b = random_covs(rng, 15)
     _, stats_a = standardize(set_a)
-    b_by_a, _ = standardize(set_b, stats_a)
-    b_by_b, _ = standardize(set_b)
-    diff = max(
-        np.max(np.abs(x.values - y.values)) for x, y in zip(b_by_a, b_by_b)
-    )
+    b_by_a, _ = standardize(set_b.copy(), stats_a)
+    b_by_b, _ = standardize(set_b.copy())
+    diff = np.max(np.abs(b_by_a - b_by_b))
     assert diff > 1e-3
 
 
 def test_reapplying_returned_stats_is_identical():
     rng = np.random.default_rng(19)
     mats = random_covs(rng, 10)
-    out1, stats = standardize(mats)
-    out2, _ = standardize(mats, stats)
-    for a, b in zip(out1, out2):
-        assert np.array_equal(a.values, b.values)
+    out1, stats = standardize(mats.copy())
+    out2, _ = standardize(mats.copy(), stats)
+    assert np.array_equal(out1, out2)
+
+
+def test_standardize_works_in_place_byte_for_byte():
+    rng = np.random.default_rng(22)
+    mats = random_covs(rng, 12)
+    before = mats.copy()
+    out, stats = standardize(mats)
+    assert out is mats
+    want = [(m - before.mean(axis=0)) / np.maximum(before.std(axis=0), 1e-8) for m in before]
+    assert out.tobytes() == np.stack(want).tobytes()
+    again = before.copy()
+    assert standardize(again, stats)[0] is again
+    assert again.tobytes() == out.tobytes()
 
 
 def test_standardize_rejects_empty_list():
     with pytest.raises(DataError, match="empty"):
-        standardize([])
+        standardize(np.empty((0, 4, 4)))
+    with pytest.raises(DataError, match=r"\[N, C, C\]"):
+        standardize(np.zeros((4, 4)))
 
 
 def test_std_floor_prevents_blowup():
-    mats = [CovMatrix(np.ones((2, 2))) for _ in range(5)]  # zero variance everywhere
+    mats = np.ones((5, 2, 2))  # zero variance everywhere
     out, stats = standardize(mats)
     assert np.all(stats.std == 1e-8)
-    assert np.all(np.isfinite(out[0].values))
+    assert np.all(np.isfinite(out[0]))
 
 
 def test_prepare_is_ccv_then_standardize():
     rng = np.random.default_rng(20)
     trials = [Trial(rng.normal(size=(4, 30)), k % 2, trial_id=f"t{k}") for k in range(6)]
     mats, labels, norm = prepare(trials, 1)
-    covs, expected_norm = standardize([ccv(t, 1) for t in trials])
-    assert np.array_equal(mats, np.stack([c.values for c in covs]))
+    covs, expected_norm = standardize(np.stack([ccv(t, 1).values for t in trials]))
+    assert np.array_equal(mats, covs)
     assert np.array_equal(norm.mean, expected_norm.mean)
     assert np.array_equal(labels, [0, 1, 0, 1, 0, 1])
     again, _, same = prepare(trials[:2], 1, norm)
     assert same is norm and np.array_equal(again, mats[:2])
+
+
+def test_prepare_holds_the_covariance_set_at_most_twice():
+    # 200 64-channel trials, streamed: one copy of the set is 6.6 MB. The
+    # covariance list and its stacked array coexist for a moment; fitting
+    # adds one temporary copy inside std, after the list is gone. Nothing
+    # else of that size may be alive at once.
+    n, c = 200, 64
+    copy = n * c * c * 8
+
+    def trials(count):
+        rng = np.random.default_rng(41)
+        for k in range(count):
+            yield Trial(rng.normal(size=(c, 96)), k % 2, trial_id=f"t{k}")
+
+    prepare(trials(2), 0)  # first-call allocations are not the set's
+    peaks, outputs = [], []
+    norm = None
+    for _ in range(2):  # fit, then apply
+        tracemalloc.start()
+        try:
+            mats, _, norm = prepare(trials(n), 0, norm)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        outputs.append(mats.tobytes())
+    assert max(peaks) <= 2.05 * copy, [p / copy for p in peaks]
+    digest = hashlib.sha256(outputs[0] + norm.mean.tobytes() + norm.std.tobytes()).hexdigest()
+    assert digest == "e91db98b3bc85482cf61f51c5912f704c7e7608d0d8fcc8fa0f52af28de309ed"
+    assert outputs[1] == outputs[0]
 
 
 def test_prepare_rejects_channel_count_naming_trial():

@@ -8,7 +8,9 @@ import pytest
 from covdec import autodiff as ad
 from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, init_dae_params, init_head_params
-from covdec.branches import extract_features_batch, init_cnn_params, init_rnn_params
+from covdec.branches import (
+    extract_features_batch, init_cnn_params, init_rnn_params, split_rnn_gates,
+)
 from covdec.config import TrainConfig
 from covdec.covariance import NormStats, Trial, ccv, standardize
 from covdec.data import SynthSpec, gen_synth
@@ -52,12 +54,12 @@ def synth_trials(seed=5, per_class=8, channels=6, samples=64, classes=3, noise=0
 
 def prepared(trials, config):
     train_t, val_t = split(trials, config.split_fraction, config.seed, config.classes)
-    train_covs, norm = standardize([ccv(t, config.tau) for t in train_t])
-    val_covs, _ = standardize([ccv(t, config.tau) for t in val_t], norm)
+    train_mats, norm = standardize(np.stack([ccv(t, config.tau).values for t in train_t]))
+    val_mats, _ = standardize(np.stack([ccv(t, config.tau).values for t in val_t]), norm)
     return (
-        np.stack([c.values for c in train_covs]),
+        train_mats,
         np.array([t.label for t in train_t], dtype=np.int64),
-        np.stack([c.values for c in val_covs]),
+        val_mats,
         np.array([t.label for t in val_t], dtype=np.int64),
     )
 
@@ -153,9 +155,10 @@ def test_initial_weights_are_pinned(order, digest):
     # default widths, 8 channels: names, draws, shapes and order of all four stores
     config = TrainConfig(seed=11, rnn_order=order).validate()
     seeds = _derived_seeds(11)
+    # the RNN store as rnn.cvdp lays it out: per-gate entries in file order
     stores = [
         init_cnn_params(config, 8, seeds["cnn_init"]),
-        init_rnn_params(config, 8, seeds["rnn_init"]),
+        split_rnn_gates(init_rnn_params(config, 8, seeds["rnn_init"])),
         init_dae_params(config, seeds["dae_init"]),
         init_head_params(config, seeds["head_init"]),
     ]
