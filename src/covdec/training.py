@@ -11,6 +11,7 @@ minimum validation loss.
 
 from __future__ import annotations
 
+import ctypes
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -28,6 +29,30 @@ from .config import TrainConfig
 from .covariance import NormStats, Trial, covariances, prepare, standardize
 from .errors import DataError, NumericError
 from .params import ParamStore, adam_step
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+
+try:  # glibc's; other C libraries have none
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def release_freed_memory() -> None:
+    """Hand the heap pages freed since the last call back to the OS.
+
+    glibc returns freed heap memory on its own only from the top of the heap,
+    so after a training run the process keeps the pages of every freed tape
+    whenever some small live object happens to sit above them, and its size
+    then depends on where that object landed. malloc_trim(0) releases every
+    whole free page wherever it lies. A no-op without glibc.
+    """
+    if _malloc_trim is not None:
+        _malloc_trim(0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,4 +473,5 @@ def run_training(
     val_eval = _score(val_labels, val_pred, config.classes)
     clock["eval"] = time.perf_counter() - t0
 
+    release_freed_memory()
     return RunOutcome(artifacts, stage1, stage2, stage3, train_eval, val_eval, clock)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from covdec import autodiff as ad
+from covdec import training
 from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, init_dae_params, init_head_params
 from covdec.branches import (
@@ -408,6 +409,36 @@ def test_streamed_trials_are_held_one_at_a_time_with_identical_results():
     assert counter.made == len(trials)
     assert counter.peak == 1
     assert _eval_bytes(result) == _eval_bytes(evaluate(trials, listed.artifacts))
+
+
+def _resident_bytes() -> int:
+    with open("/proc/self/statm") as f:
+        return int(f.read().split()[1]) * 4096
+
+
+@pytest.mark.skipif(training._malloc_trim is None, reason="needs glibc malloc_trim")
+def test_release_freed_memory_returns_pages_pinned_below_a_live_block():
+    # 64 KiB blocks come from the heap, not from mmap; the small block made
+    # after them sits above, so freeing them alone gives nothing back
+    blocks = [bytearray(64 * 1024) for _ in range(400)]
+    for b in blocks:  # touch every page: fresh heap from calloc is not written
+        b[::4096] = b"\1" * 16
+    pin = bytearray(1024)
+    del blocks
+    before = _resident_bytes()
+    training.release_freed_memory()
+    assert before - _resident_bytes() > 400 * 64 * 1024 // 2
+    del pin
+
+
+def test_run_training_releases_freed_memory_once_at_the_end(monkeypatch):
+    calls = []
+    real_stage3 = training.train_stage3
+    monkeypatch.setattr(training, "train_stage3",
+                        lambda *a, **k: calls.append("stage3") or real_stage3(*a, **k))
+    monkeypatch.setattr(training, "release_freed_memory", lambda: calls.append("release"))
+    run_training(synth_trials(), ["a", "b", "c"], small_config())
+    assert calls == ["stage3", "release"]
 
 
 def test_final_evaluation_equals_evaluate_matrices_on_each_split():
