@@ -158,7 +158,7 @@ def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore
     _add_lstm_params(store, "lstm2", rng, hidden1, hidden2)
     store.add("out.w", _out_layer(rng, (config.rnn_feature, config.classes)))
     store.add("out.b", np.zeros(config.classes))
-    return join_rnn_gates(store, "rnn")
+    return join_rnn_gates({name: node.value for name, node in store.items()}, "rnn")
 
 
 def split_rnn_gates(params: ParamStore) -> ParamStore:
@@ -176,9 +176,10 @@ def split_rnn_gates(params: ParamStore) -> ParamStore:
     return out
 
 
-def join_rnn_gates(entries: ParamStore, source: str) -> ParamStore:
-    """The RNN store of a store in the rnn.cvdp layout: each LSTM layer's
-    per-gate entries joined into its fused wx, wh and b (`autodiff.lstm`).
+def join_rnn_gates(entries: dict[str, np.ndarray], source: str) -> ParamStore:
+    """The RNN store of the arrays of the rnn.cvdp layout, name -> array:
+    each LSTM layer's per-gate entries joined into its fused wx, wh and b
+    (`autodiff.lstm`), every parameter an owned copy.
 
     A missing entry, or a gate entry whose shape is not its layer's
     (wx_* [d, H], wh_* [H, H], b_* [H], with H from b_i and d from wx_i),
@@ -186,25 +187,25 @@ def join_rnn_gates(entries: ParamStore, source: str) -> ParamStore:
     """
     require(entries, RNN_FILE_NAMES, source)
     for layer in _LSTM_LAYERS:
-        h = entries[f"{layer}.b_i"].value.size
-        wx_i = entries[f"{layer}.wx_i"].value
+        h = entries[f"{layer}.b_i"].size
+        wx_i = entries[f"{layer}.wx_i"]
         want = {"wx": (wx_i.shape[0] if wx_i.ndim == 2 else 0, h), "wh": (h, h), "b": (h,)}
         for gate in _FILE_GATES:
             for kind, shape in want.items():
                 name = f"{layer}.{kind}_{gate}"
-                if entries[name].value.shape != shape:
+                if entries[name].shape != shape:
                     raise StateError(
-                        f"{source}: '{name}' has shape {entries[name].value.shape}, "
+                        f"{source}: '{name}' has shape {entries[name].shape}, "
                         f"but the gates of {layer} want {shape}"
                     )
     store = ParamStore()
     for param in RNN_PARAM_NAMES:
         layer, _, kind = param.partition(".")
         if layer in _LSTM_LAYERS:
-            parts = [entries[f"{layer}.{kind}_{gate}"].value for gate in ad.LSTM_GATES]
-            store.add(param, np.concatenate(parts, axis=-1))
+            parts = [entries[f"{layer}.{kind}_{gate}"] for gate in ad.LSTM_GATES]
+            store.add(param, np.concatenate(parts, axis=-1, dtype=np.float64))
         else:
-            store.add(param, entries[param].value)
+            store.add(param, np.array(entries[param], np.float64))
     return store
 
 

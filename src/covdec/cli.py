@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -72,6 +73,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="summarize a run directory")
     p.add_argument("--run", required=True, help="run directory")
     p.set_defaults(func=_cmd_report)
+
+    # an argument that starts like a number ("-1e3", "-1e-3") is a value, not
+    # an option; argparse before Python 3.13 reads only plain decimals so
+    for p in sub.choices.values():
+        p._negative_number_matcher = re.compile(r"-\.?\d")
     return parser
 
 

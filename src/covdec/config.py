@@ -17,7 +17,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, CovdecError
+from .errors import ConfigError
+from .files import key_values, read_file
 
 RNN_ORDERS = ("fc-first", "lstm-first")
 RNN_AXES = ("rows", "cols")
@@ -133,30 +134,14 @@ def config_from_dict(values: dict) -> TrainConfig:
     return TrainConfig(**coerced).validate()
 
 
-def _read_utf8(path: Path, error: type[CovdecError]) -> str:
-    """Text of a UTF-8 file; invalid bytes raise `error` with the byte offset."""
-    try:
-        return path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: invalid UTF-8 at byte {exc.start}") from None
-
-
-def _read_key_values(path: Path, error: type[CovdecError]) -> list[tuple[int, str, str]]:
-    """(line number, key, value) per "key = value" line; '#' starts a comment.
-
-    Invalid UTF-8 and a line without '=' raise `error`; the caller checks
-    that the path is a regular file and what the keys mean.
-    """
-    entries = []
-    for lineno, raw in enumerate(_read_utf8(path, error).splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise error(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-        key, value = (s.strip() for s in line.split("=", 1))
-        entries.append((lineno, key, value))
-    return entries
+def _config_values(data: bytes, path: Path) -> dict[str, str]:
+    """Raw key -> value strings of the config text `data`, read from `path`."""
+    values: dict[str, str] = {}
+    for lineno, key, value in key_values(data, path, ConfigError):
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        values[key] = value
+    return values
 
 
 def read_config_values(path: str | Path) -> dict[str, str]:
@@ -167,14 +152,12 @@ def read_config_values(path: str | Path) -> dict[str, str]:
     config_from_dict.
     """
     p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"config file not found: {p}")
-    values: dict[str, str] = {}
-    for lineno, key, value in _read_key_values(p, ConfigError):
-        if key in values:
-            raise ConfigError(f"{p}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
+    return _config_values(read_file(p, "config file not found", ConfigError), p)
+
+
+def config_from_bytes(data: bytes, path: Path) -> TrainConfig:
+    """The config whose file text, read from `path`, is `data`."""
+    return config_from_dict(_config_values(data, path))
 
 
 def config_from_file(path: str | Path) -> TrainConfig:

@@ -29,7 +29,7 @@ class Trial:
                 f"trial '{self.trial_id}': need at least 2 channels x 2 samples, "
                 f"got shape {arr.shape}"
             )
-        if not np.all(np.isfinite(arr)):
+        if not np.isfinite(arr).all():
             raise DataError(f"trial '{self.trial_id}': non-finite samples")
         object.__setattr__(self, "data", arr)
 
@@ -60,6 +60,12 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
     W = T - |lag| overlapping samples, with mu the per-channel mean of that
     window. lag 0 is the ordinary sample covariance, mirrored for exact
     symmetry.
+    """
+    return CovMatrix(_ccv(trial.data, lag), lag)
+
+
+def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
+    """ccv's [C, C] values for the [C, T] samples `x`.
 
     At lag 0 the window is centred once and multiplied by a copy of itself.
     The copy is needed for the bits: `a @ a.T` on one buffer makes numpy call
@@ -68,7 +74,7 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
     which is what `mean` computes, and the result is mirrored from its upper
     triangle.
     """
-    t_len = trial.samples
+    channels, t_len = x.shape
     if abs(lag) >= t_len:
         raise ConfigError(f"lag {lag} out of range for {t_len}-sample trial")
     window = t_len - abs(lag)
@@ -76,20 +82,20 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
         raise DataError(f"degenerate {window}-sample overlap for lag {lag}")
 
     if lag == 0:
-        a = trial.data - trial.data.sum(axis=1, keepdims=True) / window
+        a = x - x.sum(axis=1, keepdims=True) / window
         m = (a @ a.copy().T) / (window - 1)
-        rows, cols = _strict_lower(trial.channels)
+        rows, cols = _strict_lower(channels)
         m[rows, cols] = m[cols, rows]
-        return CovMatrix(m, lag)
+        return m
     if lag > 0:
-        a = trial.data[:, : window]
-        b = trial.data[:, lag : lag + window]
+        a = x[:, : window]
+        b = x[:, lag : lag + window]
     else:
-        a = trial.data[:, -lag :]
-        b = trial.data[:, : window]
+        a = x[:, -lag :]
+        b = x[:, : window]
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
-    return CovMatrix((a @ b.T) / (window - 1), lag)
+    return (a @ b.T) / (window - 1)
 
 
 @lru_cache(maxsize=16)
@@ -142,16 +148,17 @@ def covariances(
     covs: list[np.ndarray] = []
     labels: list[int] = []
     for trial in trials:
+        x = trial.data
         if channels is None:
-            channels = trial.channels
-        if trial.channels != channels:
+            channels = x.shape[0]
+        if x.shape[0] != channels:
             raise DataError(
-                f"trial '{trial.trial_id}' has {trial.channels} channels, "
+                f"trial '{trial.trial_id}' has {x.shape[0]} channels, "
                 f"expected {channels}"
             )
-        covs.append(ccv(trial, tau).values)
+        covs.append(_ccv(x, tau))
         labels.append(trial.label)
-        del trial  # release it before the source makes the next one
+        del trial, x  # release the trial before the source makes the next one
     mats = np.stack(covs) if covs else np.empty((0, 0, 0))
     return mats, np.array(labels, dtype=np.int64)
 

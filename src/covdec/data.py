@@ -28,9 +28,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .config import _read_key_values
 from .covariance import Trial
 from .errors import ConfigError, DataError, ParseError
+from .files import key_values, read_file
 
 TRIAL_MAGIC = b"EEGT"
 TRIAL_VERSION = 1
@@ -78,10 +78,8 @@ def load_trial(
     subject_id: str = "",
 ) -> tuple[Trial, float]:
     """Read one trial file; returns (trial, sample_rate_hz)."""
-    p = Path(path)
-    if not p.is_file():
-        raise DataError(f"trial file not found: {p}")
-    blob = p.read_bytes()
+    p = path if isinstance(path, Path) else Path(path)  # a manifest's Path is kept as it is
+    blob = read_file(p, "trial file not found", DataError)
     if len(blob) < _HEADER.size:
         raise ParseError(
             f"{p}: truncated at byte {len(blob)} "
@@ -133,13 +131,12 @@ class Manifest:
 
 def load_manifest(path: str | Path) -> Manifest:
     p = Path(path)
-    if not p.is_file():
-        raise DataError(f"manifest not found: {p}")
+    data = read_file(p, "manifest not found", DataError)
     task, subject, classes = "", "", []
     trial_paths: list[Path] = []
     # resolved once: an entry is joined to it as written, not resolved itself
     root = p.parent.resolve()
-    for lineno, key, value in _read_key_values(p, ParseError):
+    for lineno, key, value in key_values(data, p, ParseError):
         if key == "task":
             task = value
         elif key == "subject":

@@ -35,6 +35,7 @@ import numpy as np
 
 from .autodiff import Node
 from .errors import ConfigError, NumericError, ParseError, StateError
+from .files import read_file
 
 MAGIC = b"CVDP"
 FORMAT_VERSION = 1
@@ -225,29 +226,50 @@ _U32 = struct.Struct("<I")
 def load(path: str | Path) -> ParamStore:
     """Read a CVDP file back into a ParamStore; moment entries are dropped.
 
-    Every header is walked and checked (truncation, names, dims, trailing
-    bytes) before any payload is read; the payloads are then copied out and
-    checked for non-finite values in entry order.
+    The store holds an owned, aligned copy of each parameter entry's payload
+    (`read_entries` lists the checks).
     """
     p = Path(path)
-    try:
-        data = p.read_bytes()
-    except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
-        raise ParseError(f"weight file not found: {p}") from None
+    return store_of(owned(read_entries(read_file(p, "weight file not found", ParseError), p)))
+
+
+def owned(views: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """An owned, aligned float64 copy of each array, names and order kept."""
+    return {name: np.array(view, np.float64) for name, view in views.items()}
+
+
+def store_of(arrays: dict[str, np.ndarray]) -> ParamStore:
+    """A store of the given float64 arrays, in order, each held as it is; the
+    names are taken as checked (`read_entries` checks a file's)."""
+    store = ParamStore()
+    for name, arr in arrays.items():
+        store._nodes[name] = Node(arr, op="param")
+    return store
+
+
+def read_entries(data: bytes, path: Path) -> dict[str, np.ndarray]:
+    """The parameter entries of the CVDP file bytes `data`, read from `path`:
+    name -> a read-only view of its payload in `data`, in file order.
+
+    Every header is walked and checked (truncation, names, dims, trailing
+    bytes) before any payload is read; the payloads are then checked for
+    non-finite values in entry order, and the moment entries for pairing
+    before they are dropped.
+    """
     end = len(data)
 
     def truncated(off: int, n: int) -> ParseError:
-        return ParseError(f"{p}: truncated at byte {off} (need {n} bytes, {end - off} available)")
+        return ParseError(f"{path}: truncated at byte {off} (need {n} bytes, {end - off} available)")
 
     if end < 4:
         raise truncated(0, 4)
     if data[:4] != MAGIC:
-        raise ParseError(f"{p}: bad magic {data[:4]!r} at byte 0 (expected {MAGIC!r})")
+        raise ParseError(f"{path}: bad magic {data[:4]!r} at byte 0 (expected {MAGIC!r})")
     if end < 8:
         raise truncated(4, 4)
     (version,) = _U32.unpack_from(data, 4)
     if version != FORMAT_VERSION:
-        raise ParseError(f"{p}: unsupported format version {version}")
+        raise ParseError(f"{path}: unsupported format version {version}")
     if end < 12:
         raise truncated(8, 4)
     (count,) = _U32.unpack_from(data, 8)
@@ -268,7 +290,7 @@ def load(path: str | Path) -> ParamStore:
         try:
             name = data[off : off + n].decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError(f"{p}: entry name is not valid UTF-8 at byte {off + exc.start}") from None
+            raise ParseError(f"{path}: entry name is not valid UTF-8 at byte {off + exc.start}") from None
         off += n
         if off + 4 > end:
             raise truncated(off, 4)
@@ -282,42 +304,40 @@ def load(path: str | Path) -> ParamStore:
         if off + 8 * size > end:
             raise truncated(off, 8 * size)
         if not name:
-            raise ParseError(f"{p}: empty entry name at byte {start}")
+            raise ParseError(f"{path}: empty entry name at byte {start}")
         if _is_reserved(name):
             moments.append(name)
         elif name in params:
-            raise ParseError(f"{p}: duplicate entry '{name}' at byte {start}")
+            raise ParseError(f"{path}: duplicate entry '{name}' at byte {start}")
         else:
             params.add(name)
         try:
             view = np.frombuffer(data, "<f8", size, off).reshape(dims)
         except ValueError as exc:  # more dims than numpy takes, or a 0 beside huge dims
             raise ParseError(
-                f"{p}: entry '{name}' at byte {start} has {rank} dims that no array can hold ({exc})"
+                f"{path}: entry '{name}' at byte {start} has {rank} dims that no array can hold ({exc})"
             ) from None
         entries.append((name, start, view))
         off += 8 * size
     if off != end:
-        raise ParseError(f"{p}: {end - off} trailing bytes at byte {off}")
+        raise ParseError(f"{path}: {end - off} trailing bytes at byte {off}")
 
-    # pass 2: payloads, copied into aligned arrays; names are checked, so
-    # nodes go into the store without ParamStore.add's checks
-    store = ParamStore()
-    for name, start, view in entries:
-        arr = view.astype(np.float64)
-        if not np.isfinite(arr).all():
-            raise ParseError(f"{p}: non-finite values in entry '{name}' at byte {start}")
-        if name in params:
-            store._nodes[name] = Node(arr, op="param")
+    # pass 2: payloads. A finite sum proves every value finite; a sum that
+    # overflowed, or met an inf or NaN, sends its entry to the exact check
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [view.sum() for _, _, view in entries]
+    for (name, start, view), total in zip(entries, sums):
+        if not math.isfinite(total) and not np.isfinite(view).all():
+            raise ParseError(f"{path}: non-finite values in entry '{name}' at byte {start}")
 
     paired: dict[str, set[str]] = {_ADAM_M: set(), _ADAM_V: set()}
     for full_name in moments:
         base, sep, suffix = full_name.rpartition("::")
         if sep + suffix not in paired:
-            raise ParseError(f"{p}: unrecognized reserved entry '{full_name}'")
-        if base not in store:
-            raise ParseError(f"{p}: moment entry '{full_name}' has no parameter")
+            raise ParseError(f"{path}: unrecognized reserved entry '{full_name}'")
+        if base not in params:
+            raise ParseError(f"{path}: moment entry '{full_name}' has no parameter")
         paired[sep + suffix].add(base)
     if paired[_ADAM_M] != paired[_ADAM_V]:
-        raise ParseError(f"{p}: unpaired Adam moment entries")
-    return store
+        raise ParseError(f"{path}: unpaired Adam moment entries")
+    return {name: view for name, _, view in entries if name in params}

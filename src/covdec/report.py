@@ -23,9 +23,10 @@ import numpy as np
 
 from . import params as pstore
 from .branches import join_rnn_gates, split_rnn_gates
-from .config import _read_utf8, config_from_file, write_config
+from .config import config_from_bytes, write_config
 from .covariance import STD_FLOOR, NormStats
-from .errors import CovdecError, ParseError, StateError
+from .errors import ParseError, StateError
+from .files import decode_utf8, read_file
 from .training import CurvePoint, PipelineArtifacts, RunOutcome
 
 REPORT_FORMAT_VERSION = 1
@@ -83,9 +84,8 @@ def write_curves_csv(path: str | Path, curves: list[CurvePoint]) -> None:
 
 def read_curves_csv(path: str | Path) -> list[CurvePoint]:
     p = Path(path)
-    if not p.is_file():
-        raise StateError(f"missing curves file: {p}")
-    reader = csv.DictReader(io.StringIO(_read_utf8(p, ParseError), newline=""))
+    text = decode_utf8(read_file(p, "missing curves file", StateError), p, ParseError)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
     out = []
     try:
         for row in reader:
@@ -135,32 +135,27 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
     (out / "report.json").write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
 
 
-def _run_file(read, path: Path, missing: str):
-    """read(path); if that fails and path is not a file, StateError `missing`.
-
-    The file is opened once and stat'ed only when reading it failed.
-    """
-    try:
-        return read(path)
-    except (CovdecError, OSError):
-        if path.is_file():
-            raise
-        raise StateError(f"{missing}: {path}") from None
-
-
 def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     """Load a trained run directory; missing or mis-shaped pieces, and weights
     whose widths disagree with config.txt, raise StateError naming the entry
-    as the file holds it; rnn.cvdp's gate entries are fused last."""
+    as the file holds it; rnn.cvdp's gate entries are fused last.
+
+    Each file is read once, and each weight payload copied once out of its
+    file's bytes: rnn.cvdp's by the join, into the fused arrays.
+    """
     run = Path(run_dir)
     paths = {stage: run / f"{stage}.cvdp" for stage in STAGE_FILES + ("norm",)}
-    stores = {stage: _run_file(pstore.load, path, f"missing stage weights '{stage}'")
-              for stage, path in paths.items()}
+    entries = {}
+    for stage, path in paths.items():
+        views = pstore.read_entries(
+            read_file(path, f"missing stage weights '{stage}'", StateError), path)
+        entries[stage] = views if stage == "rnn" else pstore.owned(views)
     config_path = run / "config.txt"
-    config = _run_file(config_from_file, config_path, "missing config echo")
+    config = config_from_bytes(read_file(config_path, "missing config echo", StateError),
+                               config_path)
     classes_path = run / "classes.txt"
-    text = _run_file(lambda path: _read_utf8(path, ParseError), classes_path,
-                     "missing class names")
+    text = decode_utf8(read_file(classes_path, "missing class names", StateError),
+                       classes_path, ParseError)
     classes = [line for line in text.splitlines() if line]
     if len(classes) != config.classes:
         raise StateError(
@@ -168,8 +163,8 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             f"on {config.classes} classes"
         )
     norm_path = paths["norm"]
-    pstore.require(stores["norm"], ("mean", "std"), str(norm_path))
-    mean, std = stores["norm"]["mean"].value, stores["norm"]["std"].value
+    pstore.require(entries["norm"], ("mean", "std"), str(norm_path))
+    mean, std = entries["norm"]["mean"], entries["norm"]["std"]
     if mean.ndim != 2 or mean.shape[0] != mean.shape[1] or std.shape != mean.shape:
         raise StateError(
             f"{norm_path}: mean {mean.shape} and std {std.shape} are not "
@@ -178,8 +173,8 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     if np.any(std < STD_FLOOR):
         raise StateError(f"{norm_path}: std has entries below {STD_FLOOR:g}")
     for stage, name, field in CONFIG_WIDTHS:
-        pstore.require(stores[stage], (name,), str(paths[stage]))
-        shape, width = stores[stage][name].value.shape, getattr(config, field)
+        pstore.require(entries[stage], (name,), str(paths[stage]))
+        shape, width = entries[stage][name].shape, getattr(config, field)
         if shape != (width,):
             raise StateError(
                 f"{paths[stage]}: '{name}' has shape {shape}, but {config_path.name} "
@@ -187,18 +182,19 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             )
     return PipelineArtifacts(
         config=config, classes=classes,
-        cnn=stores["cnn"], rnn=join_rnn_gates(stores["rnn"], str(paths["rnn"])),
-        dae=stores["dae"], head=stores["head"], norm=NormStats(mean, std),
+        cnn=pstore.store_of(entries["cnn"]),
+        rnn=join_rnn_gates(entries["rnn"], str(paths["rnn"])),
+        dae=pstore.store_of(entries["dae"]), head=pstore.store_of(entries["head"]),
+        norm=NormStats(mean, std),
     )
 
 
 def load_report_json(run_dir: str | Path) -> dict:
     """Parse report.json; ParseError names a missing or malformed REPORT_FIELDS field."""
     p = Path(run_dir) / "report.json"
-    if not p.is_file():
-        raise StateError(f"missing report: {p}")
+    text = decode_utf8(read_file(p, "missing report", StateError), p, ParseError)
     try:
-        report = json.loads(_read_utf8(p, ParseError))
+        report = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{p}:{exc.lineno}: invalid JSON ({exc.msg})") from None
     if not isinstance(report, dict):

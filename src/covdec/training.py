@@ -175,9 +175,10 @@ def _fit(
         initial = float(loss_fn(x, y).value) if set_loss is None else set_loss(x, y)
         curves = [point(0, initial)]
 
-    # the untrained weights are checkpoint candidate number zero
+    # the untrained weights are checkpoint candidate number zero; without
+    # patience no checkpoint is restored, so none is taken
     best_val = curves[0].val_loss
-    best_snap = params.snapshot()
+    best_snap = params.snapshot() if patience is not None else None
     best_epoch = 0
     stale = 0
     step = 0
@@ -364,8 +365,7 @@ def evaluate_matrices(
 
 def _score(labels: np.ndarray, predicted: np.ndarray, k: int) -> EvalResult:
     confusion = np.zeros((k, k), dtype=np.int64)
-    for true, pred in zip(labels, predicted):
-        confusion[true, pred] += 1
+    np.add.at(confusion, (labels, predicted), 1)
     total = confusion.sum()
     accuracy = float(np.trace(confusion) / total)
     col = confusion.sum(axis=0).astype(np.float64)

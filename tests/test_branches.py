@@ -303,7 +303,7 @@ def test_rnn_file_layout_splits_and_joins_byte_for_byte(small_rnn):
     for gate in ("i", "f", "g", "o"):
         assert np.array_equal(entries[f"lstm2.wh_{gate}"].value,
                               gate_block(small_rnn["lstm2.wh"].value, gate))
-    joined = join_rnn_gates(entries, "rnn.cvdp")
+    joined = join_rnn_gates({name: node.value for name, node in entries.items()}, "rnn.cvdp")
     assert joined.names() == list(RNN_PARAM_NAMES)
     assert store_bytes(joined) == store_bytes(small_rnn)
 

@@ -1,6 +1,8 @@
+import errno
 import json
 import os
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -439,7 +441,10 @@ def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_pa
     assert "2 class names" in captured.err and "3 classes" in captured.err
 
 
-@pytest.mark.parametrize("name, command, rc", [
+# every input file a command reads: (its name, the command, the exit code
+# when it cannot be read); "-" commands read it from the path given, the
+# others from the run directory
+INPUT_FILES = [
     ("t0000.eegt", "predict-trial", 3),
     ("manifest.txt", "eval-data", 3),
     ("config.txt", "train-config", 2),
@@ -448,13 +453,15 @@ def test_class_names_short_of_model_classes_exits_2(trained_run, dataset, tmp_pa
     ("classes.txt", "predict", 2),
     ("report.json", "report", 2),
     ("curves.csv", "report", 2),
-])
-def test_path_that_is_not_a_file_fails_like_a_missing_one(trained_run, dataset, tmp_path,
-                                                           capsys, name, command, rc):
+]
+
+
+def _reading(trained_run, dataset, tmp_path, name, command):
+    """(the path of the input file, the arguments of a command that reads it),
+    with a copy of the trained run."""
     run = tmp_path / "run"
     shutil.copytree(trained_run, run)
     path = (tmp_path if "-" in command else run) / name
-    path.unlink(missing_ok=True)
     args = {
         "predict-trial": ["predict", "--trial", str(path), "--weights", str(run)],
         "eval-data": ["eval", "--data", str(path), "--weights", str(run)],
@@ -463,13 +470,59 @@ def test_path_that_is_not_a_file_fails_like_a_missing_one(trained_run, dataset, 
         "predict": _predict_args(run, dataset),
         "report": ["report", "--run", str(run)],
     }[command]
+    return path, args
+
+
+def _within(seconds: int, call):
+    """call(), failing the test when it has not returned after `seconds`."""
+    def expire(signum, frame):
+        pytest.fail(f"still blocked after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        return call()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name, command, rc", INPUT_FILES)
+def test_path_that_is_not_a_file_fails_like_a_missing_one(trained_run, dataset, tmp_path,
+                                                           capsys, name, command, rc):
+    path, args = _reading(trained_run, dataset, tmp_path, name, command)
+    path.unlink(missing_ok=True)
     missing = main(args), capsys.readouterr()
     path.mkdir()
     directory = main(args), capsys.readouterr()
-    assert missing == directory
-    assert directory[0] == rc
-    assert directory[1].out == ""
-    assert directory[1].err.startswith("error: ") and str(path) in directory[1].err
+    path.rmdir()
+    os.mkfifo(path)
+    # a FIFO with no writer: reading it as a file would wait for ever
+    fifo = _within(10, lambda: main(args)), capsys.readouterr()
+    assert missing == directory == fifo
+    assert fifo[0] == rc
+    assert fifo[1].out == ""
+    assert fifo[1].err.startswith("error: ") and str(path) in fifo[1].err
+
+
+@pytest.mark.parametrize("name, command, rc", INPUT_FILES)
+def test_unreadable_file_exits_with_its_code_naming_the_path(trained_run, dataset, tmp_path,
+                                                             capsys, monkeypatch, name,
+                                                             command, rc):
+    path, args = _reading(trained_run, dataset, tmp_path, name, command)
+    if not path.exists():
+        path.write_bytes(b"")
+    # as for a file without read permission, which root could still read
+    real_open = os.open
+
+    def refusing_open(file, *rest, **kwargs):
+        if os.fspath(file) == str(path):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(file))
+        return real_open(file, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", refusing_open)
+    assert main(args) == rc
+    assert capsys.readouterr() == ("", f"error: {path}: cannot read (Permission denied)\n")
 
 
 def test_train_out_that_is_not_a_directory_exits_2_before_training(dataset, tmp_path, capsys,
@@ -515,6 +568,21 @@ def test_gen_synth_scale_beyond_float32_exits_2_writing_nothing(tmp_path, capsys
         "", f"error: synth spec {field} must be at most 1e+30 in magnitude, "
             f"got {float(value)}\n")
     assert not out.exists()
+
+
+def test_gen_synth_takes_negative_values_in_exponent_notation(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-synth", "--out", str(out), "--strength", "-1e3", "--trials-per-class", "1"])
+    assert rc == 0
+    assert "signature_strength = -1000.0\n" in (out / "synth.txt").read_text()
+    trials, _ = load(out / "manifest.txt")
+    assert len([t for t in trials if np.isfinite(t.data).all()]) == 3
+    capsys.readouterr()
+    other = tmp_path / "other"
+    rc = main(["gen-synth", "--out", str(other), "--noise", "-1e-3", "--trials-per-class", "1"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: noise sigma must be >= 0, got -0.001\n")
+    assert not other.exists()
 
 
 @pytest.mark.parametrize("flag", ["--noise", "--strength"])

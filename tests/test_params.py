@@ -1,4 +1,5 @@
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -397,3 +398,21 @@ def test_nonfinite_payload_names_the_first_bad_entry(tmp_path):
                           entry("w::adam_v", [0.0])))
     with pytest.raises(ParseError, match="non-finite values in entry 'w::adam_m' at byte 31"):
         ps.load(path)
+
+
+def test_finite_check_by_sum_names_the_entry_and_warns_of_nothing(tmp_path):
+    path = tmp_path / "weights.cvdp"
+    # finite values whose sums overflow, to inf and to -inf
+    huge = (entry("w", [1e308, 1e308]), entry("b", [-1e308, -1e308]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning from a sum fails the test
+        path.write_bytes(cvdp(*huge))
+        loaded = ps.load(path)
+        assert loaded["w"].value.tolist() == [1e308, 1e308]
+        assert loaded["b"].value.tolist() == [-1e308, -1e308]
+        # an inf whose sum with -inf is NaN, in the third entry: after the
+        # 12-byte header and two 27-byte entries
+        path.write_bytes(cvdp(*huge, entry("c", [1e308, np.inf, -np.inf]), entry("d", [np.nan])))
+        with pytest.raises(ParseError) as exc:
+            ps.load(path)
+    assert str(exc.value) == f"{path}: non-finite values in entry 'c' at byte 66"
