@@ -6,12 +6,9 @@ trained in three hierarchical stages on a tiny deterministic reverse-mode
 autodiff core.
 """
 
-from .autodiff import Node, softmax
-from .autoenc import dae_encode, dae_loss, head_forward
-from .branches import extract_features
 from .config import TrainConfig
-from .covariance import CovMatrix, NormStats, Trial, ccv, prepare, standardize
-from .data import SynthSpec, gen_synth, load, conversion_contract
+from .covariance import Trial, prepare
+from .data import SynthSpec, gen_synth
 from .errors import (
     ConfigError,
     CovdecError,
@@ -21,40 +18,25 @@ from .errors import (
     ShapeError,
     StateError,
 )
-from .params import ParamStore, adam_step
-from .training import evaluate, predict_batch, run_training, split
+from .training import evaluate, run_training
 
 __version__ = "0.1.0"
 
+# the names the README uses at the top level, and the trial type they take;
+# every other name is imported from its module
 __all__ = [
-    "CovMatrix",
     "ConfigError",
     "CovdecError",
     "DataError",
-    "Node",
-    "NormStats",
     "NumericError",
-    "ParamStore",
     "ParseError",
     "ShapeError",
     "StateError",
     "SynthSpec",
     "TrainConfig",
     "Trial",
-    "adam_step",
-    "ccv",
-    "conversion_contract",
-    "dae_encode",
-    "dae_loss",
     "evaluate",
-    "extract_features",
     "gen_synth",
-    "head_forward",
-    "load",
-    "predict_batch",
     "prepare",
     "run_training",
-    "softmax",
-    "split",
-    "standardize",
 ]

@@ -30,8 +30,8 @@ from .errors import ConfigError, StateError
 from .params import ParamStore, require
 
 # trials per chunk of a forward-only pass over a whole set (feature
-# extraction, a branch's epoch-0 loss and validation), so that its memory
-# does not grow with the set
+# extraction, and the epoch-0 loss and validation of a branch or of the
+# head), so that its memory does not grow with the set
 _CHUNK = 64
 
 
@@ -253,7 +253,9 @@ def rnn_graph(
 def _forward_in_chunks(forward: Callable[[np.ndarray], np.ndarray],
                        mats: np.ndarray) -> np.ndarray:
     """forward(chunk) over consecutive chunks of the [N, ...] batch `mats`,
-    concatenated along the batch axis, recording no backward graph.
+    concatenated along the batch axis, recording no backward graph: the
+    passes of `extract_features_batch`, and the whole-set loss passes
+    (`training._xent_eval`) of the CNN, the RNN and the head.
 
     Every chunk holds `_CHUNK` trials except the last, which takes the
     remainder (up to 2 * _CHUNK - 1; all N when N < _CHUNK). With at least

@@ -15,10 +15,11 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .config import config_from_dict, read_config_values
+from .config import config_from_dict, config_values
 from .covariance import prepare
 from .data import SynthSpec, load, load_trial, write_synth_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
+from .files import read_file
 from .gradcheck import run_suite
 from .report import format_confusion, format_report, load_artifacts, save_run
 from .training import evaluate, predict_batch, run_training
@@ -118,7 +119,10 @@ def _cmd_train(args) -> int:
     # save_run creates --out after the whole training; fail before it instead
     _check_out(args.out)
     trials, manifest = load(args.data)
-    values: dict = read_config_values(args.config) if args.config else {}
+    values: dict = {}
+    if args.config:
+        path = Path(args.config)
+        values = config_values(read_file(path, "config file not found", ConfigError), path)
     if args.seed is not None:
         values["seed"] = args.seed
     if args.epochs is not None:
@@ -159,7 +163,7 @@ def _cmd_eval(args) -> int:
 def _cmd_predict(args) -> int:
     artifacts = load_artifacts(args.weights)
     trial, _ = load_trial(args.trial)
-    mats, _, _ = prepare([trial], artifacts.config.tau, artifacts.norm)
+    mats, _ = prepare([trial], artifacts.config.tau, artifacts.norm)
     labels, probs = predict_batch(mats, artifacts)
     label, probs = int(labels[0]), probs[0]
     print(f"class = {artifacts.classes[label]}")

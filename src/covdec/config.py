@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError
-from .files import key_values, read_file
+from .files import key_values
 
 RNN_ORDERS = ("fc-first", "lstm-first")
 RNN_AXES = ("rows", "cols")
@@ -134,34 +134,19 @@ def config_from_dict(values: dict) -> TrainConfig:
     return TrainConfig(**coerced).validate()
 
 
-def _config_values(data: bytes, path: Path) -> dict[str, str]:
-    """Raw key -> value strings of the config text `data`, read from `path`."""
+def config_values(data: bytes, path: Path) -> dict[str, str]:
+    """Raw key -> value strings of the config text `data`, read from `path`,
+    before coercion.
+
+    Rejects invalid UTF-8, lines without '=' and duplicate keys; unknown keys
+    and bad values are left to config_from_dict.
+    """
     values: dict[str, str] = {}
     for lineno, key, value in key_values(data, path, ConfigError):
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
         values[key] = value
     return values
-
-
-def read_config_values(path: str | Path) -> dict[str, str]:
-    """Raw key -> value strings of a config file, before coercion.
-
-    Rejects a path that is not a regular file, invalid UTF-8, lines without
-    '=' and duplicate keys; unknown keys and bad values are left to
-    config_from_dict.
-    """
-    p = Path(path)
-    return _config_values(read_file(p, "config file not found", ConfigError), p)
-
-
-def config_from_bytes(data: bytes, path: Path) -> TrainConfig:
-    """The config whose file text, read from `path`, is `data`."""
-    return config_from_dict(_config_values(data, path))
-
-
-def config_from_file(path: str | Path) -> TrainConfig:
-    return config_from_dict(read_config_values(path))
 
 
 def write_config(path: str | Path, config: TrainConfig) -> None:

@@ -164,20 +164,18 @@ def covariances(
 
 
 def prepare(
-    trials: Iterable[Trial], tau: int, norm: NormStats | None = None
-) -> tuple[np.ndarray, np.ndarray, NormStats]:
-    """Trials -> (standardized [N, C, C] lag-tau covariances, labels, stats).
+    trials: Iterable[Trial], tau: int, norm: NormStats
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trials -> (their lag-tau covariances standardized with `norm` as one
+    [N, C, C] array, labels): the input `evaluate` and `covdec predict` give
+    a trained model.
 
-    The one way trials become model input: fits the statistics when `norm` is
-    None, else applies it. `trials` may be any iterable, read once through
-    `covariances`, so a lazy source holds one raw trial at a time, and the
-    covariance set is standardized where it was stacked. Every trial must
-    have the channel count of the statistics (or of the first trial, when
-    fitting).
+    `trials` may be any iterable, read once through `covariances`, so a lazy
+    source holds one raw trial at a time, and the covariance set is
+    standardized where it was stacked. Every trial must have the channel
+    count of the statistics.
     """
-    channels = None if norm is None else norm.mean.shape[0]
-    mats, labels = covariances(trials, tau, channels)
+    mats, labels = covariances(trials, tau, norm.mean.shape[0])
     if not labels.size:
         raise DataError("prepare: empty trial set")
-    mats, norm = standardize(mats, norm)
-    return mats, labels, norm
+    return standardize(mats, norm)[0], labels

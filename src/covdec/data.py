@@ -211,6 +211,8 @@ class SynthSpec:
     def __post_init__(self):
         if min(self.channels, self.samples, self.classes, self.trials_per_class) < 1:
             raise ConfigError("synth spec fields must be positive")
+        if self.channels < 2:  # a Trial's minimum
+            raise ConfigError(f"synth spec channels must be >= 2, got {self.channels}")
         # NaN compares False against any bound, so finiteness is its own test
         for name, value in (("noise_sigma", self.noise_sigma),
                             ("signature_strength", self.signature_strength)):

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import params as pstore
 from .branches import join_rnn_gates, split_rnn_gates
-from .config import config_from_bytes, write_config
+from .config import config_from_dict, config_values, write_config
 from .covariance import STD_FLOOR, NormStats
 from .errors import ParseError, StateError
 from .files import decode_utf8, read_file
@@ -151,8 +151,8 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             read_file(path, f"missing stage weights '{stage}'", StateError), path)
         entries[stage] = views if stage == "rnn" else pstore.owned(views)
     config_path = run / "config.txt"
-    config = config_from_bytes(read_file(config_path, "missing config echo", StateError),
-                               config_path)
+    config = config_from_dict(config_values(
+        read_file(config_path, "missing config echo", StateError), config_path))
     classes_path = run / "classes.txt"
     text = decode_utf8(read_file(classes_path, "missing class names", StateError),
                        classes_path, ParseError)

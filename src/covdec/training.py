@@ -20,7 +20,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .autoenc import dae_encode, dae_loss, head_graph, init_dae_params, init_head_params
+from .autoenc import (
+    dae_encode, dae_loss, head_forward, head_graph, init_dae_params, init_head_params,
+)
 from .branches import (
     _forward_in_chunks, cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params,
     rnn_graph,
@@ -125,16 +127,12 @@ class StageResult:
     epochs_run: int
 
 
-def _xent_eval(graph_fn, params, x, y, chunked: bool = False) -> tuple[float, float]:
+def _xent_eval(graph_fn, params, x, y) -> tuple[float, float]:
     """(cross-entropy, accuracy) of graph_fn's logits over the whole set (x, y).
 
-    With `chunked`, the network runs in branch chunks and the loss is taken
-    once over all their logits, as a single batch would sum it."""
-
-    def logits(xs: np.ndarray) -> np.ndarray:
-        return graph_fn(xs, params).value
-
-    z = _forward_in_chunks(logits, x) if chunked else logits(x)
+    The network runs in chunks of trials and the loss is taken once over all
+    their logits, as a single batch would sum it."""
+    z = _forward_in_chunks(lambda xs: graph_fn(xs, params).value, x)
     loss = float(ad.softmax_xent(Node(z), y).value)
     acc = float(np.mean(np.argmax(z, axis=1) == y))
     return loss, acc
@@ -217,16 +215,12 @@ def _fit(
     return StageResult(params, curves, best_epoch, epochs_run)
 
 
-def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, *,
-                    chunked: bool = False, **kwargs) -> StageResult:
-    """_fit on cross-entropy of graph_fn's logits, validated on (val_x, val_y).
-
-    With `chunked`, the whole-set passes (the epoch-0 loss and validation)
-    run the network in branch chunks."""
+def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, **kwargs) -> StageResult:
+    """_fit on cross-entropy of graph_fn's logits, validated on (val_x, val_y)."""
     return _fit(
         lambda x, y: ad.softmax_xent(graph_fn(x, params), y), params, train_x, train_y,
-        set_loss=lambda x, y: _xent_eval(graph_fn, params, x, y, chunked)[0],
-        validate=lambda: _xent_eval(graph_fn, params, val_x, val_y, chunked), **kwargs,
+        set_loss=lambda x, y: _xent_eval(graph_fn, params, x, y)[0],
+        validate=lambda: _xent_eval(graph_fn, params, val_x, val_y), **kwargs,
     )
 
 
@@ -261,7 +255,7 @@ def train_stage1(
 
     common = dict(
         lr=config.lr_stage1, epochs=config.epochs_stage1,
-        batch_size=config.batch_size, patience=config.patience, chunked=True,
+        batch_size=config.batch_size, patience=config.patience,
     )
     cnn_result = _fit_classifier(
         cnn_fn, cnn_params, train_mats, train_labels, val_mats, val_labels,
@@ -348,19 +342,8 @@ def predict_batch(mats: np.ndarray, artifacts: PipelineArtifacts) -> tuple[np.nd
 
 def _head_predict(latents: np.ndarray, head: ParamStore) -> tuple[np.ndarray, np.ndarray]:
     """predict_batch from the latent codes on."""
-    with ad.no_grad():
-        logits = head_graph(Node(latents), head).value
-    probs = ad.softmax(logits)
+    probs = ad.softmax(head_forward(latents, head))
     return np.argmax(probs, axis=1), probs
-
-
-def evaluate_matrices(
-    mats: np.ndarray, labels: np.ndarray, artifacts: PipelineArtifacts
-) -> EvalResult:
-    if mats.shape[0] == 0:
-        raise DataError("evaluate: empty trial set")
-    predicted, _ = predict_batch(mats, artifacts)
-    return _score(labels, predicted, artifacts.config.classes)
 
 
 def _score(labels: np.ndarray, predicted: np.ndarray, k: int) -> EvalResult:
@@ -380,8 +363,9 @@ def evaluate(trials: Iterable[Trial], artifacts: PipelineArtifacts) -> EvalResul
     """Full-pipeline evaluation of raw trials against the stored statistics.
 
     `trials` may be any iterable; `prepare` reads it once, a trial at a time."""
-    mats, labels, _ = prepare(trials, artifacts.config.tau, artifacts.norm)
-    return evaluate_matrices(mats, labels, artifacts)
+    mats, labels = prepare(trials, artifacts.config.tau, artifacts.norm)
+    predicted, _ = predict_batch(mats, artifacts)
+    return _score(labels, predicted, artifacts.config.classes)
 
 
 @dataclass

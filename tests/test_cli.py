@@ -14,7 +14,7 @@ import pytest
 import covdec
 import covdec.autodiff
 from covdec.cli import main
-from covdec.config import config_from_file
+from covdec.config import config_from_dict, config_values
 from covdec.data import load
 from covdec.params import ParamStore, load as load_store, save as save_store
 from covdec.report import load_artifacts, load_report_json, read_curves_csv
@@ -123,7 +123,8 @@ def test_zero_epoch_run_keeps_init_weights_and_emits_report(dataset, tmp_path, c
     rc = main(["train", "--data", str(dataset / "manifest.txt"),
                "--out", str(run_dir), "--seed", "4", "--epochs", "0,0,0"])
     assert rc == 0
-    config = config_from_file(run_dir / "config.txt")
+    config_path = run_dir / "config.txt"
+    config = config_from_dict(config_values(config_path.read_bytes(), config_path))
     fresh = init_cnn_params(config, 6, _derived_seeds(4)["cnn_init"])
     saved = load_store(run_dir / "cnn.cvdp")
     assert store_bytes(saved) == store_bytes(fresh)
@@ -567,6 +568,15 @@ def test_gen_synth_scale_beyond_float32_exits_2_writing_nothing(tmp_path, capsys
     assert capsys.readouterr() == (
         "", f"error: synth spec {field} must be at most 1e+30 in magnitude, "
             f"got {float(value)}\n")
+    assert not out.exists()
+
+
+def test_gen_synth_single_channel_exits_2_writing_nothing(tmp_path, capsys):
+    out = tmp_path / "data"
+    rc = main(["gen-synth", "--out", str(out), "--channels", "1", "--samples", "16",
+               "--trials-per-class", "1"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", "error: synth spec channels must be >= 2, got 1\n")
     assert not out.exists()
 
 

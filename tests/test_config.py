@@ -1,26 +1,27 @@
+from pathlib import Path
+
 import pytest
 
-from covdec.config import (
-    TrainConfig,
-    config_from_dict,
-    config_from_file,
-    read_config_values,
-    write_config,
-)
+from covdec.cli import _build_parser
+from covdec.config import TrainConfig, config_from_dict, config_values, write_config
 from covdec.errors import ConfigError
+
+
+def read_config(path: Path) -> TrainConfig:
+    return config_from_dict(config_values(path.read_bytes(), path))
 
 
 def test_roundtrip_through_file(tmp_path):
     config = TrainConfig(seed=42, epochs_stage2=77, patience=None, rnn_order="lstm-first")
     path = tmp_path / "config.txt"
     write_config(path, config)
-    assert config_from_file(path) == config
+    assert read_config(path) == config
 
 
 def test_patience_off_spelling(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("patience = off\n")
-    assert config_from_file(path).patience is None
+    assert read_config(path).patience is None
     assert TrainConfig(patience=None).to_dict()["patience"] == "off"
 
 
@@ -33,7 +34,7 @@ def test_duplicate_key_rejected(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("seed = 1\nseed = 2\n")
     with pytest.raises(ConfigError, match="duplicate"):
-        config_from_file(path)
+        read_config(path)
 
 
 def test_validation_errors():
@@ -68,15 +69,21 @@ def test_feature_width_tracks_rnn_order():
     assert TrainConfig(rnn_order="lstm-first", rnn_fc2=48).rnn_feature == 48
 
 
-def test_missing_config_file():
-    with pytest.raises(ConfigError, match="not found"):
-        config_from_file("/no/such/config.txt")
+def test_missing_config_file(tmp_path):
+    # `covdec train --config` refuses it after reading the manifest, before any trial
+    (tmp_path / "manifest.txt").write_text("task = t\nclasses = a,b\nsubject = s\n")
+    args = _build_parser().parse_args([
+        "train", "--data", str(tmp_path / "manifest.txt"), "--out", str(tmp_path / "run"),
+        "--config", "/no/such/config.txt",
+    ])
+    with pytest.raises(ConfigError, match="^config file not found: /no/such/config.txt$"):
+        args.func(args)
 
 
-def test_read_config_values_keeps_raw_strings(tmp_path):
+def test_config_values_keeps_raw_strings(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("seed = 7  # comment\n\npatience = off\n")
-    assert read_config_values(path) == {"seed": "7", "patience": "off"}
+    assert config_values(path.read_bytes(), path) == {"seed": "7", "patience": "off"}
 
 
 @pytest.mark.parametrize("key, raw", [("seed", "abc"), ("lr_stage1", "fast"), ("patience", "soon")])
@@ -89,5 +96,5 @@ def test_invalid_utf8_config_names_byte(tmp_path):
     path = tmp_path / "config.txt"
     path.write_bytes(b"seed = 1\nrnn_order = \xe9\n")
     with pytest.raises(ConfigError, match=r"config\.txt: invalid UTF-8 at byte 21"):
-        config_from_file(path)
+        read_config(path)
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from covdec.covariance import Trial, ccv, prepare, standardize
+from covdec.covariance import Trial, ccv, covariances, prepare, standardize
 from covdec.errors import ConfigError, DataError
 
 
@@ -189,20 +189,23 @@ def test_std_floor_prevents_blowup():
 def test_prepare_is_ccv_then_standardize():
     rng = np.random.default_rng(20)
     trials = [Trial(rng.normal(size=(4, 30)), k % 2, trial_id=f"t{k}") for k in range(6)]
-    mats, labels, norm = prepare(trials, 1)
-    covs, expected_norm = standardize(np.stack([ccv(t, 1).values for t in trials]))
-    assert np.array_equal(mats, covs)
+    # fitting, as run_training does it
+    covs, labels = covariances(trials, 1)
+    mats, norm = standardize(covs)
+    expected, expected_norm = standardize(np.stack([ccv(t, 1).values for t in trials]))
+    assert np.array_equal(mats, expected)
     assert np.array_equal(norm.mean, expected_norm.mean)
     assert np.array_equal(labels, [0, 1, 0, 1, 0, 1])
-    again, _, same = prepare(trials[:2], 1, norm)
-    assert same is norm and np.array_equal(again, mats[:2])
+    again, again_labels = prepare(trials[:2], 1, norm)
+    assert np.array_equal(again, mats[:2]) and np.array_equal(again_labels, [0, 1])
 
 
 def test_prepare_holds_the_covariance_set_at_most_twice():
     # 200 64-channel trials, streamed: one copy of the set is 6.6 MB. The
     # covariance list and its stacked array coexist for a moment; fitting
-    # adds one temporary copy inside std, after the list is gone. Nothing
-    # else of that size may be alive at once.
+    # (covariances + standardize, as run_training does) adds one temporary
+    # copy inside std, after the list is gone; prepare applies the fitted
+    # stats. Nothing else of that size may be alive at once.
     n, c = 200, 64
     copy = n * c * c * 8
 
@@ -211,21 +214,23 @@ def test_prepare_holds_the_covariance_set_at_most_twice():
         for k in range(count):
             yield Trial(rng.normal(size=(c, 96)), k % 2, trial_id=f"t{k}")
 
-    prepare(trials(2), 0)  # first-call allocations are not the set's
-    peaks, outputs = [], []
-    norm = None
-    for _ in range(2):  # fit, then apply
+    def traced(call):
+        """(call()'s result, the peak of what it allocated)."""
         tracemalloc.start()
         try:
-            mats, _, norm = prepare(trials(n), 0, norm)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            return call(), tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        outputs.append(mats.tobytes())
-    assert max(peaks) <= 2.05 * copy, [p / copy for p in peaks]
-    digest = hashlib.sha256(outputs[0] + norm.mean.tobytes() + norm.std.tobytes()).hexdigest()
+
+    # first-call allocations are not the set's
+    prepare(trials(2), 0, standardize(covariances(trials(2), 0)[0])[1])
+    (fitted, norm), fit_peak = traced(lambda: standardize(covariances(trials(n), 0)[0]))
+    (applied, _), apply_peak = traced(lambda: prepare(trials(n), 0, norm))
+    assert max(fit_peak, apply_peak) <= 2.05 * copy, (fit_peak / copy, apply_peak / copy)
+    digest = hashlib.sha256(fitted.tobytes() + norm.mean.tobytes()
+                            + norm.std.tobytes()).hexdigest()
     assert digest == "e91db98b3bc85482cf61f51c5912f704c7e7608d0d8fcc8fa0f52af28de309ed"
-    assert outputs[1] == outputs[0]
+    assert applied.tobytes() == fitted.tobytes()
 
 
 def test_prepare_rejects_channel_count_naming_trial():
@@ -233,8 +238,8 @@ def test_prepare_rejects_channel_count_naming_trial():
     four = [Trial(rng.normal(size=(4, 30)), 0, trial_id=f"t{k}") for k in range(3)]
     three = Trial(rng.normal(size=(3, 30)), 0, trial_id="odd")
     with pytest.raises(DataError, match="trial 'odd' has 3 channels, expected 4"):
-        prepare(four + [three], 0)
-    _, _, norm = prepare(four, 0)
+        covariances(four + [three], 0)
+    _, norm = standardize(covariances(four, 0)[0])
     with pytest.raises(DataError, match="trial 'odd' has 3 channels, expected 4"):
         prepare([three], 0, norm)
     with pytest.raises(DataError, match="empty"):

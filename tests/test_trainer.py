@@ -8,7 +8,7 @@ import pytest
 from covdec import autodiff as ad
 from covdec import training
 from covdec.autodiff import Node
-from covdec.autoenc import dae_loss, init_dae_params, init_head_params
+from covdec.autoenc import dae_loss, head_graph, init_dae_params, init_head_params
 from covdec.branches import (
     extract_features_batch, init_cnn_params, init_rnn_params, split_rnn_gates,
 )
@@ -21,8 +21,9 @@ from covdec.training import (
     PipelineArtifacts,
     _derived_seeds,
     _fit,
+    _score,
+    _xent_eval,
     evaluate,
-    evaluate_matrices,
     predict_batch,
     run_training,
     split,
@@ -305,7 +306,8 @@ def test_evaluate_perfect_predictions_give_diagonal_confusion():
     artifacts = zero_param_artifacts(config)
     mats = rng.normal(size=(9, 6, 6))
     labels = np.zeros(9, dtype=np.int64)  # zero-param pipeline predicts class 0
-    result = evaluate_matrices(mats, labels, artifacts)
+    predicted, _ = predict_batch(mats, artifacts)
+    result = _score(labels, predicted, config.classes)
     assert result.accuracy == 1.0
     assert np.array_equal(result.confusion, np.diag([9, 0, 0]))
 
@@ -441,16 +443,14 @@ def test_run_training_releases_freed_memory_once_at_the_end(monkeypatch):
     assert calls == ["stage3", "release"]
 
 
-def test_final_evaluation_equals_evaluate_matrices_on_each_split():
-    # run_training scores its stage-3 latents; evaluate_matrices recomputes them
+def test_final_evaluation_equals_evaluate_on_each_split():
+    # run_training scores its stage-3 latents; evaluate recomputes them from the trials
     config = small_config()
     trials = synth_trials()
     outcome = run_training(trials, ["a", "b", "c"], config)
-    train_x, train_y, val_x, val_y = prepared(trials, config)
-    assert (_eval_bytes(outcome.train_eval)
-            == _eval_bytes(evaluate_matrices(train_x, train_y, outcome.artifacts)))
-    assert (_eval_bytes(outcome.val_eval)
-            == _eval_bytes(evaluate_matrices(val_x, val_y, outcome.artifacts)))
+    train_t, val_t = split(trials, config.split_fraction, config.seed, config.classes)
+    assert _eval_bytes(outcome.train_eval) == _eval_bytes(evaluate(train_t, outcome.artifacts))
+    assert _eval_bytes(outcome.val_eval) == _eval_bytes(evaluate(val_t, outcome.artifacts))
 
 
 def _random_artifacts(channels: int) -> PipelineArtifacts:
@@ -496,6 +496,25 @@ def test_chunked_forward_is_byte_identical_to_one_batch(n, monkeypatch):
                                           cfg.rnn_order, cfg.rnn_axis)
         labels, probs = predict_batch(mats, artifacts)
         return features.tobytes(), labels.tobytes(), probs.tobytes()
+
+    chunked = run()
+    monkeypatch.setattr(branches, "_CHUNK", n + 1)  # one chunk: the whole batch
+    assert run() == chunked
+
+
+@pytest.mark.parametrize("n", [63, 64, 127, 128, 129, 240])
+def test_chunked_head_pass_is_byte_identical_to_one_batch(n, monkeypatch):
+    import covdec.branches as branches
+
+    config = TrainConfig(classes=3).validate()
+    head = init_head_params(config, 4)
+    rng = np.random.default_rng(n)
+    latents = np.maximum(rng.normal(size=(n, config.dae_latent)), 0.0)
+    labels = rng.integers(0, config.classes, size=n)
+
+    def run():
+        loss, acc = _xent_eval(lambda z, p: head_graph(Node(z), p), head, latents, labels)
+        return np.float64(loss).tobytes(), np.float64(acc).tobytes()
 
     chunked = run()
     monkeypatch.setattr(branches, "_CHUNK", n + 1)  # one chunk: the whole batch
