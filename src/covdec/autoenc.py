@@ -7,6 +7,11 @@ mirrors them, and trains unsupervised on reconstruction MSE; encoding
 `dae_hidden` and `dae_latent`. The head is a two-layer FC network over latent
 codes, `head_hidden` wide; softmax is applied only inside the loss or at
 predict time.
+
+Each net's parameters, their names, shapes and init rules, are one table
+built from a `TrainConfig`: `dae_layout` and `head_layout`. Init draws from
+it, the name tuples `require` checks are taken from it, and
+`report.load_artifacts` checks a run's weight files against it.
 """
 
 from __future__ import annotations
@@ -15,41 +20,35 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Node
-from .branches import _he, _out_layer, _xavier
 from .config import TrainConfig
-from .params import ParamStore, require
+from .params import Layout, ParamStore, init_store, linear_layout, require
 
-DAE_PARAM_NAMES = (
-    "enc1.w", "enc1.b", "enc2.w", "enc2.b",
-    "dec1.w", "dec1.b", "dec2.w", "dec2.b",
-)
-HEAD_PARAM_NAMES = ("fc1.w", "fc1.b", "out.w", "out.b")
+
+def dae_layout(config: TrainConfig) -> Layout:
+    """The DAE parameters, in init order."""
+    n, hidden, latent = config.feature_width, config.dae_hidden, config.dae_latent
+    return [
+        *linear_layout("enc1", n, hidden, "he"), *linear_layout("enc2", hidden, latent, "he"),
+        *linear_layout("dec1", latent, hidden, "he"), *linear_layout("dec2", hidden, n, "xavier"),
+    ]
+
+
+def head_layout(config: TrainConfig) -> Layout:
+    """The head parameters, in init order."""
+    return [*linear_layout("fc1", config.dae_latent, config.head_hidden, "he"),
+            *linear_layout("out", config.head_hidden, config.classes, "logit")]
+
+
+DAE_PARAM_NAMES = tuple(name for name, _, _ in dae_layout(TrainConfig()))
+HEAD_PARAM_NAMES = tuple(name for name, _, _ in head_layout(TrainConfig()))
 
 
 def init_dae_params(config: TrainConfig, seed: int) -> ParamStore:
-    n, hidden, latent = config.feature_width, config.dae_hidden, config.dae_latent
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    store.add("enc1.w", _he(rng, n, (n, hidden)))
-    store.add("enc1.b", np.zeros(hidden))
-    store.add("enc2.w", _he(rng, hidden, (hidden, latent)))
-    store.add("enc2.b", np.zeros(latent))
-    store.add("dec1.w", _he(rng, latent, (latent, hidden)))
-    store.add("dec1.b", np.zeros(hidden))
-    store.add("dec2.w", _xavier(rng, hidden, n, (hidden, n)))
-    store.add("dec2.b", np.zeros(n))
-    return store
+    return init_store(dae_layout(config), seed)
 
 
 def init_head_params(config: TrainConfig, seed: int) -> ParamStore:
-    latent, hidden, classes = config.dae_latent, config.head_hidden, config.classes
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    store.add("fc1.w", _he(rng, latent, (latent, hidden)))
-    store.add("fc1.b", np.zeros(hidden))
-    store.add("out.w", _out_layer(rng, (hidden, classes)))
-    store.add("out.b", np.zeros(classes))
-    return store
+    return init_store(head_layout(config), seed)
 
 
 def dae_graph(features: Node, params: ParamStore,

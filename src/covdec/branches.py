@@ -9,11 +9,16 @@ once, over the steps of all trials as one [B*C, C] batch. With `lstm-first`
 the LSTMs read the raw steps and the FC pair maps the last hidden state. In
 both nets the last hidden activation is the exported feature; a small affine
 head on top produces logits used only while the branch itself is being
-trained, so feature extraction does not run it. The init functions read every
-width from a `TrainConfig`: the CNN feature is `cnn_feature` wide and the RNN
-feature `rnn_feature`. In memory each LSTM layer is the three fused parameters
-`autodiff.lstm` takes, `lstmN.wx`, `lstmN.wh` and `lstmN.b`; rnn.cvdp keeps
-twelve per-gate entries per layer (`split_rnn_gates`, `join_rnn_gates`).
+trained, so feature extraction does not run it.
+
+Each branch's parameters, their names, shapes and init rules, are one table
+built from a `TrainConfig` and the channel count: `cnn_layout` and
+`rnn_layout`. Init draws from it, the name tuples `require` checks are taken
+from it, and `report.load_artifacts` checks a run's weight files against it.
+The CNN feature is `cnn_feature` wide and the RNN feature `rnn_feature`. In
+memory each LSTM layer is the three fused parameters `autodiff.lstm` takes,
+`lstmN.wx`, `lstmN.wh` and `lstmN.b`; rnn.cvdp, and `rnn_layout`, keep twelve
+per-gate entries per layer (`split_rnn_gates`, `join_rnn_gates`).
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from . import autodiff as ad
 from .autodiff import Node
 from .config import RNN_AXES, RNN_ORDERS, TrainConfig
 from .covariance import CovMatrix
-from .errors import ConfigError, StateError
-from .params import ParamStore, require
+from .errors import ConfigError
+from .params import Layout, ParamStore, init_store, linear_layout, require
 
 # trials per chunk of a forward-only pass over a whole set (feature
 # extraction, and the epoch-0 loss and validation of a branch or of the
@@ -35,77 +40,41 @@ from .params import ParamStore, require
 _CHUNK = 64
 
 
-def _he(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
-def _xavier(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape)
-
-
-def _out_layer(rng: np.random.Generator, shape) -> np.ndarray:
-    # small logit layer so an untrained branch predicts near-uniformly
-    return rng.normal(0.0, 0.01, size=shape)
-
-
 # rnn.cvdp keeps each LSTM layer as twelve per-gate entries, wx_*, wh_* and
-# b_* for each gate in this order, the order init_rnn_params draws them in
+# b_* for each gate in this order (`rnn_layout`)
 _FILE_GATES = ("i", "f", "g", "o")
-_LSTM_LAYERS = ("lstm1", "lstm2")
-
-
-def _add_lstm_params(
-    store: ParamStore, prefix: str, rng: np.random.Generator, d: int, h: int
-) -> None:
-    for gate in _FILE_GATES:
-        store.add(f"{prefix}.wx_{gate}", _xavier(rng, d, h, (d, h)))
-        store.add(f"{prefix}.wh_{gate}", _xavier(rng, h, h, (h, h)))
-        bias = np.full(h, 1.0) if gate == "f" else np.zeros(h)
-        store.add(f"{prefix}.b_{gate}", bias)
 
 
 # ---------------------------------------------------------------------------
 # CNN branch
 # ---------------------------------------------------------------------------
 
-CNN_PARAM_NAMES = (
-    "conv1.w", "conv1.b", "conv2.w", "conv2.b",
-    "fc1.w", "fc1.b", "fc2.w", "fc2.b", "out.w", "out.b",
-)
+
+def cnn_layout(config: TrainConfig, channels: int) -> Layout:
+    """The CNN parameters for `channels`-channel matrices, in init order;
+    raises ConfigError when the two valid convolutions leave no signal."""
+    f1, k1, f2, k2 = (config.cnn_filters1, config.cnn_kernel1,
+                      config.cnn_filters2, config.cnn_kernel2)
+    length = channels - k1 - k2 + 2
+    if length < 1:
+        raise ConfigError(f"cnn needs at least {k1 + k2 - 1} channels, got {channels}")
+    return [
+        ("conv1.w", (f1, channels, k1), ("he", channels * k1, f1 * k1)),
+        ("conv1.b", (f1,), ("zeros",)),
+        ("conv2.w", (f2, f1, k2), ("he", f1 * k2, f2 * k2)),
+        ("conv2.b", (f2,), ("zeros",)),
+        *linear_layout("fc1", f2 * length, config.cnn_fc1, "he"),
+        *linear_layout("fc2", config.cnn_fc1, config.cnn_feature, "he"),
+        *linear_layout("out", config.cnn_feature, config.classes, "logit"),
+    ]
 
 
-def conv_output_length(channels: int, config: TrainConfig) -> int:
-    """Signal length after the two valid convolutions; raises when too small."""
-    l1 = channels - config.cnn_kernel1 + 1
-    l2 = l1 - config.cnn_kernel2 + 1
-    if l2 < 1:
-        raise ConfigError(
-            f"cnn needs at least {config.cnn_kernel1 + config.cnn_kernel2 - 1} "
-            f"channels, got {channels}"
-        )
-    return l2
+# channels set only shapes, never names
+CNN_PARAM_NAMES = tuple(name for name, _, _ in cnn_layout(TrainConfig(), 8))
 
 
 def init_cnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
-    l2 = conv_output_length(channels, config)
-    f1, k1, f2, k2 = (config.cnn_filters1, config.cnn_kernel1,
-                      config.cnn_filters2, config.cnn_kernel2)
-    fc1, feature, classes = config.cnn_fc1, config.cnn_feature, config.classes
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    store.add("conv1.w", _he(rng, channels * k1, (f1, channels, k1)))
-    store.add("conv1.b", np.zeros(f1))
-    store.add("conv2.w", _he(rng, f1 * k2, (f2, f1, k2)))
-    store.add("conv2.b", np.zeros(f2))
-    flat = f2 * l2
-    store.add("fc1.w", _he(rng, flat, (flat, fc1)))
-    store.add("fc1.b", np.zeros(fc1))
-    store.add("fc2.w", _he(rng, fc1, (fc1, feature)))
-    store.add("fc2.b", np.zeros(feature))
-    store.add("out.w", _out_layer(rng, (feature, classes)))
-    store.add("out.b", np.zeros(classes))
-    return store
+    return init_store(cnn_layout(config, channels), seed)
 
 
 def cnn_graph(mats: Node, params: ParamStore, logits: bool = True) -> tuple[Node, Node | None]:
@@ -125,87 +94,67 @@ def cnn_graph(mats: Node, params: ParamStore, logits: bool = True) -> tuple[Node
 # RNN branch
 # ---------------------------------------------------------------------------
 
-RNN_PARAM_NAMES = (
-    "fc1.w", "fc1.b", "fc2.w", "fc2.b",
-    "lstm1.wx", "lstm1.wh", "lstm1.b", "lstm2.wx", "lstm2.wh", "lstm2.b",
-    "out.w", "out.b",
-)
-RNN_FILE_NAMES = (
-    "fc1.w", "fc1.b", "fc2.w", "fc2.b",
-    *(f"{layer}.{kind}_{gate}" for layer in _LSTM_LAYERS for gate in _FILE_GATES
-      for kind in ("wx", "wh", "b")),
-    "out.w", "out.b",
-)
+
+def _lstm_layout(layer: str, d: int, h: int) -> Layout:
+    return [entry for gate in _FILE_GATES for entry in (
+        (f"{layer}.wx_{gate}", (d, h), ("xavier", d, h)),
+        (f"{layer}.wh_{gate}", (h, h), ("xavier", h, h)),
+        (f"{layer}.b_{gate}", (h,), ("ones",) if gate == "f" else ("zeros",)),
+    )]
 
 
-def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
+def rnn_layout(config: TrainConfig, channels: int) -> Layout:
+    """The RNN parameters for `channels`-channel matrices as rnn.cvdp holds
+    them, per-gate LSTM entries included, in init order."""
     order = config.rnn_order
     if order not in RNN_ORDERS:
         raise ConfigError(f"rnn order must be one of {RNN_ORDERS}, got {order!r}")
     fc1, fc2 = config.rnn_fc1, config.rnn_fc2
     hidden1, hidden2 = config.rnn_hidden1, config.rnn_hidden2
-    rng = np.random.default_rng(seed)
-    store = ParamStore()
-    if order == "fc-first":
-        fc_in, lstm_in = channels, fc2
-    else:
-        fc_in, lstm_in = hidden2, channels
-    store.add("fc1.w", _he(rng, fc_in, (fc_in, fc1)))
-    store.add("fc1.b", np.zeros(fc1))
-    store.add("fc2.w", _he(rng, fc1, (fc1, fc2)))
-    store.add("fc2.b", np.zeros(fc2))
-    _add_lstm_params(store, "lstm1", rng, lstm_in, hidden1)
-    _add_lstm_params(store, "lstm2", rng, hidden1, hidden2)
-    store.add("out.w", _out_layer(rng, (config.rnn_feature, config.classes)))
-    store.add("out.b", np.zeros(config.classes))
-    return join_rnn_gates({name: node.value for name, node in store.items()}, "rnn")
+    fc_in, lstm_in = (channels, fc2) if order == "fc-first" else (hidden2, channels)
+    return [
+        *linear_layout("fc1", fc_in, fc1, "he"),
+        *linear_layout("fc2", fc1, fc2, "he"),
+        *_lstm_layout("lstm1", lstm_in, hidden1),
+        *_lstm_layout("lstm2", hidden1, hidden2),
+        *linear_layout("out", config.rnn_feature, config.classes, "logit"),
+    ]
+
+
+RNN_FILE_NAMES = tuple(name for name, _, _ in rnn_layout(TrainConfig(), 8))
+# the in-memory names: each layer's gate entries fused, `lstmN.wx_i` -> `lstmN.wx`
+RNN_PARAM_NAMES = tuple(dict.fromkeys(name.partition("_")[0] for name in RNN_FILE_NAMES))
+
+
+def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
+    return join_rnn_gates(init_store(rnn_layout(config, channels), seed).snapshot())
 
 
 def split_rnn_gates(params: ParamStore) -> ParamStore:
     """The rnn.cvdp layout of an RNN store: each LSTM layer's fused wx, wh
     and b split into its twelve per-gate entries, all entries in file order."""
     require(params, RNN_PARAM_NAMES, "rnn")
-    values = {name: node.value for name, node in params.items()}
-    for layer in _LSTM_LAYERS:
-        for kind in ("wx", "wh", "b"):
-            blocks = np.split(values[f"{layer}.{kind}"], 4, axis=-1)
-            values.update({f"{layer}.{kind}_{g}": v for g, v in zip(ad.LSTM_GATES, blocks)})
     out = ParamStore()
     for name in RNN_FILE_NAMES:
-        out.add(name, values[name])
+        fused, _, gate = name.partition("_")
+        value = params[fused].value
+        if gate:
+            value = np.split(value, 4, axis=-1)[ad.LSTM_GATES.index(gate)]
+        out.add(name, value)
     return out
 
 
-def join_rnn_gates(entries: dict[str, np.ndarray], source: str) -> ParamStore:
-    """The RNN store of the arrays of the rnn.cvdp layout, name -> array:
-    each LSTM layer's per-gate entries joined into its fused wx, wh and b
-    (`autodiff.lstm`), every parameter an owned copy.
-
-    A missing entry, or a gate entry whose shape is not its layer's
-    (wx_* [d, H], wh_* [H, H], b_* [H], with H from b_i and d from wx_i),
-    raises StateError naming `source` and the entry.
-    """
-    require(entries, RNN_FILE_NAMES, source)
-    for layer in _LSTM_LAYERS:
-        h = entries[f"{layer}.b_i"].size
-        wx_i = entries[f"{layer}.wx_i"]
-        want = {"wx": (wx_i.shape[0] if wx_i.ndim == 2 else 0, h), "wh": (h, h), "b": (h,)}
-        for gate in _FILE_GATES:
-            for kind, shape in want.items():
-                name = f"{layer}.{kind}_{gate}"
-                if entries[name].shape != shape:
-                    raise StateError(
-                        f"{source}: '{name}' has shape {entries[name].shape}, "
-                        f"but the gates of {layer} want {shape}"
-                    )
+def join_rnn_gates(entries: dict[str, np.ndarray]) -> ParamStore:
+    """The RNN store of the complete rnn.cvdp layout, name -> array: each
+    LSTM layer's per-gate entries joined into its fused wx, wh and b
+    (`autodiff.lstm`), every parameter an owned copy."""
     store = ParamStore()
     for param in RNN_PARAM_NAMES:
-        layer, _, kind = param.partition(".")
-        if layer in _LSTM_LAYERS:
-            parts = [entries[f"{layer}.{kind}_{gate}"] for gate in ad.LSTM_GATES]
-            store.add(param, np.concatenate(parts, axis=-1, dtype=np.float64))
-        else:
+        if param in entries:
             store.add(param, np.array(entries[param], np.float64))
+        else:
+            parts = [entries[f"{param}_{gate}"] for gate in ad.LSTM_GATES]
+            store.add(param, np.concatenate(parts, axis=-1, dtype=np.float64))
     return store
 
 

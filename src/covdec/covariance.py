@@ -67,12 +67,11 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
 def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
     """ccv's [C, C] values for the [C, T] samples `x`.
 
-    At lag 0 the window is centred once and multiplied by a copy of itself.
-    The copy is needed for the bits: `a @ a.T` on one buffer makes numpy call
-    BLAS `syrk`, whose sums round differently from the `gemm` that two
-    buffers get (entries moved by up to 6.7e-16). The mean is `sum / W`,
-    which is what `mean` computes, and the result is mirrored from its upper
-    triangle.
+    Each window is centred on its own buffer, also at lag 0: `a @ a.T` on one
+    buffer makes numpy call BLAS `syrk`, whose sums round differently from
+    the `gemm` that two buffers get (entries moved by up to 6.7e-16). The
+    mean is `sum / W`, the bits `mean` gives without its call overhead. At
+    lag 0 the result is mirrored from its upper triangle.
     """
     channels, t_len = x.shape
     if abs(lag) >= t_len:
@@ -80,22 +79,15 @@ def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
     window = t_len - abs(lag)
     if window <= 1:
         raise DataError(f"degenerate {window}-sample overlap for lag {lag}")
-
+    # a holds x_i(t) and b x_j(t + lag), each over the window where both exist
+    a, b = (x[:, start : start + window] for start in (max(-lag, 0), max(lag, 0)))
+    a = a - a.sum(axis=1, keepdims=True) / window
+    b = b - b.sum(axis=1, keepdims=True) / window
+    m = (a @ b.T) / (window - 1)
     if lag == 0:
-        a = x - x.sum(axis=1, keepdims=True) / window
-        m = (a @ a.copy().T) / (window - 1)
         rows, cols = _strict_lower(channels)
         m[rows, cols] = m[cols, rows]
-        return m
-    if lag > 0:
-        a = x[:, : window]
-        b = x[:, lag : lag + window]
-    else:
-        a = x[:, -lag :]
-        b = x[:, : window]
-    a = a - a.mean(axis=1, keepdims=True)
-    b = b - b.mean(axis=1, keepdims=True)
-    return (a @ b.T) / (window - 1)
+    return m
 
 
 @lru_cache(maxsize=16)

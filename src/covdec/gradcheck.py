@@ -176,7 +176,7 @@ def _cnn_check(rng) -> CheckResult:
         return ad.softmax_xent(logits, labels)
 
     arrays = [params[n].value for n in params.names()]
-    return _check("cnn_forward", 1e-4, build, arrays)
+    return _check("cnn_graph", 1e-4, build, arrays)
 
 
 def _rnn_check(rng) -> CheckResult:
@@ -190,7 +190,7 @@ def _rnn_check(rng) -> CheckResult:
         return ad.softmax_xent(logits, labels)
 
     arrays = [params[n].value for n in params.names()]
-    return _check("rnn_forward", 1e-4, build, arrays)
+    return _check("rnn_graph", 1e-4, build, arrays)
 
 
 def _dae_check(rng) -> CheckResult:
@@ -212,4 +212,4 @@ def _head_check(rng) -> CheckResult:
         return ad.softmax_xent(head_graph(Node(latents), params), labels)
 
     arrays = [params[n].value for n in params.names()]
-    return _check("head_forward", 1e-4, build, arrays)
+    return _check("head_graph", 1e-4, build, arrays)

@@ -1,4 +1,5 @@
-"""Named parameter collections, the Adam update, and the CVDP weight format.
+"""Named parameter collections, their layouts and init, the Adam update, and
+the CVDP weight format.
 
 In memory, a store packs itself on its first zero_grad() or adam_step(): its
 values, gradients, Adam moments and scratch space move into flat float64
@@ -155,6 +156,40 @@ def require(store: ParamStore, names: Iterable[str], stage: str) -> None:
     missing = [n for n in names if n not in store]
     if missing:
         raise StateError(f"stage '{stage}' missing parameter(s): {', '.join(missing)}")
+
+
+# A stage's parameter layout: its entries in order, each (name, shape, init
+# rule). A weight's rule is ("he" | "xavier" | "logit", fan_in, fan_out), of
+# which he reads fan_in only and logit neither; a constant's is ("zeros",) or
+# ("ones",).
+Layout = list[tuple[str, tuple[int, ...], tuple]]
+
+
+def linear_layout(name: str, n_in: int, n_out: int, rule: str) -> Layout:
+    """The entries of one linear layer: `name.w` [n_in, n_out] drawn by
+    `rule` ("he", "xavier" or "logit"), then `name.b` [n_out] of zeros."""
+    return [(f"{name}.w", (n_in, n_out), (rule, n_in, n_out)),
+            (f"{name}.b", (n_out,), ("zeros",))]
+
+
+def init_store(layout: Layout, seed: int) -> ParamStore:
+    """A store of fresh parameters, one per layout entry in order, each drawn
+    from one generator seeded with `seed`, so the layout fixes the draws."""
+    rng = np.random.default_rng(seed)
+    store = ParamStore()
+    for name, shape, (rule, *fans) in layout:
+        if rule == "he":
+            value = rng.normal(0.0, np.sqrt(2.0 / fans[0]), size=shape)
+        elif rule == "xavier":
+            limit = np.sqrt(6.0 / sum(fans))
+            value = rng.uniform(-limit, limit, size=shape)
+        elif rule == "logit":
+            # small logit layer so an untrained net predicts near-uniformly
+            value = rng.normal(0.0, 0.01, size=shape)
+        else:
+            value = np.full(shape, 1.0 if rule == "ones" else 0.0)
+        store.add(name, value)
+    return store
 
 
 def adam_step(

@@ -22,28 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from . import params as pstore
-from .branches import join_rnn_gates, split_rnn_gates
+from .autoenc import dae_layout, head_layout
+from .branches import cnn_layout, join_rnn_gates, rnn_layout, split_rnn_gates
 from .config import config_from_dict, config_values, write_config
 from .covariance import STD_FLOOR, NormStats
-from .errors import ParseError, StateError
+from .errors import ConfigError, ParseError, StateError
 from .files import decode_utf8, read_file
 from .training import CurvePoint, PipelineArtifacts, RunOutcome
 
 REPORT_FORMAT_VERSION = 1
 
 STAGE_FILES = ("cnn", "rnn", "dae", "head")
-
-# (stage file, bias, config field): each bias is as wide as its field says.
-# Inference reads every width from the weights, so without this check a
-# config.txt that disagrees with them would load and describe another model.
-CONFIG_WIDTHS = (
-    ("cnn", "fc1.b", "cnn_fc1"), ("cnn", "fc2.b", "cnn_feature"),
-    ("rnn", "fc1.b", "rnn_fc1"), ("rnn", "fc2.b", "rnn_fc2"),
-    ("rnn", "lstm1.b_i", "rnn_hidden1"), ("rnn", "lstm2.b_i", "rnn_hidden2"),
-    ("dae", "enc1.b", "dae_hidden"), ("dae", "enc2.b", "dae_latent"),
-    ("head", "fc1.b", "head_hidden"), ("head", "out.b", "classes"),
-)
-
 
 def _number(v, k=None) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
@@ -136,9 +125,10 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
 
 
 def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
-    """Load a trained run directory; missing or mis-shaped pieces, and weights
-    whose widths disagree with config.txt, raise StateError naming the entry
-    as the file holds it; rnn.cvdp's gate entries are fused last.
+    """Load a trained run directory; missing or mis-shaped pieces raise
+    StateError naming the file and the entry as the file holds it. Every
+    weight entry must have the shape its stage's layout gives for config.txt
+    and the channel count of norm.cvdp; rnn.cvdp's gate entries are fused last.
 
     Each file is read once, and each weight payload copied once out of its
     file's bytes: rnn.cvdp's by the join, into the fused arrays.
@@ -172,18 +162,24 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
         )
     if np.any(std < STD_FLOOR):
         raise StateError(f"{norm_path}: std has entries below {STD_FLOOR:g}")
-    for stage, name, field in CONFIG_WIDTHS:
-        pstore.require(entries[stage], (name,), str(paths[stage]))
-        shape, width = entries[stage][name].shape, getattr(config, field)
-        if shape != (width,):
-            raise StateError(
-                f"{paths[stage]}: '{name}' has shape {shape}, but {config_path.name} "
-                f"sets {field} = {width}"
-            )
+    channels = mean.shape[0]
+    try:
+        layouts = {"cnn": cnn_layout(config, channels), "rnn": rnn_layout(config, channels),
+                   "dae": dae_layout(config), "head": head_layout(config)}
+    except ConfigError as exc:  # kernels too wide for the channels of norm.cvdp
+        raise StateError(f"{config_path}: {exc}") from None
+    for stage, layout in layouts.items():
+        pstore.require(entries[stage], [name for name, _, _ in layout], str(paths[stage]))
+        for name, shape, _ in layout:
+            if entries[stage][name].shape != shape:
+                raise StateError(
+                    f"{paths[stage]}: '{name}' has shape {entries[stage][name].shape}, "
+                    f"but {config_path.name} and {norm_path.name} want {shape}"
+                )
     return PipelineArtifacts(
         config=config, classes=classes,
         cnn=pstore.store_of(entries["cnn"]),
-        rnn=join_rnn_gates(entries["rnn"], str(paths["rnn"])),
+        rnn=join_rnn_gates(entries["rnn"]),
         dae=pstore.store_of(entries["dae"]), head=pstore.store_of(entries["head"]),
         norm=NormStats(mean, std),
     )

@@ -684,7 +684,7 @@ def _rnn_gate_reshaped(store):
      "not one square [C, C] shape"),
     ("head.cvdp", _head_out_b_short, "'out.b' has shape (2,)"),
     ("rnn.cvdp", _rnn_gate_reshaped,
-     "'lstm1.wh_g' has shape (5, 20), but the gates of lstm1 want (10, 10)"),
+     "'lstm1.wh_g' has shape (5, 20), but config.txt and norm.cvdp want (10, 10)"),
 ], ids=["norm-no-std", "norm-zero-std", "norm-vector-mean", "norm-not-square",
         "head-two-classes", "rnn-gate-shape"])
 @pytest.mark.parametrize("command", ["predict", "eval"])
@@ -704,33 +704,68 @@ def test_bad_norm_or_head_exits_2(trained_run, dataset, tmp_path, capsys,
     assert str(broken / name) in captured.err and named in captured.err
 
 
-@pytest.mark.parametrize("key, stage, name, width", [
-    ("cnn_fc1", "cnn", "fc1.b", 32), ("cnn_feature", "cnn", "fc2.b", 16),
-    ("rnn_fc1", "rnn", "fc1.b", 16), ("rnn_fc2", "rnn", "fc2.b", 12),
-    ("rnn_hidden1", "rnn", "lstm1.b_i", 10), ("rnn_hidden2", "rnn", "lstm2.b_i", 10),
-    ("dae_hidden", "dae", "enc1.b", 16), ("dae_latent", "dae", "enc2.b", 8),
-    ("head_hidden", "head", "fc1.b", 8),
-])
-@pytest.mark.parametrize("command", ["predict", "eval"])
-def test_config_width_disagreeing_with_weights_exits_2(trained_run, dataset, tmp_path, capsys,
-                                                       key, stage, name, width, command):
-    broken = tmp_path / "broken"
+def _run_with_config_edit(trained_run, broken, dataset, command, line, edited):
+    """The exit code of `covdec predict` or `eval` on `broken`, a copy of the
+    trained run whose config.txt line `line` reads `edited`."""
     shutil.copytree(trained_run, broken)
     config = broken / "config.txt"
     text = config.read_text(encoding="utf-8")
-    assert f"\n{key} = {width}\n" in text
-    config.write_text(text.replace(f"\n{key} = {width}\n", f"\n{key} = 3\n"), encoding="utf-8")
+    assert f"\n{line}\n" in text
+    config.write_text(text.replace(f"\n{line}\n", f"\n{edited}\n"), encoding="utf-8")
     if command == "predict":
-        rc = main(_predict_args(broken, dataset))
-    else:
-        rc = main(["eval", "--data", str(dataset / "manifest.txt"), "--weights", str(broken)])
+        return main(_predict_args(broken, dataset))
+    return main(["eval", "--data", str(dataset / "manifest.txt"), "--weights", str(broken)])
+
+
+# (key, value in the run, edited value, file, first entry that disagrees,
+# its shape, the shape the edited config.txt wants); the run has 6 channels
+@pytest.mark.parametrize("key, value, edit, stage, name, found, want", [
+    ("cnn_filters1", 8, 3, "cnn", "conv1.w", (8, 6, 3), (3, 6, 3)),
+    ("cnn_kernel1", 3, 2, "cnn", "conv1.w", (8, 6, 3), (8, 6, 2)),
+    ("cnn_filters2", 8, 3, "cnn", "conv2.w", (8, 8, 3), (3, 8, 3)),
+    ("cnn_kernel2", 3, 2, "cnn", "conv2.w", (8, 8, 3), (8, 8, 2)),
+    ("cnn_fc1", 32, 3, "cnn", "fc1.w", (16, 32), (16, 3)),
+    ("cnn_feature", 16, 3, "cnn", "fc2.w", (32, 16), (32, 3)),
+    ("rnn_order", "fc-first", "lstm-first", "rnn", "fc1.w", (6, 16), (10, 16)),
+    ("rnn_fc1", 16, 3, "rnn", "fc1.w", (6, 16), (6, 3)),
+    ("rnn_fc2", 12, 3, "rnn", "fc2.w", (16, 12), (16, 3)),
+    ("rnn_hidden1", 10, 3, "rnn", "lstm1.wx_i", (12, 10), (12, 3)),
+    ("rnn_hidden2", 10, 3, "rnn", "lstm2.wx_i", (10, 10), (10, 3)),
+    ("dae_hidden", 16, 3, "dae", "enc1.w", (26, 16), (26, 3)),
+    ("dae_latent", 8, 3, "dae", "enc2.w", (16, 8), (16, 3)),
+    ("head_hidden", 8, 3, "head", "fc1.w", (8, 8), (8, 3)),
+], ids=[
+    "cnn_filters1-cnn-conv1.w-8", "cnn_kernel1-cnn-conv1.w-3", "cnn_filters2-cnn-conv2.w-8",
+    "cnn_kernel2-cnn-conv2.w-3", "cnn_fc1-cnn-fc1.b-32", "cnn_feature-cnn-fc2.b-16",
+    "rnn_order-rnn-fc1.w-fc-first", "rnn_fc1-rnn-fc1.b-16", "rnn_fc2-rnn-fc2.b-12",
+    "rnn_hidden1-rnn-lstm1.b_i-10", "rnn_hidden2-rnn-lstm2.b_i-10", "dae_hidden-dae-enc1.b-16",
+    "dae_latent-dae-enc2.b-8", "head_hidden-head-fc1.b-8",
+])
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_config_width_disagreeing_with_weights_exits_2(trained_run, dataset, tmp_path, capsys,
+                                                       key, value, edit, stage, name, found,
+                                                       want, command):
+    broken = tmp_path / "broken"
+    rc = _run_with_config_edit(trained_run, broken, dataset, command,
+                               f"{key} = {value}", f"{key} = {edit}")
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert str(broken / f"{stage}.cvdp") in captured.err
-    assert f"'{name}' has shape ({width},)" in captured.err
-    assert f"config.txt sets {key} = 3" in captured.err
+    assert (f"'{name}' has shape {found}, but config.txt and norm.cvdp want {want}"
+            in captured.err)
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+def test_config_kernels_too_wide_for_the_channels_exits_2(trained_run, dataset, tmp_path, capsys,
+                                                          command):
+    broken = tmp_path / "broken"
+    rc = _run_with_config_edit(trained_run, broken, dataset, command,
+                               "cnn_kernel1 = 3", "cnn_kernel1 = 5")
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {broken / 'config.txt'}: cnn needs at least 7 channels, got 6\n")
 
 
 def test_python_m_covdec_runs_the_cli(tmp_path):

@@ -15,10 +15,10 @@ EXPECTED_OPS = {
     "softmax_xent": 1e-6,
     "mse": 1e-6,
     "lstm": 1e-5,
-    "cnn_forward": 1e-4,
-    "rnn_forward": 1e-4,
+    "cnn_graph": 1e-4,
+    "rnn_graph": 1e-4,
     "dae_loss": 1e-4,
-    "head_forward": 1e-4,
+    "head_graph": 1e-4,
 }
 
 
