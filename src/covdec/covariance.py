@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -58,8 +57,7 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
 
     out[i, j] = sum_t (x_i(t) - mu_i)(x_j(t + lag) - mu_j) / (W - 1) over the
     W = T - |lag| overlapping samples, with mu the per-channel mean of that
-    window. lag 0 is the ordinary sample covariance, mirrored for exact
-    symmetry.
+    window. lag 0 is the ordinary sample covariance, exactly symmetric.
     """
     return CovMatrix(_ccv(trial.data, lag), lag)
 
@@ -67,33 +65,31 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
 def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
     """ccv's [C, C] values for the [C, T] samples `x`.
 
-    Each window is centred on its own buffer, also at lag 0: `a @ a.T` on one
-    buffer makes numpy call BLAS `syrk`, whose sums round differently from
-    the `gemm` that two buffers get (entries moved by up to 6.7e-16). The
-    mean is `sum / W`, the bits `mean` gives without its call overhead. At
-    lag 0 the result is mirrored from its upper triangle.
+    At lag 0 the trial is centred once, and `a @ a.T` on that one buffer
+    makes numpy call BLAS `syrk`, which is symmetric by construction and does
+    half the multiply-adds. Every other lag centres its two windows on their
+    own and multiplies them with `gemm`. The two kernels may round
+    differently, so lag-0 entries can differ in the last bits from a `gemm`
+    on two buffers. The mean is `sum / W`, the bits `mean` gives without its
+    call overhead.
     """
-    channels, t_len = x.shape
+    t_len = x.shape[1]
     if abs(lag) >= t_len:
         raise ConfigError(f"lag {lag} out of range for {t_len}-sample trial")
     window = t_len - abs(lag)
     if window <= 1:
         raise DataError(f"degenerate {window}-sample overlap for lag {lag}")
-    # a holds x_i(t) and b x_j(t + lag), each over the window where both exist
-    a, b = (x[:, start : start + window] for start in (max(-lag, 0), max(lag, 0)))
-    a = a - a.sum(axis=1, keepdims=True) / window
-    b = b - b.sum(axis=1, keepdims=True) / window
-    m = (a @ b.T) / (window - 1)
     if lag == 0:
-        rows, cols = _strict_lower(channels)
-        m[rows, cols] = m[cols, rows]
+        a = x - x.sum(axis=1, keepdims=True) / window
+        m = a @ a.T
+    else:
+        # a holds x_i(t) and b x_j(t + lag), each over the window where both exist
+        a, b = (x[:, start : start + window] for start in (max(-lag, 0), max(lag, 0)))
+        a = a - a.sum(axis=1, keepdims=True) / window
+        b = b - b.sum(axis=1, keepdims=True) / window
+        m = a @ b.T
+    m /= window - 1
     return m
-
-
-@lru_cache(maxsize=16)
-def _strict_lower(channels: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, cols) of the entries below the diagonal of a [C, C] matrix."""
-    return np.tril_indices(channels, -1)
 
 
 @dataclass(frozen=True)

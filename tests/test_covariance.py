@@ -63,8 +63,10 @@ def test_lagged_matches_brute_force():
 
 def test_zero_lag_symmetry_is_exact():
     rng = np.random.default_rng(12)
-    m = ccv(Trial(rng.normal(size=(6, 40)), label=0)).values
-    assert np.array_equal(m, m.T)
+    # the README and recording shapes included
+    for shape in [(6, 40), (8, 128), (64, 1280)]:
+        m = ccv(Trial(rng.normal(size=shape), label=0)).values
+        assert np.array_equal(m, m.T), shape
 
 
 def test_zero_lag_positive_semidefinite():
@@ -233,6 +235,20 @@ def test_prepare_holds_the_covariance_set_at_most_twice():
     assert applied.tobytes() == fitted.tobytes()
 
 
+def test_zero_lag_ccv_holds_one_centred_copy_of_the_trial():
+    # lag 0 centres the trial once and multiplies that buffer by itself, so
+    # beyond the [C, C] result only one [C, T] copy is alive at a time
+    trial = Trial(np.random.default_rng(42).normal(size=(64, 1280)), label=0)
+    ccv(trial, 0)  # first-call allocations are not the trial's
+    tracemalloc.start()
+    try:
+        ccv(trial, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * trial.data.nbytes, peak / trial.data.nbytes
+
+
 def test_prepare_rejects_channel_count_naming_trial():
     rng = np.random.default_rng(21)
     four = [Trial(rng.normal(size=(4, 30)), 0, trial_id=f"t{k}") for k in range(3)]
@@ -246,20 +262,21 @@ def test_prepare_rejects_channel_count_naming_trial():
         prepare([], 0, norm)
 
 
-def _ccv_two_centrings(data: np.ndarray, lag: int) -> np.ndarray:
-    """The lag-tau covariance as ccv once computed it at every lag: each
-    operand centred on its own, then the lag-0 result mirrored through triu."""
+def _ccv_formula(data: np.ndarray, lag: int) -> np.ndarray:
+    """The lag-tau covariance by its formula, in ccv's float operations:
+    lag 0 centres one copy and takes `a @ a.T` (BLAS syrk); every other lag
+    centres each operand on its own and takes `a @ b.T` (BLAS gemm)."""
     window = data.shape[1] - abs(lag)
-    if lag >= 0:
+    if lag == 0:
+        a = data - data.mean(axis=1, keepdims=True)
+        return (a @ a.T) / (window - 1)
+    if lag > 0:
         a, b = data[:, :window], data[:, lag:lag + window]
     else:
         a, b = data[:, -lag:], data[:, :window]
     a = a - a.mean(axis=1, keepdims=True)
     b = b - b.mean(axis=1, keepdims=True)
-    m = (a @ b.T) / (window - 1)
-    if lag == 0:
-        m = np.triu(m) + np.triu(m, 1).T
-    return m
+    return (a @ b.T) / (window - 1)
 
 
 # every lag that leaves at least 2 overlapping samples
@@ -276,4 +293,4 @@ def test_ccv_bytes_equal_two_centrings_formula(shape, lag, snapped):
         data = data.astype(np.float32).astype(np.float64)
     data[-1] = 2.25  # a flat channel: its centred row is exactly zero
     got = ccv(Trial(data, label=0), lag).values
-    assert got.tobytes() == _ccv_two_centrings(data, lag).tobytes()
+    assert got.tobytes() == _ccv_formula(data, lag).tobytes()

@@ -22,11 +22,11 @@ PINS = {
     "readme": {
         "config": "",
         "files": {
-            "cnn.cvdp": "3372d90a392f5e2c4aca4c3d96a31e9ad4bddb7285b266c8de7ef11c2718378c",
-            "rnn.cvdp": "81a1abbe15f115c9b248540eddb8c47a01a39bbdbb7d476618e566ce410724ea",
-            "dae.cvdp": "e9da106be09b4cae67bf5b7ab8ba1f80658fc4906437f198048ebd4472594f58",
-            "head.cvdp": "d6838eccc52ec5bdcc1097312da6b18855af80f463b86df9ed7f74b27bf7ab51",
-            "norm.cvdp": "db8b0b54f5207f5caec206a73de52e379c0f1b7bcecd6cb973b99f9de0256936",
+            "cnn.cvdp": "13a05f2a5909d0ccc957b56808738a5060ee1bf80062cc52446c597e8e4e038e",
+            "rnn.cvdp": "511cb3060179570d2f73988e88f3290a14b7eae974116a54965cbe95cf021593",
+            "dae.cvdp": "91aa2404174d1144b446b1826560b87e1a65722a866d30f21279256d62a4885c",
+            "head.cvdp": "94455bfdbf5688782062c45c658bd8a6c0618f52f2d5f9c12132ce8a40955802",
+            "norm.cvdp": "c75f8dc201109ed0dad2742b59e965913e8c371e9ea0330af79329fc69ba99d8",
             "curves.csv": "e589e3e2b263bb39f7281a108e7266f536be1b9a2a474e8a0ec1159f4880de2d",
             "config.txt": "06fa4d0e9257ff7022fb0a2d1e6c451f9ddbca8551675e39801afc96aebbab06",
             "classes.txt": "bd4b8b80da3019d65d4062b771326b33da5a8619fd5f9a4d3b50e9aa753d666c",
