@@ -64,12 +64,14 @@ def conversion_contract() -> dict[str, list[str]]:
 
 def save_trial(path: str | Path, trial: Trial, sample_rate_hz: float = 0.0) -> None:
     """Write one trial; float64 samples are stored at float32 precision."""
-    header = _HEADER.pack(
-        TRIAL_MAGIC, TRIAL_VERSION, trial.channels, trial.samples,
-        trial.label, sample_rate_hz,
-    )
-    payload = np.ascontiguousarray(trial.data, dtype="<f4").tobytes()
-    Path(path).write_bytes(header + payload)
+    _write_trial(path, np.ascontiguousarray(trial.data, dtype="<f4"), trial.label, sample_rate_hz)
+
+
+def _write_trial(path: str | Path, x32: np.ndarray, label: int, sample_rate_hz: float) -> None:
+    """Write the C-contiguous "<f4" [channels, samples] array `x32` as one trial file."""
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(TRIAL_MAGIC, TRIAL_VERSION, *x32.shape, label, sample_rate_hz))
+        fh.write(x32)
 
 
 def load_trial(
@@ -242,14 +244,17 @@ def gen_synth(spec: SynthSpec) -> list[Trial]:
     cycle counts, random phases, exactly orthogonal over the window) through a
     class-specific matrix Q_k @ diag(gains), then adds white noise. The class
     covariance is then Q_k diag(gains^2) Q_k^T + noise, so separability decays
-    as noise grows.
+    as noise grows. Every trial is drawn into the same buffers; each Trial
+    holds a float64 copy of its float32 samples, so save -> load is the identity.
     """
-    return list(_synth_trials(spec))
+    return [Trial(x32.astype(np.float64), k, subject_id="synth", trial_id=trial_id)
+            for trial_id, k, x32 in _synth_draws(spec)]
 
 
-def _synth_trials(spec: SynthSpec) -> Iterator[Trial]:
-    """gen_synth's trials, drawn one at a time as they are asked for: the class
-    mixers first, then per trial its frequencies, phases and noise."""
+def _synth_draws(spec: SynthSpec) -> Iterator[tuple[str, int, np.ndarray]]:
+    """(trial id, label, float32 samples) per gen_synth trial, drawn in turn:
+    the class mixers first, then per trial its frequencies, phases and noise.
+    Every trial is drawn into the same buffers, so a draw overwrites the last."""
     rng = np.random.default_rng(spec.seed)
     c, t_len = spec.channels, spec.samples
     gains = np.linspace(1.0, 1.0 + spec.signature_strength, c)
@@ -261,37 +266,42 @@ def _synth_trials(spec: SynthSpec) -> Iterator[Trial]:
         mixers.append(q * gains)
 
     t_axis = np.arange(t_len)
+    sources, x, noise = (np.empty((c, t_len)) for _ in range(3))
+    x32 = np.empty((c, t_len), dtype="<f4")
     for k in range(spec.classes):
         for j in range(spec.trials_per_class):
             freqs = rng.choice(np.arange(1, t_len // 2), size=c, replace=False)
             phases = rng.uniform(0.0, 2.0 * np.pi, size=c)
-            sources = np.sqrt(2.0) * np.sin(
-                2.0 * np.pi * freqs[:, None] * t_axis / t_len + phases[:, None]
-            )
-            x = mixers[k] @ sources
+            # sqrt(2) * sin(2 pi f t / T + phase), in the order the bits depend on
+            np.multiply(2.0 * np.pi * freqs[:, None], t_axis, out=sources)
+            sources /= t_len
+            sources += phases[:, None]
+            np.sin(sources, out=sources)
+            sources *= np.sqrt(2.0)
+            np.matmul(mixers[k], sources, out=x)
             if spec.noise_sigma > 0:
-                x = x + spec.noise_sigma * rng.standard_normal((c, t_len))
-            # snap to storage precision so save -> load is the identity; no
-            # local name, since a suspended generator would keep the trial alive
-            yield Trial(x.astype(np.float32).astype(np.float64), k,
-                        subject_id="synth", trial_id=f"c{k}-t{j:03d}")
+                rng.standard_normal(out=noise)
+                noise *= spec.noise_sigma
+                x += noise
+            np.copyto(x32, x, casting="same_kind")  # stored precision, rounded as astype does
+            yield f"c{k}-t{j:03d}", k, x32
 
 
 def write_synth_dataset(out_dir: str | Path, spec: SynthSpec, task: str = "synth") -> Path:
     """Materialize gen_synth output as trial files plus a manifest.
 
-    Each trial is written as soon as it is drawn, so one trial is in memory
-    at a time."""
+    Each trial is written as soon as it is drawn, its float32 samples straight
+    from the buffer they are drawn into, with no float64 copy."""
     out = Path(out_dir)
     (out / "trials").mkdir(parents=True, exist_ok=True)
     root = out.resolve()  # resolving each trial path would follow a symlinked trials/
     paths = []
-    # no enumerate(): its reused result tuple would keep the last trial alive
-    for trial in _synth_trials(spec):
+    for trial_id, k, x32 in _synth_draws(spec):
+        if not np.isfinite(x32).all():  # the check a Trial makes
+            raise DataError(f"trial '{trial_id}': non-finite samples")
         path = root / "trials" / f"t{len(paths):04d}.eegt"
-        save_trial(path, trial, sample_rate_hz=0.0)
+        _write_trial(path, x32, k, 0.0)
         paths.append(path)
-        del trial  # release it before the generator draws the next one
     manifest = Manifest(
         task=task,
         classes=[f"class{k}" for k in range(spec.classes)],

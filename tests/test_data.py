@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -222,14 +225,93 @@ def test_write_synth_dataset_holds_one_trial_at_a_time(tmp_path, monkeypatch):
     spec = SynthSpec(channels=5, samples=32, classes=2, trials_per_class=3, seed=9)
     counter = TrialCounter()
     monkeypatch.setattr(data, "Trial", lambda *a, **k: counter.register(Trial(*a, **k)))
-    write_synth_dataset(tmp_path, spec)
-    assert (counter.made, counter.peak) == (6, 1)
+    write_synth_dataset(tmp_path / "small", spec)
+    assert counter.made == 0  # the float32 samples are written with no Trial
     monkeypatch.undo()
     # the streamed files hold what gen_synth draws, in its order
-    written = [tmp_path / "trials" / f"t{i:04d}.eegt" for i in range(6)]
+    written = [tmp_path / "small" / "trials" / f"t{i:04d}.eegt" for i in range(6)]
     for path, want in zip(written, gen_synth(spec)):
         got, _ = load_trial(path)
         assert (got.label, got.data.tobytes()) == (want.label, want.data.tobytes())
+
+    # the writer's peak memory does not grow with the number of trials; the
+    # writes above keep one-time allocations of a first call out of both peaks
+    peaks = []
+    for per_class in (2, 12):
+        spec = SynthSpec(channels=64, samples=160, classes=2, trials_per_class=per_class, seed=9)
+        tracemalloc.start()
+        try:
+            write_synth_dataset(tmp_path / f"n{per_class}", spec)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+# sha256 of every file write_synth_dataset writes, for shapes and settings that
+# no run pin covers: the noise draw, a noiseless spec that skips it, and more
+# classes with a negative signature strength
+SYNTH_PINS = {
+    "64x160-noise": (
+        SynthSpec(channels=64, samples=160, classes=2, trials_per_class=2, noise_sigma=0.05,
+                  seed=3),
+        {
+            "manifest.txt": "685a322d719b15c692b29803f10a1c40aab89b48f00e977d2655c25b7a8c4d6c",
+            "trials/t0000.eegt": "d43787bc0683dd7b6539cf72d1f59051369b831eaa9d4b814276fec1c7e60f83",
+            "trials/t0001.eegt": "b43653171c361966cb8804618e97a73c972151908151fbb601376908c4c52a43",
+            "trials/t0002.eegt": "0f9fc90f57c136d2901d3a38a115ac1089d29d8065a7dc353a8d440d4052807b",
+            "trials/t0003.eegt": "52d9df7038b604994f1974e89ceb4abcc89657c64609ac3c2b15f773ad47f34b",
+        },
+    ),
+    "5x40-noiseless": (
+        SynthSpec(channels=5, samples=40, classes=2, trials_per_class=2, noise_sigma=0.0, seed=4),
+        {
+            "manifest.txt": "685a322d719b15c692b29803f10a1c40aab89b48f00e977d2655c25b7a8c4d6c",
+            "trials/t0000.eegt": "6b9d9442ea60008d1106706a2f7c278bd6c49a1e3c612e818339a7b42626d1ad",
+            "trials/t0001.eegt": "065a1a3e7847f8490c93c3f7ec53d65eb5c2798cb9d7670ad1abaaf61b3bd54f",
+            "trials/t0002.eegt": "0555a100004413548824c759931843184b73935cfa090ec662863717786435e6",
+            "trials/t0003.eegt": "0a3dcdfa7f23740270761b291cc989e4f2a58f112bb79328c2563895bf82d35f",
+        },
+    ),
+    "8x128-4class-negative": (
+        SynthSpec(channels=8, samples=128, classes=4, trials_per_class=1,
+                  signature_strength=-0.5, seed=5),
+        {
+            "manifest.txt": "3041da175e4aea5bef4b8284bbe7813a11e513e6fb5a730f9483ed1161127bed",
+            "trials/t0000.eegt": "9dc94c4ce0afc8160dad1686aa5483a95903a55ecc04866ca7604c40ff463739",
+            "trials/t0001.eegt": "5effedad39c6710d951e723d3195fb015ec199ace983680e03d7c4a45c9f80c3",
+            "trials/t0002.eegt": "c5bb4bec5f656a872a2588f00d1d1b2f5aae0115d4b8e856cb9df2b94f64222f",
+            "trials/t0003.eegt": "04b042c28fd46e02a5528c1a8f2b132453c64f2a21ea3238855e9bc062230c7c",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SYNTH_PINS))
+def test_write_synth_dataset_bytes_are_pinned(tmp_path, name):
+    spec, want = SYNTH_PINS[name]
+    write_synth_dataset(tmp_path, spec)
+    got = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert got == want
+
+
+def test_gen_synth_float64_bytes_are_pinned():
+    trials = gen_synth(SYNTH_PINS["64x160-noise"][0])
+    digest = hashlib.sha256(b"".join(t.data.tobytes() for t in trials)).hexdigest()
+    assert digest == "1f0328baed0251d30291715048347d39ab9df3198c5662e1a0deada875296829"
+    assert [(t.label, t.subject_id, t.trial_id) for t in trials] == [
+        (0, "synth", "c0-t000"), (0, "synth", "c0-t001"),
+        (1, "synth", "c1-t000"), (1, "synth", "c1-t001")]
+
+
+def test_write_synth_dataset_rejects_non_finite_samples_before_writing(tmp_path):
+    # SynthSpec bounds keep every sample finite; a spec past them shows the check
+    spec = SynthSpec(trials_per_class=1)
+    object.__setattr__(spec, "noise_sigma", float("inf"))
+    with pytest.raises(DataError, match=r"^trial 'c0-t000': non-finite samples$"):
+        write_synth_dataset(tmp_path, spec)
+    assert list((tmp_path / "trials").iterdir()) == []
 
 
 def test_manifest_entries_through_dotdot_symlinks_and_absolute_paths(tmp_path):
