@@ -1,20 +1,22 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Node pairs a value tensor with a same-shaped gradient buffer, which is
-allocated as zeros on first use: a graph that is only evaluated forward
-allocates no gradient buffers. Operations build a graph of Nodes; calling
-backward() on a scalar result walks the graph exactly once in reverse
-topological order, accumulating (+=) into each .grad. Everything is float64
-and deterministic: two identical backward passes over freshly zeroed
-gradients produce bit-identical results.
+A Node pairs a value tensor with a same-shaped gradient buffer. Inside
+`with tape():` every op result appends itself to the tape, a list in creation
+order. Ops read only older Nodes, so backward() on a scalar result walks its
+tape newest first, a reverse topological order, skipping every node whose
+gradient buffer was never allocated: no gradient reached it. A closure's
+first contribution to a gradient, an array it has just made, becomes that
+node's buffer (`_acc`); later ones are added into it. Two identical backward
+passes over freshly zeroed gradients give bit-identical results.
 
-Inside `with no_grad():` operations record no graph: the Node an op returns
-keeps neither its parents nor its backward closure, so every intermediate
-array (and whatever a closure held for backward, such as conv1d's window
-matrix or lstm's gate history) is freed as soon as the next op has read it.
-Values are bit-identical to a recorded pass. backward() on such a result
-raises StateError. The scope nests, and leaving it, also by an exception,
-restores the state it was entered in.
+backward() empties its tape as it walks and drops each closure it passes, so
+the graph is freed during the walk; leaving the `with` block, also by an
+exception, empties the tape too. A tape opened inside another records until
+it closes. Outside a tape nothing records: an op result keeps no backward
+closure, so every intermediate array (conv1d's window matrix, lstm's gate
+history) is freed as soon as the next op has read it, and values are
+bit-identical to a recorded pass. backward() on such a result, or on one
+whose tape is empty, raises StateError.
 
 Vector arguments may be 1-D ([n]) or batched 2-D ([B, n]); conv1d accepts
 [Cin, L] or [B, Cin, L]; lstm maps a [B, T, d] sequence to [B, T, H] hidden
@@ -32,19 +34,21 @@ import numpy as np
 
 from .errors import ConfigError, DataError, ShapeError, StateError
 
-# False inside no_grad(); a context variable, so that each thread and task
-# has its own scope
-_recording: ContextVar[bool] = ContextVar("covdec_autodiff_recording", default=True)
+# the open tape, or None; a context variable, so that each thread and task
+# records on its own
+_tape: ContextVar[list | None] = ContextVar("covdec_autodiff_tape", default=None)
 
 
 @contextmanager
-def no_grad() -> Iterator[None]:
-    """Scope in which operations build no backward graph (see module docstring)."""
-    token = _recording.set(False)
+def tape() -> Iterator[list]:
+    """Scope whose op results record themselves for backward(); yields the tape."""
+    nodes: list[Node] = []
+    token = _tape.set(nodes)
     try:
-        yield
+        yield nodes
     finally:
-        _recording.reset(token)
+        _tape.reset(token)
+        nodes.clear()
 
 
 def as_tensor(x) -> np.ndarray:
@@ -61,26 +65,21 @@ def as_tensor(x) -> np.ndarray:
 class Node:
     """One vertex of the computation graph.
 
-    `parents` is None for an op result built inside no_grad(): it recorded no
-    graph to differentiate through.
+    A leaf has no backward closure. An op result built inside a tape keeps
+    its closure and that tape; one built outside keeps neither.
     """
 
-    __slots__ = ("value", "_grad", "op", "parents", "_backward")
+    __slots__ = ("value", "_grad", "op", "_backward", "_tape")
 
-    def __init__(
-        self,
-        value,
-        op: str = "leaf",
-        parents: tuple = (),
-        backward: Callable[[np.ndarray], None] | None = None,
-    ):
+    def __init__(self, value, op: str = "leaf",
+                 backward: Callable[[np.ndarray], None] | None = None):
         self.value = as_tensor(value)
         self._grad = None
         self.op = op
-        if parents and not _recording.get():
-            parents, backward = None, None
-        self.parents = parents
-        self._backward = backward
+        self._tape = nodes = _tape.get() if backward is not None else None
+        self._backward = backward if nodes is not None else None
+        if nodes is not None:
+            nodes.append(self)
 
     @property
     def grad(self) -> np.ndarray:
@@ -101,38 +100,28 @@ class Node:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
 
     def backward(self) -> None:
-        """Seed d(self)/d(self) = 1 and propagate to every ancestor once."""
-        if self.parents is None:
+        """Seed d(self)/d(self) = 1; run each reached closure on its tape, newest first."""
+        nodes = self._tape
+        if not nodes:
             raise StateError(
-                f"backward() on a {self.op!r} result built under no_grad(), "
-                f"which recorded no graph"
+                f"backward() on a {self.op!r} result built outside an open "
+                f"autodiff.tape(), which recorded nothing"
             )
-        order = _toposort(self)
-        self.grad = self.grad + np.ones_like(self.value)
-        for node in reversed(order):
-            if node._backward is not None:
-                node._backward(node.grad)
+        _acc(self, np.ones_like(self.value))
+        while nodes:
+            node = nodes.pop()
+            backward, node._backward = node._backward, None
+            if node._grad is not None:
+                backward(node._grad)
 
 
-def _toposort(root: Node) -> list[Node]:
-    # iterative DFS, so graph depth is not bounded by the recursion limit
-    order: list[Node] = []
-    visited: set[int] = set()
-    stack: list[tuple[Node, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        # a no_grad() result reached from a recorded graph is a constant
-        for parent in node.parents or ():
-            if id(parent) not in visited:
-                stack.append((parent, False))
-    return order
+def _acc(node: Node, g: np.ndarray) -> None:
+    # add a gradient contribution that the calling closure has just made and
+    # no one else holds: the first one becomes node's buffer
+    if node._grad is None:
+        node._grad = g
+    else:
+        node._grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +144,7 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     batched = x.value.ndim == 2
 
     def backward(g):
-        x.grad += g @ w.value.T
+        _acc(x, g @ w.value.T)
         if batched:
             w.grad += x.value.T @ g
         else:
@@ -163,8 +152,7 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
         if b is not None:
             b.grad += g.sum(axis=0) if batched else g
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Node(out, "linear", parents, backward)
+    return Node(out, "linear", backward)
 
 
 def reshape(x: Node, shape: Sequence[int]) -> Node:
@@ -173,7 +161,7 @@ def reshape(x: Node, shape: Sequence[int]) -> Node:
     def backward(g):
         x.grad += g.reshape(x.value.shape)
 
-    return Node(x.value.reshape(shape), "reshape", (x,), backward)
+    return Node(x.value.reshape(shape), "reshape", backward)
 
 
 def last_step(x: Node) -> Node:
@@ -184,7 +172,7 @@ def last_step(x: Node) -> Node:
     def backward(g):
         x.grad[:, -1] += g
 
-    return Node(x.value[:, -1], "last_step", (x,), backward)
+    return Node(x.value[:, -1], "last_step", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +182,13 @@ def last_step(x: Node) -> Node:
 
 def relu(x: Node) -> Node:
     """max(x, 0); subgradient at 0 is 0. The backward mask is built only
-    while recording."""
-    mask = x.value > 0 if _recording.get() else None
+    while a tape is open."""
+    mask = x.value > 0 if _tape.get() is not None else None
 
     def backward(g):
-        x.grad += g * mask
+        _acc(x, g * mask)
 
-    return Node(np.maximum(x.value, 0.0), "relu", (x,), backward)
+    return Node(np.maximum(x.value, 0.0), "relu", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +243,10 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
         dx = np.zeros_like(xb)
         for j in range(k):
             dx[:, :, j:j + steps] += dcols[:, :, j]
-        x.grad += dx.reshape(x.value.shape)
+        _acc(x, dx.reshape(x.value.shape))
 
     out_shape = x.value.shape[:-2] + (cout, steps)
-    return Node(out.reshape(out_shape), "conv1d", (x, w, b), backward)
+    return Node(out.reshape(out_shape), "conv1d", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -292,11 +280,14 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     gradient that would flow into that state.
 
     Backward runs BPTT over the stored gate values, with every per-step
-    temporary in a buffer made once per call. A step writes dc*g, dc*c_{t-1}
-    and dh*tanh(c_t) into the i, f and o parts of its dz block, then scales
-    those [B, 3H] by s and by (1 - s) in one pass each, so each sigmoid-gate
-    derivative is ((a*b)*s)*(1 - s). The gradients of wx, wh and b are one
-    matrix product (or sum) each over all steps, added straight into theirs.
+    temporary in a buffer made once per call. A step copies its gates,
+    c_{t-1}, tanh(c_t) and dh transposed into feature-major [4H, B] and
+    [H, B] blocks, where each gate is contiguous rows, writes dc*g, dc*c_{t-1}
+    and dh*tanh(c_t) into the i, f and o rows of its dz block, then scales
+    those [3H, B] by s and by (1 - s), so each sigmoid-gate derivative is
+    ((a*b)*s)*(1 - s). dz[t] and dh = dz[t] @ wh.T stay step-major, so every
+    matrix product rounds as before (wh @ dz_f would not, at some batch
+    sizes). The gradients of wx, wh and b are one product (or sum) each.
     """
     if xs.value.ndim != 3:
         raise ShapeError(f"lstm: input must be [B, T, d], got {xs.value.shape}")
@@ -347,41 +338,44 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     def backward(grad):
         grad_t = grad.transpose(1, 0, 2)
         dz = np.empty((steps, batch, 4 * hidden))
-        dh = np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden))
-        deriv = np.empty((batch, hidden))  # 1 - tanh(c)^2, then 1 - g^2
-        dc_step = np.empty((batch, hidden))
-        one_minus_s = np.empty((batch, sig))
+        zf, dzf = np.empty((4 * hidden, batch)), np.empty((4 * hidden, batch))
+        c_prev, tc, dh, deriv, dc_step = (np.empty((hidden, batch)) for _ in range(5))
+        dc = np.zeros((hidden, batch))
+        one_minus_s = np.empty((sig, batch))
+        dh_steps = np.zeros((batch, hidden))  # dh, step-major
+        s, i, f, o, g = zf[:sig], zf[:h1], zf[h1:h2], zf[h2:sig], zf[sig:]
         for t in reversed(range(steps)):
-            z, dzt = gates[t], dz[t]
-            s, i, f, o, g = z[:, :sig], z[:, :h1], z[:, h1:h2], z[:, h2:sig], z[:, sig:]
-            tc = tanh_cs[t]
-            dh += grad_t[t]
+            zf[...] = gates[t].T
+            c_prev[...] = cs[t].T
+            tc[...] = tanh_cs[t].T
+            dh_steps += grad_t[t]
+            dh[...] = dh_steps.T
             np.multiply(tc, tc, out=deriv)
             np.subtract(1.0, deriv, out=deriv)
             np.multiply(dh, o, out=dc_step)
             dc_step *= deriv
             dc += dc_step
-            np.multiply(dc, g, out=dzt[:, :h1])
-            np.multiply(dc, cs[t], out=dzt[:, h1:h2])
-            np.multiply(dh, tc, out=dzt[:, h2:sig])
-            dzt[:, :sig] *= s
+            np.multiply(dc, g, out=dzf[:h1])
+            np.multiply(dc, c_prev, out=dzf[h1:h2])
+            np.multiply(dh, tc, out=dzf[h2:sig])
+            dzf[:sig] *= s
             np.subtract(1.0, s, out=one_minus_s)
-            dzt[:, :sig] *= one_minus_s
+            dzf[:sig] *= one_minus_s
             np.multiply(g, g, out=deriv)
             np.subtract(1.0, deriv, out=deriv)
-            np.multiply(dc, i, out=dzt[:, sig:])
-            dzt[:, sig:] *= deriv
+            np.multiply(dc, i, out=dzf[sig:])
+            dzf[sig:] *= deriv
             dc *= f
+            dz[t] = dzf.T
             if t:  # dh at step 0 would flow into the zero state
-                np.matmul(dzt, wh_v.T, out=dh)
+                np.matmul(dz[t], wh_v.T, out=dh_steps)
         dz2 = dz.reshape(steps * batch, 4 * hidden)
-        xs.grad += (dz2 @ wx_v.T).reshape(steps, batch, d).transpose(1, 0, 2)
+        _acc(xs, (dz2 @ wx_v.T).reshape(steps, batch, d).transpose(1, 0, 2))
         wx.grad += x2.T @ dz2
         wh.grad += hs[:-1].reshape(steps * batch, hidden).T @ dz2
         b.grad += dz2.sum(axis=0)
 
-    return Node(hs[1:].transpose(1, 0, 2), "lstm", (xs, wx, wh, b), backward)
+    return Node(hs[1:].transpose(1, 0, 2), "lstm", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +417,9 @@ def softmax_xent(logits: Node, labels) -> Node:
     def backward(g):
         d = probs.copy()
         d[rows, lab] -= 1.0
-        logits.grad += g * d / batch
+        _acc(logits, g * d / batch)
 
-    return Node(loss, "softmax_xent", (logits,), backward)
+    return Node(loss, "softmax_xent", backward)
 
 
 def mse(pred: Node, target) -> Node:
@@ -437,6 +431,6 @@ def mse(pred: Node, target) -> Node:
     n = diff.size
 
     def backward(g):
-        pred.grad += g * (2.0 / n) * diff
+        _acc(pred, g * (2.0 / n) * diff)
 
-    return Node(np.mean(diff * diff), "mse", (pred,), backward)
+    return Node(np.mean(diff * diff), "mse", backward)

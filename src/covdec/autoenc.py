@@ -68,8 +68,7 @@ def dae_graph(features: Node, params: ParamStore,
 def dae_encode(features: np.ndarray, params: ParamStore) -> np.ndarray:
     """Deterministic latent code(s) for [n] or [B, n] features: the encoder
     alone, recording no backward graph."""
-    with ad.no_grad():
-        latent, _ = dae_graph(Node(features), params, decode=False)
+    latent, _ = dae_graph(Node(features), params, decode=False)
     return latent.value
 
 
@@ -89,5 +88,4 @@ def head_graph(latents: Node, params: ParamStore) -> Node:
 
 def head_forward(latent: np.ndarray, params: ParamStore) -> np.ndarray:
     """Logits for one latent code or a batch of them; records no backward graph."""
-    with ad.no_grad():
-        return head_graph(Node(latent), params).value
+    return head_graph(Node(latent), params).value

@@ -202,7 +202,7 @@ def rnn_graph(
 def _forward_in_chunks(forward: Callable[[np.ndarray], np.ndarray],
                        mats: np.ndarray) -> np.ndarray:
     """forward(chunk) over consecutive chunks of the [N, ...] batch `mats`,
-    concatenated along the batch axis, recording no backward graph: the
+    concatenated along the batch axis, recording nothing outside a tape: the
     passes of `extract_features_batch`, and the whole-set loss passes
     (`training._xent_eval`) of the CNN, the RNN and the head.
 
@@ -214,10 +214,9 @@ def _forward_in_chunks(forward: Callable[[np.ndarray], np.ndarray],
     """
     n = mats.shape[0]
     bounds = [*range(0, max(1, n // _CHUNK) * _CHUNK, _CHUNK), n]
-    with ad.no_grad():
-        return np.concatenate(
-            [forward(mats[start:stop]) for start, stop in zip(bounds, bounds[1:])]
-        )
+    return np.concatenate(
+        [forward(mats[start:stop]) for start, stop in zip(bounds, bounds[1:])]
+    )
 
 
 def extract_features_batch(

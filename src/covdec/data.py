@@ -63,12 +63,18 @@ def conversion_contract() -> dict[str, list[str]]:
 
 
 def save_trial(path: str | Path, trial: Trial, sample_rate_hz: float = 0.0) -> None:
-    """Write one trial; float64 samples are stored at float32 precision."""
-    _write_trial(path, np.ascontiguousarray(trial.data, dtype="<f4"), trial.label, sample_rate_hz)
+    """Write one trial; float64 samples are stored at float32 precision, and
+    one beyond its range raises DataError before the file is opened."""
+    with np.errstate(over="ignore"):  # _write_trial reports it
+        x32 = np.ascontiguousarray(trial.data, dtype="<f4")
+    _write_trial(path, x32, trial.label, sample_rate_hz, trial.trial_id)
 
 
-def _write_trial(path: str | Path, x32: np.ndarray, label: int, sample_rate_hz: float) -> None:
-    """Write the C-contiguous "<f4" [channels, samples] array `x32` as one trial file."""
+def _write_trial(path: str | Path, x32: np.ndarray, label: int, sample_rate_hz: float,
+                 trial_id: str) -> None:
+    """Write the C-contiguous "<f4" [channels, samples] array `x32`, if finite."""
+    if not np.isfinite(x32).all():  # the check a Trial makes
+        raise DataError(f"trial '{trial_id}': non-finite samples")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TRIAL_MAGIC, TRIAL_VERSION, *x32.shape, label, sample_rate_hz))
         fh.write(x32)
@@ -297,10 +303,8 @@ def write_synth_dataset(out_dir: str | Path, spec: SynthSpec, task: str = "synth
     root = out.resolve()  # resolving each trial path would follow a symlinked trials/
     paths = []
     for trial_id, k, x32 in _synth_draws(spec):
-        if not np.isfinite(x32).all():  # the check a Trial makes
-            raise DataError(f"trial '{trial_id}': non-finite samples")
         path = root / "trials" / f"t{len(paths):04d}.eegt"
-        _write_trial(path, x32, k, 0.0)
+        _write_trial(path, x32, k, 0.0, trial_id)
         paths.append(path)
     manifest = Manifest(
         task=task,

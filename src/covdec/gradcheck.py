@@ -1,9 +1,9 @@
 """Central finite-difference oracle and the per-op gradient fidelity suite.
 
 numeric_gradient perturbs raw parameter arrays in place and re-runs a scalar
-forward closure, so it is independent of the backward code it checks. The
-suite covers every layer type at small randomized shapes plus the full branch
-and autoencoder compositions.
+forward closure outside any tape, so it is independent of the backward code
+it checks. The suite covers every layer type at small randomized shapes, an
+intermediate read by two ops, and the full branch and autoencoder compositions.
 """
 
 from __future__ import annotations
@@ -70,32 +70,20 @@ def _weighted_sum(node: Node, weights: np.ndarray) -> Node:
     def backward(g):
         node.grad += g * weights
 
-    return Node(float(np.sum(node.value * weights)), "wsum", (node,), backward)
+    return Node(float(np.sum(node.value * weights)), "wsum", backward)
 
 
-def _check(name, threshold, build_loss, arrays) -> CheckResult:
-    """Backward pass vs finite differences over the given parameter arrays."""
-    loss = build_loss()
-    loss.backward()
-    analytic = [g.copy() for g in _grads_of(loss, arrays)]
-    numeric = numeric_gradient(lambda: float(build_loss().value), arrays)
+def _check(name, threshold, build_loss, leaves: Sequence[Node]) -> CheckResult:
+    """A taped backward pass vs finite differences over the leaves' arrays."""
+    with ad.tape():
+        build_loss().backward()
+    if any(leaf._grad is None for leaf in leaves):
+        raise AssertionError(f"{name}: a leaf the loss does not read")
+    analytic = [leaf.grad for leaf in leaves]
+    numeric = numeric_gradient(lambda: float(build_loss().value),
+                               [leaf.value for leaf in leaves])
     err = max(rel_error(a, n) for a, n in zip(analytic, numeric))
     return CheckResult(name, err, threshold)
-
-
-def _grads_of(root: Node, arrays: Sequence[np.ndarray]) -> list[np.ndarray]:
-    # match graph leaves to the raw arrays they wrap (identity, not equality)
-    wanted = {id(a): None for a in arrays}
-    for node in ad._toposort(root):
-        if id(node.value) in wanted:
-            wanted[id(node.value)] = node.grad
-    out = []
-    for a in arrays:
-        grad = wanted[id(a)]
-        if grad is None:
-            raise AssertionError("array not found as a graph leaf")
-        out.append(grad)
-    return out
 
 
 def run_suite(seed: int = 0) -> list[CheckResult]:
@@ -108,38 +96,40 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     a = rng.normal(size=(3, 4))
     b = rng.normal(size=(4, 2))
     r = rng.normal(size=(3, 2))
+    an, bn = Node(a), Node(b)  # leaves over the arrays the oracle perturbs
     results.append(_check(
-        "linear", 1e-6,
-        lambda: _weighted_sum(ad.linear(Node(a), Node(b)), r), [a, b],
+        "linear", 1e-6, lambda: _weighted_sum(ad.linear(an, bn), r), [an, bn],
     ))
 
     x = rng.normal(size=(2, 8))
     w = rng.normal(size=(4, 2, 3)) * 0.5
     bias = rng.normal(size=4) * 0.1
     rc = rng.normal(size=(4, 6))
+    conv = [Node(x), Node(w), Node(bias)]
     results.append(_check(
-        "conv1d", 1e-6,
-        lambda: _weighted_sum(ad.conv1d(Node(x), Node(w), Node(bias)), rc), [x, w, bias],
+        "conv1d", 1e-6, lambda: _weighted_sum(ad.conv1d(*conv), rc), conv,
     ))
 
     # keep activation inputs away from the ReLU kink so the oracle stays smooth
     xa = rng.uniform(0.2, 2.0, size=7) * rng.choice([-1.0, 1.0], size=7)
     ra = rng.normal(size=7)
+    xan = Node(xa)
     results.append(_check(
-        "relu", 1e-6, lambda: _weighted_sum(ad.relu(Node(xa)), ra), [xa],
+        "relu", 1e-6, lambda: _weighted_sum(ad.relu(xan), ra), [xan],
     ))
 
     logits = rng.normal(size=(4, 3))
     labels = rng.integers(0, 3, size=4)
+    logits_n = Node(logits)
     results.append(_check(
-        "softmax_xent", 1e-6,
-        lambda: ad.softmax_xent(Node(logits), labels), [logits],
+        "softmax_xent", 1e-6, lambda: ad.softmax_xent(logits_n, labels), [logits_n],
     ))
 
     pred = rng.normal(size=8)
     target = rng.normal(size=8)
+    pred_n = Node(pred)
     results.append(_check(
-        "mse", 1e-6, lambda: ad.mse(Node(pred), target), [pred],
+        "mse", 1e-6, lambda: ad.mse(pred_n, target), [pred_n],
     ))
 
     results.append(_lstm_check(rng))
@@ -147,6 +137,7 @@ def run_suite(seed: int = 0) -> list[CheckResult]:
     results.append(_rnn_check(rng))
     results.append(_dae_check(rng))
     results.append(_head_check(rng))
+    results.append(_shared_check(rng))
     return results
 
 
@@ -158,11 +149,12 @@ def _lstm_check(rng) -> CheckResult:
     b = rng.normal(size=4 * h) * 0.1
     xs = rng.normal(size=(1, steps, d))
     weights = rng.normal(size=(1, steps, h))
+    xn, *params = (Node(v) for v in (xs, wx, wh, b))
 
     def build():
-        return _weighted_sum(ad.lstm(Node(xs), Node(wx), Node(wh), Node(b)), weights)
+        return _weighted_sum(ad.lstm(xn, *params), weights)
 
-    return _check("lstm", 1e-5, build, [wx, wh, b, xs])
+    return _check("lstm", 1e-5, build, [*params, xn])
 
 
 def _cnn_check(rng) -> CheckResult:
@@ -175,8 +167,7 @@ def _cnn_check(rng) -> CheckResult:
         _, logits = cnn_graph(Node(mats), params)
         return ad.softmax_xent(logits, labels)
 
-    arrays = [params[n].value for n in params.names()]
-    return _check("cnn_graph", 1e-4, build, arrays)
+    return _check("cnn_graph", 1e-4, build, [node for _, node in params.items()])
 
 
 def _rnn_check(rng) -> CheckResult:
@@ -189,8 +180,7 @@ def _rnn_check(rng) -> CheckResult:
         _, logits = rnn_graph(mats, params)
         return ad.softmax_xent(logits, labels)
 
-    arrays = [params[n].value for n in params.names()]
-    return _check("rnn_graph", 1e-4, build, arrays)
+    return _check("rnn_graph", 1e-4, build, [node for _, node in params.items()])
 
 
 def _dae_check(rng) -> CheckResult:
@@ -198,8 +188,8 @@ def _dae_check(rng) -> CheckResult:
     config = TrainConfig(cnn_feature=6, rnn_hidden2=4, dae_hidden=6, dae_latent=4)
     params = init_dae_params(config, seed=int(rng.integers(2**31)))
     feats = rng.normal(size=(3, 10))
-    arrays = [params[n].value for n in params.names()]
-    return _check("dae_loss", 1e-4, lambda: dae_loss(feats, params), arrays)
+    return _check("dae_loss", 1e-4, lambda: dae_loss(feats, params),
+                  [node for _, node in params.items()])
 
 
 def _head_check(rng) -> CheckResult:
@@ -211,5 +201,16 @@ def _head_check(rng) -> CheckResult:
     def build():
         return ad.softmax_xent(head_graph(Node(latents), params), labels)
 
-    arrays = [params[n].value for n in params.names()]
-    return _check("head_graph", 1e-4, build, arrays)
+    return _check("head_graph", 1e-4, build, [node for _, node in params.items()])
+
+
+def _shared_check(rng) -> CheckResult:
+    # h = a @ b feeds two ops, so its gradient gets a second contribution
+    a, b, c, weights = (rng.normal(size=s) for s in ((3, 4), (4, 3), (3, 3), (3, 3)))
+    leaves = [Node(a), Node(b), Node(c)]
+
+    def build():
+        h = ad.linear(*leaves[:2])
+        return _weighted_sum(ad.linear(h, ad.linear(h, leaves[2])), weights)
+
+    return _check("linear_shared", 1e-6, build, leaves)

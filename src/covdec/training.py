@@ -160,18 +160,17 @@ def _fit(
     every curve point. With patience set too, training stops after
     `patience` epochs without a lower validation loss and the best checkpoint
     is returned. The store keeps its values only: its gradients and Adam
-    state are freed on return.
+    state are freed on return. Each step records on its own `autodiff.tape()`;
+    the epoch-0 loss and the validation passes record nothing.
     """
     rng = np.random.default_rng(shuffle_seed)
     n = x.shape[0]
 
     def point(epoch: int, train_loss: float) -> CurvePoint:
-        with ad.no_grad():
-            return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
+        return CurvePoint(epoch, stage, train_loss, *(validate() if validate else ()))
 
-    with ad.no_grad():
-        initial = float(loss_fn(x, y).value) if set_loss is None else set_loss(x, y)
-        curves = [point(0, initial)]
+    initial = float(loss_fn(x, y).value) if set_loss is None else set_loss(x, y)
+    curves = [point(0, initial)]
 
     # the untrained weights are checkpoint candidate number zero; without
     # patience no checkpoint is restored, so none is taken
@@ -185,14 +184,15 @@ def _fit(
         batch_losses = []
         for bi, start in enumerate(range(0, n, batch_size)):
             idx = perm[start : start + batch_size]
-            loss = loss_fn(x[idx], None if y is None else y[idx])
-            value = float(loss.value)
-            if not np.isfinite(value):
-                raise NumericError(
-                    f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {bi}"
-                )
-            params.zero_grad()
-            loss.backward()
+            with ad.tape():
+                loss = loss_fn(x[idx], None if y is None else y[idx])
+                value = float(loss.value)
+                if not np.isfinite(value):
+                    raise NumericError(
+                        f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {bi}"
+                    )
+                params.zero_grad()
+                loss.backward()
             step += 1
             adam_step(params, lr, t=step)
             batch_losses.append(value)

@@ -45,9 +45,9 @@ def test_dae_loss_zero_for_zero_input(small_dae):
 
 def test_dae_loss_gradient_reaches_all_layers(small_dae):
     rng = np.random.default_rng(34)
-    loss = dae_loss(rng.normal(size=(4, 12)), small_dae)
     small_dae.zero_grad()
-    loss.backward()
+    with ad.tape():
+        dae_loss(rng.normal(size=(4, 12)), small_dae).backward()
     for name in small_dae.names():
         assert np.any(small_dae[name].grad != 0.0), f"no gradient in {name}"
 

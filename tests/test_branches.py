@@ -161,18 +161,20 @@ def test_forward_graph_allocates_no_gradient_buffers(branch, small_run):
             _, logits = rnn_graph(mats, params)
         return params, logits
 
-    params, logits = build()
-    assert all(node._grad is None for node in ad._toposort(logits))
-    ad.softmax_xent(logits, labels).backward()
+    with ad.tape() as nodes:
+        params, logits = build()
+        assert all(node._grad is None for node in nodes)
+        ad.softmax_xent(logits, labels).backward()
     lazy = {name: node._grad for name, node in params.items()}
     assert all(grad is not None for grad in lazy.values())
 
     # eager reference: every buffer allocated as zeros before backward adds into it
-    params, logits = build()
-    loss = ad.softmax_xent(logits, labels)
-    for node in ad._toposort(loss):
-        node.grad = np.zeros_like(node.value)
-    loss.backward()
+    with ad.tape() as nodes:
+        params, logits = build()
+        loss = ad.softmax_xent(logits, labels)
+        for node in [*nodes, *(node for _, node in params.items())]:
+            node.grad = np.zeros_like(node.value)
+        loss.backward()
     assert ({name: grad.tobytes() for name, grad in lazy.items()}
             == {name: node.grad.tobytes() for name, node in params.items()})
 

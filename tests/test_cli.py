@@ -216,7 +216,7 @@ def test_gradcheck_passes_and_is_deterministic(capsys):
     assert main(["gradcheck", "--seed", "2"]) == 0
     second = capsys.readouterr().out
     assert first == second
-    assert first.count("ok") == 10
+    assert first.count("ok") == 11
 
 
 def test_gradcheck_detects_corrupted_backward(monkeypatch, capsys):

@@ -77,6 +77,14 @@ def test_trailing_bytes_rejected(tmp_path):
         load_trial(path)
 
 
+def test_save_trial_rejects_float32_overflow_before_writing(tmp_path):
+    # finite as float64, so a valid Trial, but inf once stored as float32
+    trial = Trial(np.full((2, 2), 1e39), 0, trial_id="big")
+    with pytest.raises(DataError, match=r"^trial 'big': non-finite samples$"):
+        save_trial(tmp_path / "big.eegt", trial)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_label_out_of_manifest_range_names_file(tmp_path):
     trial = sample_trial(label=5)
     (tmp_path / "trials").mkdir()

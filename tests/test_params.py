@@ -123,8 +123,9 @@ def test_adam_matches_per_parameter_loop_bit_for_bit():
     vs = {name: np.zeros_like(v) for name, v in values.items()}
 
     def backward():
-        pred = ad.linear(Node(x), store["w"], store["b"])
-        ad.mse(pred, target * store["s"].value).backward()
+        with ad.tape():
+            pred = ad.linear(Node(x), store["w"], store["b"])
+            ad.mse(pred, target * store["s"].value).backward()
 
     for t in range(1, 8):
         if t == 1:

@@ -1,4 +1,3 @@
-import contextlib
 import hashlib
 import tracemalloc
 
@@ -15,7 +14,7 @@ from covdec.branches import (
 from covdec.config import TrainConfig
 from covdec.covariance import NormStats, Trial, ccv, standardize
 from covdec.data import SynthSpec, gen_synth
-from covdec.errors import DataError
+from covdec.errors import DataError, NumericError
 from covdec.params import ParamStore, adam_step
 from covdec.training import (
     PipelineArtifacts,
@@ -247,10 +246,39 @@ def test_restore_returns_best_epoch_values_into_the_packed_store():
     assert store_bytes(store) != {name: v.tobytes() for name, v in seen[3].items()}
 
     store.zero_grad()
-    loss_fn(x, y).backward()
+    with ad.tape():
+        loss_fn(x, y).backward()
     adam_step(store, lr=0.01, t=4)
     for name in store.names():
         assert not np.array_equal(store[name].value, seen[1][name])
+
+
+def test_fit_records_each_step_on_its_own_tape_and_leaves_none_open():
+    rng = np.random.default_rng(13)
+    store = ParamStore()
+    store.add("w", rng.normal(size=(4, 3)))
+    store.add("b", np.zeros(3))
+    x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)
+    tapes = []
+
+    def loss_fn(xb, yb):
+        tapes.append(ad._tape.get())
+        return ad.softmax_xent(ad.linear(Node(xb), store["w"], store["b"]), yb)
+
+    _fit(loss_fn, store, x, y, lr=0.01, epochs=2, batch_size=4, shuffle_seed=3, stage="head")
+    # the epoch-0 loss records nothing; each of the four steps opens a tape
+    assert tapes[0] is None and all(t is not None for t in tapes[1:]) and len(tapes) == 5
+    assert len({id(t) for t in tapes[1:]}) == 4 and all(t == [] for t in tapes[1:])
+    assert ad._tape.get() is None
+
+    def diverging(xb, _):
+        tapes.append(ad._tape.get())
+        return ad.mse(ad.linear(Node(xb), store["w"]), np.full((len(xb), 3), np.inf))
+
+    with pytest.raises(NumericError, match="non-finite loss in stage 'head' at epoch 1, batch 0"):
+        _fit(diverging, store, x, None, lr=0.01, epochs=2, batch_size=4, shuffle_seed=3,
+             stage="head")
+    assert tapes[-1] == [] and ad._tape.get() is None
 
 
 def test_patience_off_returns_final_epoch_weights():
@@ -463,7 +491,7 @@ def _random_artifacts(channels: int) -> PipelineArtifacts:
     )
 
 
-def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass(monkeypatch):
+def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass():
     artifacts = _random_artifacts(channels=32)
     mats = np.random.default_rng(9).normal(size=(64, 32, 32))
 
@@ -477,8 +505,8 @@ def test_predict_batch_peak_memory_is_at_most_half_of_a_recorded_pass(monkeypatc
 
     peak, probs = traced_predict()
     # the same forward pass with the backward tape recorded
-    monkeypatch.setattr(ad, "no_grad", contextlib.nullcontext)
-    recorded_peak, recorded_probs = traced_predict()
+    with ad.tape():
+        recorded_peak, recorded_probs = traced_predict()
     assert probs == recorded_probs
     assert peak <= 0.5 * recorded_peak, (peak, recorded_peak)
 
