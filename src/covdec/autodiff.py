@@ -14,9 +14,16 @@ the graph is freed during the walk; leaving the `with` block, also by an
 exception, empties the tape too. A tape opened inside another records until
 it closes. Outside a tape nothing records: an op result keeps no backward
 closure, so every intermediate array (conv1d's window matrix, lstm's gate
-history) is freed as soon as the next op has read it, and values are
-bit-identical to a recorded pass. backward() on such a result, or on one
+values) is freed as soon as the next op has read it, and values are
+bit-identical to a recorded pass. Nor does an op build what only its
+backward would read: relu's mask, softmax_xent's probabilities, lstm's
+cell-state and tanh(c) histories. backward() on such a result, or on one
 whose tape is empty, raises StateError.
+
+A leaf over data, made as Node(array, "input"), wants no gradient: linear,
+conv1d and lstm skip the gradient of such an input, so its `_grad` stays
+None. Every training step's graph is built over such leaves; an ordinary
+leaf ("leaf") gets its gradient as every op result does.
 
 Vector arguments may be 1-D ([n]) or batched 2-D ([B, n]); conv1d accepts
 [Cin, L] or [B, Cin, L]; lstm maps a [B, T, d] sequence to [B, T, H] hidden
@@ -65,8 +72,10 @@ def as_tensor(x) -> np.ndarray:
 class Node:
     """One vertex of the computation graph.
 
-    A leaf has no backward closure. An op result built inside a tape keeps
-    its closure and that tape; one built outside keeps neither.
+    A leaf has no backward closure; its op is "leaf", or "input" for a leaf
+    over data, whose gradient linear, conv1d and lstm skip. An op result
+    built inside a tape keeps its closure and that tape; one built outside
+    keeps neither.
     """
 
     __slots__ = ("value", "_grad", "op", "_backward", "_tape")
@@ -144,7 +153,8 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     batched = x.value.ndim == 2
 
     def backward(g):
-        _acc(x, g @ w.value.T)
+        if x.op != "input":
+            _acc(x, g @ w.value.T)
         if batched:
             w.grad += x.value.T @ g
         else:
@@ -207,7 +217,8 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
     an empty [B, Cin, K, T] array, and keeps it for backward, so that
     out = w.reshape(Cout, Cin*K) @ cols + b, dW is one product of g with cols
     over all (b, t), and dx is w.reshape(Cout, Cin*K).T @ g folded back onto
-    the input windows (col2im). A [Cin, L] input runs as a batch of one.
+    the input windows (col2im), unless x is a data input. A [Cin, L] input
+    runs as a batch of one.
     """
     if w.value.ndim != 3:
         raise ShapeError(f"conv1d: weight must be [Cout, Cin, K], got {w.value.shape}")
@@ -239,6 +250,8 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
         g2 = g.transpose(1, 0, 2).reshape(cout, batch * steps)
         cols2 = cols.transpose(0, 2, 1).reshape(batch * steps, cin * k)
         w.grad += (g2 @ cols2).reshape(cout, cin, k)
+        if x.op == "input":
+            return
         dcols = (w2.T @ g).reshape(batch, cin, k, steps)
         dx = np.zeros_like(xb)
         for j in range(k):
@@ -268,7 +281,8 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     gates' columns side by side in LSTM_GATES order (i, f, o, g). Sigmoid is
     computed via tanh so large |x| cannot overflow.
 
-    The input projection of all T steps is one matrix product, and each step
+    The input projection of all T steps is one matrix product of a
+    step-major [T*B, d] copy of xs, which is not kept, and each step
     overwrites its contiguous [B, 4H] block of that projection with its gate
     values. A step activates the whole block with full-block `scale` and
     `shift` arrays made once per call: z *= scale (0.5 on the sigmoid gates,
@@ -277,7 +291,12 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     0.5 * (1 + tanh(z / 2)) bit for bit; -0.0 is the additive identity, so g
     is tanh(z) bit for bit, a -0.0 candidate included. Step 0 starts from the
     zero state, so it skips the recurrent product, and backward skips the
-    gradient that would flow into that state.
+    gradient that would flow into that state. Step t writes h_t straight into
+    its [B, H] slice of the [B, T, H] result, and the next step's recurrent
+    product reads it from there. Only while a tape records does a call keep
+    the [T+1, B, H] cell states and the [T, B, H] tanh(c_t) that backward
+    reads; outside a tape step t reads c_{t-1} from one of two [B, H]
+    buffers and writes c_t and tanh(c_t) over the other and over one more.
 
     Backward runs BPTT over the stored gate values, with every per-step
     temporary in a buffer made once per call. A step copies its gates,
@@ -287,7 +306,9 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     those [3H, B] by s and by (1 - s), so each sigmoid-gate derivative is
     ((a*b)*s)*(1 - s). dz[t] and dh = dz[t] @ wh.T stay step-major, so every
     matrix product rounds as before (wh @ dz_f would not, at some batch
-    sizes). The gradients of wx, wh and b are one product (or sum) each.
+    sizes). The gradients of wx, wh and b are one product (or sum) each, over
+    step-major copies of xs and of h_0..h_{T-1} made for them; xs's gradient
+    is skipped for a data input.
     """
     if xs.value.ndim != 3:
         raise ShapeError(f"lstm: input must be [B, T, d], got {xs.value.shape}")
@@ -303,15 +324,20 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
             )
     wx_v, wh_v = wx.value, wh.value
 
-    # step-major [T, B, .] arrays, so that step t is one contiguous block
-    x2 = xs.value.transpose(1, 0, 2).reshape(steps * batch, d)
+    def xs_step_major():
+        # xs as [T*B, d], so that step t is one contiguous block of rows
+        return xs.value.transpose(1, 0, 2).reshape(steps * batch, d)
+
     # the input projections of all steps; step t's gate values overwrite its
     # projection in place, so that one [T, B, 4H] buffer serves both
-    gates = (x2 @ wx_v).reshape(steps, batch, 4 * hidden)
+    gates = (xs_step_major() @ wx_v).reshape(steps, batch, 4 * hidden)
     gates += b.value
-    hs = np.zeros((steps + 1, batch, hidden))  # hs[0], cs[0]: the zero state
-    cs = np.zeros((steps + 1, batch, hidden))
-    tanh_cs = np.empty((steps, batch, hidden))
+    hs = np.empty((batch, steps, hidden))  # h_1..h_T, the result
+    # cs[0] is the zero state; step t reads cs[t % n] and writes cs[(t + 1) % n]
+    # and tanh_cs[t % (n - 1)]
+    n = steps + 1 if _tape.get() is not None else 2
+    cs = np.zeros((n, batch, hidden))
+    tanh_cs = np.empty((n - 1, batch, hidden))
     h1, h2, sig = hidden, 2 * hidden, 3 * hidden
     # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on i, f, o; tanh(z) + -0.0 on g
     scale = np.full((batch, 4 * hidden), 0.5)
@@ -322,18 +348,19 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
 
     for t in range(steps):
         z = gates[t]
-        if t:  # hs[0] is zero
-            z += hs[t] @ wh_v
+        if t:  # h_0 is zero
+            z += hs[:, t - 1] @ wh_v
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
         i, f, o, g = z[:, :h1], z[:, h1:h2], z[:, h2:sig], z[:, sig:]
-        np.multiply(f, cs[t], out=cs[t + 1])
+        c, tc = cs[(t + 1) % n], tanh_cs[t % (n - 1)]
+        np.multiply(f, cs[t % n], out=c)
         np.multiply(i, g, out=ig)
-        cs[t + 1] += ig
-        np.tanh(cs[t + 1], out=tanh_cs[t])
-        np.multiply(o, tanh_cs[t], out=hs[t + 1])
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(o, tc, out=hs[:, t])
 
     def backward(grad):
         grad_t = grad.transpose(1, 0, 2)
@@ -370,12 +397,15 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
             if t:  # dh at step 0 would flow into the zero state
                 np.matmul(dz[t], wh_v.T, out=dh_steps)
         dz2 = dz.reshape(steps * batch, 4 * hidden)
-        _acc(xs, (dz2 @ wx_v.T).reshape(steps, batch, d).transpose(1, 0, 2))
-        wx.grad += x2.T @ dz2
-        wh.grad += hs[:-1].reshape(steps * batch, hidden).T @ dz2
+        if xs.op != "input":
+            _acc(xs, (dz2 @ wx_v.T).reshape(steps, batch, d).transpose(1, 0, 2))
+        wx.grad += xs_step_major().T @ dz2
+        h_prev = np.zeros((steps, batch, hidden))  # h_0..h_{T-1}, step-major
+        h_prev[1:] = hs[:, :-1].transpose(1, 0, 2)
+        wh.grad += h_prev.reshape(steps * batch, hidden).T @ dz2
         b.grad += dz2.sum(axis=0)
 
-    return Node(hs[1:].transpose(1, 0, 2), "lstm", backward)
+    return Node(hs, "lstm", backward)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +442,7 @@ def softmax_xent(logits: Node, labels) -> Node:
     logp = z - logsum
     rows = np.arange(batch)
     loss = -logp[rows, lab].mean()
-    probs = np.exp(logp)
+    probs = np.exp(logp) if _tape.get() is not None else None
 
     def backward(g):
         d = probs.copy()

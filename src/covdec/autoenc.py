@@ -73,8 +73,9 @@ def dae_encode(features: np.ndarray, params: ParamStore) -> np.ndarray:
 
 
 def dae_loss(features: np.ndarray, params: ParamStore) -> Node:
-    """Reconstruction MSE node; gradient reaches all four layers. No labels."""
-    x = Node(features)
+    """Reconstruction MSE node; gradient reaches all four layers, not the
+    features, a data leaf ("input"). No labels."""
+    x = Node(features, "input")
     _, recon = dae_graph(x, params)
     return ad.mse(recon, x.value)
 

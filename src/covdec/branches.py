@@ -166,7 +166,8 @@ def rnn_graph(
     logits: bool = True,
 ) -> tuple[Node, Node | None]:
     """Forward graph over a [B, C, C] batch; returns (features, logits) nodes.
-    With `logits` false the logit layer does not run and logits is None."""
+    With `logits` false the logit layer does not run and logits is None. The
+    batch enters as a data leaf ("input"), which gets no gradient."""
     require(params, RNN_PARAM_NAMES, "rnn")
     if order not in RNN_ORDERS:
         raise ConfigError(f"rnn order must be one of {RNN_ORDERS}, got {order!r}")
@@ -186,11 +187,11 @@ def rnn_graph(
     if order == "fc-first":
         # one FC pass over every step of every trial: [B*C, C] rows
         batch, steps, width = mats.shape
-        fc = fc_pair(Node(mats.reshape(batch * steps, width)))
+        fc = fc_pair(Node(mats.reshape(batch * steps, width), "input"))
         seq = ad.reshape(fc, (batch, steps, fc.value.shape[1]))
         feature = ad.last_step(lstm(lstm(seq, "lstm1"), "lstm2"))
     else:
-        feature = fc_pair(ad.last_step(lstm(lstm(Node(mats), "lstm1"), "lstm2")))
+        feature = fc_pair(ad.last_step(lstm(lstm(Node(mats, "input"), "lstm1"), "lstm2")))
     return feature, ad.linear(feature, params["out.w"], params["out.b"]) if logits else None
 
 

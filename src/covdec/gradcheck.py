@@ -164,7 +164,7 @@ def _cnn_check(rng) -> CheckResult:
     labels = rng.integers(0, 3, size=2)
 
     def build():
-        _, logits = cnn_graph(Node(mats), params)
+        _, logits = cnn_graph(Node(mats, "input"), params)
         return ad.softmax_xent(logits, labels)
 
     return _check("cnn_graph", 1e-4, build, [node for _, node in params.items()])
@@ -199,7 +199,7 @@ def _head_check(rng) -> CheckResult:
     labels = rng.integers(0, 3, size=3)
 
     def build():
-        return ad.softmax_xent(head_graph(Node(latents), params), labels)
+        return ad.softmax_xent(head_graph(Node(latents, "input"), params), labels)
 
     return _check("head_graph", 1e-4, build, [node for _, node in params.items()])
 

@@ -44,8 +44,8 @@ FORMAT_VERSION = 1
 _ADAM_M = "::adam_m"
 _ADAM_V = "::adam_v"
 
-# rows of the packed buffer: values, gradients, Adam m, Adam v, two scratch
-_ROWS = 6
+# rows of the packed buffer: values, gradients, Adam m, Adam v, one scratch
+_ROWS = 5
 _VALUE, _GRAD = 0, 1
 
 
@@ -55,9 +55,11 @@ class ParamStore:
     Iteration follows insertion order, which also fixes the on-disk entry
     order, so identical construction yields byte-identical files.
 
-    Packing (on the first zero_grad() or adam_step()) allocates one [6, n]
+    Packing (on the first zero_grad() or adam_step()) allocates one [5, n]
     float64 array, n the total parameter count: rows hold the values, the
-    gradients, the Adam first and second moments and two scratch arrays.
+    gradients, the Adam first and second moments and one scratch array.
+    adam_step spends the gradient row as scratch space too, so after a step
+    it holds that step's update, not the gradient.
     Each parameter takes the same slice of every row, in insertion order, and
     its Node's .value and .grad become views of its value and gradient
     slices. Values and any gradient allocated before packing are copied in.
@@ -126,7 +128,7 @@ class ParamStore:
         self._views = []
 
     def _packed(self) -> np.ndarray:
-        """The [6, n] training buffer, packed on first use, with every view bound."""
+        """The [5, n] training buffer, packed on first use, with every view bound."""
         if self._flat is None:
             sizes = [node.value.size for node in self._nodes.values()]
             self._flat = np.zeros((_ROWS, sum(sizes)))
@@ -205,33 +207,37 @@ def adam_step(
     Each element takes the per-parameter formula's operations in the same
     order, lr * (m/bc1) / (sqrt(v/bc2) + eps), so the update is bit-identical
     to evaluating it array by array; it allocates nothing once the store is
-    packed. A non-finite gradient raises NumericError naming the first such
-    parameter of the store (for the RNN, a fused LSTM parameter such as
-    `lstm1.wh`) before any value changes.
+    packed. v is updated first, through the scratch row; the gradient is
+    then last read by the m update, which writes (1 - beta1) * g over it, and
+    the update is made in the same row: after the call every gradient holds
+    the step's update, lr * (m/bc1) / (sqrt(v/bc2) + eps). A non-finite
+    gradient raises NumericError naming the first such parameter of the store
+    (for the RNN, a fused LSTM parameter such as `lstm1.wh`) before any value
+    changes.
     """
     if t < 1:
         raise ConfigError(f"adam_step: step count must be >= 1, got {t}")
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
-    value, g, m, v, s, u = store._packed()
+    value, g, m, v, s = store._packed()
     # the flags go into scratch memory that is overwritten below
     if not np.isfinite(g, out=s.view(np.bool_)[: g.size]).all():
         name = next(n for n, node in store.items() if not np.isfinite(node.grad).all())
         raise NumericError(f"non-finite gradient for parameter '{name}'")
-    np.multiply(m, beta1, out=m)
-    np.multiply(g, 1.0 - beta1, out=s)
-    np.add(m, s, out=m)
     np.multiply(v, beta2, out=v)
     np.multiply(g, g, out=s)
     np.multiply(s, 1.0 - beta2, out=s)
     np.add(v, s, out=v)
+    np.multiply(m, beta1, out=m)
+    np.multiply(g, 1.0 - beta1, out=g)  # the gradient's last read
+    np.add(m, g, out=m)
     np.divide(v, bc2, out=s)
     np.sqrt(s, out=s)
     np.add(s, eps, out=s)
-    np.divide(m, bc1, out=u)
-    np.multiply(u, lr, out=u)
-    np.divide(u, s, out=u)
-    np.subtract(value, u, out=value)
+    np.divide(m, bc1, out=g)
+    np.multiply(g, lr, out=g)
+    np.divide(g, s, out=g)
+    np.subtract(value, g, out=value)
 
 
 # ---------------------------------------------------------------------------

@@ -248,7 +248,7 @@ def train_stage1(
     rnn_params = init_rnn_params(config, channels, seeds["rnn_init"])
 
     def cnn_fn(x, p):
-        return cnn_graph(Node(x), p)[1]
+        return cnn_graph(Node(x, "input"), p)[1]
 
     def rnn_fn(x, p):
         return rnn_graph(x, p, config.rnn_order, config.rnn_axis)[1]
@@ -291,7 +291,7 @@ def train_stage3(
     params = init_head_params(config, seeds["head_init"])
 
     def head_fn(z, p):
-        return head_graph(Node(z), p)
+        return head_graph(Node(z, "input"), p)
 
     return _fit_classifier(
         head_fn, params, train_latents, train_labels, val_latents, val_labels,

@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -487,6 +488,41 @@ def test_no_node_outlives_its_use_without_the_cycle_collector():
             assert live_nodes() == before + 1  # the walk freed all but the root
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+@pytest.mark.parametrize("steps", [1, 2, 3, 8])
+def test_unrecorded_lstm_equals_a_recorded_pass(batch, steps):
+    # outside a tape the cell state alternates between two buffers; an odd
+    # and an even step count each end in a different one
+    rng = np.random.default_rng(35)
+    xs = Node(rng.normal(size=(batch, steps, 5)))
+    params = {k: Node(v) for k, v in lstm_arrays(rng, 5, 4).items()}
+    with ad.tape():
+        recorded = ad.lstm(xs, **params)
+    unrecorded = ad.lstm(xs, **params)
+    assert recorded._backward is not None and unrecorded._backward is None
+    assert unrecorded.value.tobytes() == recorded.value.tobytes()
+
+
+def test_unrecorded_lstm_holds_only_gates_result_and_step_buffers():
+    batch, steps, d, hidden = 96, 64, 64, 64
+    rng = np.random.default_rng(36)
+    xs = Node(rng.normal(size=(batch, steps, d)), "input")
+    params = {k: Node(v) for k, v in lstm_arrays(rng, d, hidden).items()}
+    ad.lstm(xs, **params)  # first-call allocations are not the layer's
+    tracemalloc.start()
+    try:
+        ad.lstm(xs, **params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bh = batch * hidden * 8
+    gates, result = 4 * steps * bh, steps * bh
+    # beyond them: two cell buffers, tanh(c) and i*g ([B, H] each), and the
+    # recurrent product, scale and shift ([B, 4H] each), 16 [B, H] in all,
+    # and one [B, H] of slack; no [T, B, H] history, nor a copy of the result
+    assert peak <= gates + result + 17 * bh, (peak - gates - result) / bh
 
 
 def _lstm_before(xs, arrays, grad):

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -98,16 +99,20 @@ def test_adam_rejects_nonfinite_gradient_naming_parameter():
 
 
 def reference_adam(values, grads, ms, vs, lr, t, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam step as a plain loop over the parameters, one array each."""
+    """One Adam step as a plain loop over the parameters, one array each;
+    returns each parameter's update."""
     bc1 = 1.0 - beta1**t
     bc2 = 1.0 - beta2**t
+    updates = {}
     for name, g in grads.items():
         m, v = ms[name], vs[name]
         m *= beta1
         m += (1.0 - beta1) * g
         v *= beta2
         v += (1.0 - beta2) * (g * g)
-        values[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        updates[name] = lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        values[name] -= updates[name]
+    return updates
 
 
 def test_adam_matches_per_parameter_loop_bit_for_bit():
@@ -143,9 +148,28 @@ def test_adam_matches_per_parameter_loop_bit_for_bit():
             store["s"].grad[...] = rng.normal()
         grads = {name: np.zeros_like(v) if store[name]._grad is None else store[name].grad.copy()
                  for name, v in values.items()}
-        reference_adam(values, grads, ms, vs, lr=0.05, t=t)
+        updates = reference_adam(values, grads, ms, vs, lr=0.05, t=t)
         adam_step(store, lr=0.05, t=t)
         assert store_bytes(store) == {name: v.tobytes() for name, v in values.items()}
+        # the step spends each gradient slice and leaves the update there
+        assert ({name: node.grad.tobytes() for name, node in store.items()}
+                == {name: u.tobytes() for name, u in updates.items()})
+
+
+def test_packed_store_allocates_five_rows():
+    # values, gradients, Adam m and v, and one scratch row
+    store = ParamStore()
+    for k in range(4):
+        store.add(f"p{k}", np.ones((50, 500)))
+    n = 4 * 50 * 500
+    tracemalloc.start()
+    try:
+        store.zero_grad()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert store._flat.shape == (5, n)
+    assert 5 * n * 8 <= peak < 5 * n * 8 + 16384, peak - 5 * n * 8
 
 
 def test_adam_rejects_bad_step_count():

@@ -20,6 +20,8 @@ RUN_FILES = ("cnn.cvdp", "rnn.cvdp", "dae.cvdp", "head.cvdp", "norm.cvdp",
 
 PINS = {
     "readme": {
+        "data": (),
+        "epochs": "3,3,3",
         "config": "",
         "files": {
             "cnn.cvdp": "13a05f2a5909d0ccc957b56808738a5060ee1bf80062cc52446c597e8e4e038e",
@@ -35,6 +37,8 @@ PINS = {
         "eval": "223bd18020618e6cfc890bc9cc09d3b92ff3db1dd0af25b69c9c12b5731e3508",
     },
     "lstm-first-cols-tau3": {
+        "data": (),
+        "epochs": "3,3,3",
         "config": "rnn_order = lstm-first\nrnn_axis = cols\ntau = 3\n",
         "files": {
             "cnn.cvdp": "405dbf5cad4cf9004ad780bcafc1c01161622300dace30e4593c068a3aa9523f",
@@ -49,16 +53,44 @@ PINS = {
         "predict": "7f655557eac3853e44fa57843cdfbfdc46c88f7482332a8bbcfe0dae9846307c",
         "eval": "9ff9112b2fb1bb127844a2529ed4d5682643587927fcffc400af27ced785d690",
     },
+    # nine steps per LSTM: an odd step count, so an unrecorded lstm ends in
+    # the other of its two cell buffers than at the README's eight
+    "channels9-odd-steps": {
+        "data": ("--channels", "9"),
+        "epochs": "2,2,2",
+        "config": "",
+        "files": {
+            "cnn.cvdp": "63c3660532a339a39a4f8a0569991c0e44287388b568d206433e5e4631a4b9fa",
+            "rnn.cvdp": "7c6e0b41f81e596ec51025832514a41950e3b29ed95f9b3c83fa2373e8d495b7",
+            "dae.cvdp": "59e1aae7b0c5f4b0d9dee1ad39559c73ddee570f033e8fb85c6bbb092b620c22",
+            "head.cvdp": "03f7ad4b3cd37f425520838cb094c7185935aa6936ab062018c30c14551e7830",
+            "norm.cvdp": "8d7e374873a9566b9232cbd465277cde59b20e77b8bd89b455996450a0d0b6b3",
+            "curves.csv": "6b28193799a3fce3e76557ce8eb10d95c2351c625402f6097fc89f55ac29aaeb",
+            "config.txt": "b5acd923ae8ee5f6c84808c5c5ca1997a2fa3a6dee9d058383e0dc1de3cdeb85",
+            "classes.txt": "bd4b8b80da3019d65d4062b771326b33da5a8619fd5f9a4d3b50e9aa753d666c",
+        },
+        "predict": "72b457c7b550714dafdcae8769850398d7d7269041a3518067bdf3b274ea6966",
+        "eval": "4b4a2dabf0ab6843025c9eb7fc3fcec3ef147d795be5f524810df754b5d07edb",
+    },
 }
 
 
 @pytest.fixture(scope="module")
-def readme_data(tmp_path_factory):
-    """The README data set: 8 channels x 128 samples, 3 x 40 trials, seed 7."""
-    root = tmp_path_factory.mktemp("readme-data")
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["gen-synth", "--out", str(root), "--seed", "7"]) == 0
-    return root
+def dataset(tmp_path_factory):
+    """gen-synth's data set for extra arguments, made once per module; ()
+    gives the README data set: 8 channels x 128 samples, 3 x 40 trials,
+    seed 7."""
+    made = {}
+
+    def make(args: tuple[str, ...]):
+        if args not in made:
+            root = tmp_path_factory.mktemp("data")
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["gen-synth", "--out", str(root), "--seed", "7", *args]) == 0
+            made[args] = root
+        return made[args]
+
+    return make
 
 
 def _stdout(argv: list[str]) -> str:
@@ -73,17 +105,18 @@ def _sha(data: bytes) -> str:
 
 
 @pytest.mark.parametrize("name", list(PINS))
-def test_run_files_and_decoded_output_are_pinned(readme_data, tmp_path, name):
+def test_run_files_and_decoded_output_are_pinned(dataset, tmp_path, name):
     pin = PINS[name]
+    data = dataset(pin["data"])
     config = tmp_path / "config.txt"
     config.write_text(pin["config"], encoding="utf-8")
     run = tmp_path / "run"
-    _stdout(["train", "--data", str(readme_data / "manifest.txt"), "--config", str(config),
-             "--out", str(run), "--seed", "11", "--epochs", "3,3,3"])
+    _stdout(["train", "--data", str(data / "manifest.txt"), "--config", str(config),
+             "--out", str(run), "--seed", "11", "--epochs", pin["epochs"]])
     files = {f: _sha((run / f).read_bytes()) for f in RUN_FILES}
-    trial = sorted((readme_data / "trials").iterdir())[0]
+    trial = sorted((data / "trials").iterdir())[0]
     predict = _stdout(["predict", "--trial", str(trial), "--weights", str(run)])
-    evaluated = _stdout(["eval", "--data", str(readme_data / "manifest.txt"),
+    evaluated = _stdout(["eval", "--data", str(data / "manifest.txt"),
                          "--weights", str(run)])
     got = {"files": files, "predict": _sha(predict.encode()), "eval": _sha(evaluated.encode())}
     assert got == {k: pin[k] for k in got}

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from covdec import autodiff as ad
-from covdec import training
+from covdec import autoenc, branches, training
 from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, head_graph, init_dae_params, init_head_params
 from covdec.branches import (
-    extract_features_batch, init_cnn_params, init_rnn_params, split_rnn_gates,
+    cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params, rnn_graph,
+    split_rnn_gates,
 )
 from covdec.config import TrainConfig
 from covdec.covariance import NormStats, Trial, ccv, standardize
@@ -186,6 +187,67 @@ def test_stage2_reduces_reconstruction_error():
     feats = rng.normal(size=(30, config.feature_width))
     result = train_stage2(feats, config)
     assert float(dae_loss(feats, result.params).value) < 0.5 * result.curves[0].train_loss
+
+
+@pytest.mark.parametrize("graph", ["cnn", "rnn-fc-first", "rnn-lstm-first", "dae", "head"])
+def test_data_leaf_gets_no_gradient_and_moves_no_parameter_gradient(graph, monkeypatch):
+    # one taped step over a data leaf ("input"), and the same step over an
+    # ordinary leaf: only the leaf's own gradient may differ
+    config = small_config()
+    rng = np.random.default_rng(57)
+    mats = rng.normal(size=(4, 6, 6))
+    features = rng.normal(size=(4, config.feature_width))
+    latents = rng.normal(size=(4, config.dae_latent))
+    labels = [0, 1, 2, 0]
+
+    def step(op):
+        leaves = []
+
+        def leaf(value, kind="leaf"):
+            leaves.append(Node(value, op if kind == "input" else kind))
+            return leaves[-1]
+
+        if graph == "cnn":
+            params = init_cnn_params(config, 6, seed=1)
+            loss = lambda: ad.softmax_xent(cnn_graph(leaf(mats, "input"), params)[1], labels)
+        elif graph.startswith("rnn"):
+            monkeypatch.setattr(branches, "Node", leaf)
+            order = graph[len("rnn-"):]
+            params = init_rnn_params(small_config(rnn_order=order), 6, seed=2)
+            loss = lambda: ad.softmax_xent(rnn_graph(mats, params, order)[1], labels)
+        elif graph == "dae":
+            monkeypatch.setattr(autoenc, "Node", leaf)
+            params = init_dae_params(config, seed=3)
+            loss = lambda: dae_loss(features, params)
+        else:
+            params = init_head_params(config, seed=4)
+            loss = lambda: ad.softmax_xent(head_graph(leaf(latents, "input"), params), labels)
+        with ad.tape():
+            params.zero_grad()
+            loss().backward()
+        [data] = leaves
+        return data, {name: node.grad.tobytes() for name, node in params.items()}
+
+    data, grads = step("input")
+    ordinary, ordinary_grads = step("leaf")
+    assert data._grad is None and ordinary._grad is not None
+    assert grads == ordinary_grads
+
+
+def test_training_builds_its_cnn_and_head_graphs_over_data_leaves(monkeypatch):
+    seen = []
+    for name in ("cnn_graph", "head_graph"):
+        def spy(x, *args, graph=getattr(training, name), **kwargs):
+            seen.append((graph.__name__, x.op))
+            return graph(x, *args, **kwargs)
+
+        monkeypatch.setattr(training, name, spy)
+    config = small_config(epochs_stage1=1, epochs_stage3=1)
+    train_stage1(*prepared(synth_trials(), config), config)
+    rng = np.random.default_rng(58)
+    train_stage3(rng.normal(size=(12, config.dae_latent)), rng.integers(0, 3, size=12),
+                 rng.normal(size=(6, config.dae_latent)), rng.integers(0, 3, size=6), config)
+    assert set(seen) == {("cnn_graph", "input"), ("head_graph", "input")}
 
 
 def test_stage3_zero_epochs_and_determinism():
