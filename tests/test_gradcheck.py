@@ -53,6 +53,20 @@ def test_suite_deterministic_under_seed():
     assert first == second
 
 
+def test_suite_errors_at_seed_0_are_pinned():
+    # each error compares a taped backward pass with forward passes run
+    # outside a tape, so a change to the bits of either moves it
+    pins = {
+        "linear": "0x1.0f3198a0c3bc7p-36", "conv1d": "0x1.6548c14420031p-36",
+        "relu": "0x1.24cc437bdb7b0p-38", "softmax_xent": "0x1.87befe650adf9p-35",
+        "mse": "0x1.b446c6b1ffff3p-36", "lstm": "0x1.aca95e60d1425p-34",
+        "cnn_graph": "0x1.0993664acaa14p-29", "rnn_graph": "0x1.1a40cc4e6a50ep-23",
+        "dae_loss": "0x1.e3c8ef430eae0p-31", "head_graph": "0x1.499c40edf73bep-28",
+        "linear_shared": "0x1.5189589df884bp-36",
+    }
+    assert {r.name: r.rel_err.hex() for r in run_suite(seed=0)} == pins
+
+
 def test_suite_runtime_budget():
     start = time.perf_counter()
     run_suite(seed=0)
