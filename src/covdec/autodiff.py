@@ -1,13 +1,15 @@
 """Reverse-mode automatic differentiation over float64 numpy arrays.
 
-A Node pairs a value tensor with a same-shaped gradient buffer. Inside
-`with tape():` every op result appends itself to the tape, a list in creation
-order. Ops read only older Nodes, so backward() on a scalar result walks its
-tape newest first, a reverse topological order, skipping every node whose
-gradient buffer was never allocated: no gradient reached it. A closure's
-first contribution to a gradient, an array it has just made, becomes that
-node's buffer (`_acc`); later ones are added into it. Two identical backward
-passes over freshly zeroed gradients give bit-identical results.
+A Node pairs a value tensor with a same-shaped gradient buffer, which is
+None until a gradient arrives. A gradient arrives only through `_acc`: every
+backward closure hands it each contribution, an array the closure has just
+made; the first becomes the node's buffer and later ones are added into it.
+`Node.grad` reads the buffer and cannot be assigned. Inside `with tape():`
+every op result appends itself to the tape, a list in creation order. Ops
+read only older Nodes, so backward() on a scalar result walks its tape
+newest first, a reverse topological order, skipping every node whose grad is
+still None: no gradient reached it. Two identical backward passes over
+freshly zeroed gradients give bit-identical results.
 
 backward() empties its tape as it walks and drops each closure it passes, so
 the graph is freed during the walk; leaving the `with` block, also by an
@@ -21,9 +23,9 @@ cell-state and tanh(c) histories. backward() on such a result, or on one
 whose tape is empty, raises StateError.
 
 A leaf over data, made as Node(array, "input"), wants no gradient: linear,
-conv1d and lstm skip the gradient of such an input, so its `_grad` stays
-None. Every training step's graph is built over such leaves; an ordinary
-leaf ("leaf") gets its gradient as every op result does.
+conv1d and lstm skip the gradient of such an input, so its grad stays None.
+Every training step's graph is built over such leaves; an ordinary leaf
+("leaf") gets its gradient as every op result does.
 
 Vector arguments may be 1-D ([n]) or batched 2-D ([B, n]); conv1d accepts
 [Cin, L] or [B, Cin, L]; lstm maps a [B, T, d] sequence to [B, T, H] hidden
@@ -91,19 +93,9 @@ class Node:
             nodes.append(self)
 
     @property
-    def grad(self) -> np.ndarray:
-        """Gradient buffer, allocated as zeros shaped like value on first access."""
-        if self._grad is None:
-            self._grad = np.zeros_like(self.value)
+    def grad(self) -> np.ndarray | None:
+        """The gradient buffer, or None until a gradient arrives (`_acc`)."""
         return self._grad
-
-    @grad.setter
-    def grad(self, grad: np.ndarray) -> None:
-        self._grad = grad
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.value.shape
 
     def __repr__(self) -> str:
         return f"Node(op={self.op!r}, shape={self.value.shape})"
@@ -125,8 +117,9 @@ class Node:
 
 
 def _acc(node: Node, g: np.ndarray) -> None:
-    # add a gradient contribution that the calling closure has just made and
-    # no one else holds: the first one becomes node's buffer
+    # the only way a gradient reaches a node: add a contribution that the
+    # calling closure has just made and no one else holds; the first one
+    # becomes node's buffer
     if node._grad is None:
         node._grad = g
     else:
@@ -150,17 +143,15 @@ def linear(x: Node, w: Node, b: Node | None = None) -> Node:
     out = x.value @ w.value
     if b is not None:
         out += b.value
-    batched = x.value.ndim == 2
 
     def backward(g):
         if x.op != "input":
             _acc(x, g @ w.value.T)
-        if batched:
-            w.grad += x.value.T @ g
-        else:
-            w.grad += np.outer(x.value, g)
+        # an [n] input is a batch of one
+        g2 = g.reshape(-1, g.shape[-1])
+        _acc(w, x.value.reshape(-1, x.value.shape[-1]).T @ g2)
         if b is not None:
-            b.grad += g.sum(axis=0) if batched else g
+            _acc(b, g2.sum(axis=0))
 
     return Node(out, "linear", backward)
 
@@ -169,7 +160,8 @@ def reshape(x: Node, shape: Sequence[int]) -> Node:
     """View x with a new shape of the same total size."""
 
     def backward(g):
-        x.grad += g.reshape(x.value.shape)
+        # a copy: a view would alias this node's gradient buffer
+        _acc(x, g.copy().reshape(x.value.shape))
 
     return Node(x.value.reshape(shape), "reshape", backward)
 
@@ -180,7 +172,9 @@ def last_step(x: Node) -> Node:
         raise ShapeError(f"last_step: input must be [B, T, H], got {x.value.shape}")
 
     def backward(g):
-        x.grad[:, -1] += g
+        dx = np.zeros_like(x.value)
+        dx[:, -1] = g
+        _acc(x, dx)
 
     return Node(x.value[:, -1], "last_step", backward)
 
@@ -246,10 +240,10 @@ def conv1d(x: Node, w: Node, b: Node) -> Node:
 
     def backward(g):
         g = g.reshape(batch, cout, steps)
-        b.grad += g.sum(axis=(0, 2))
+        _acc(b, g.sum(axis=(0, 2)))
         g2 = g.transpose(1, 0, 2).reshape(cout, batch * steps)
         cols2 = cols.transpose(0, 2, 1).reshape(batch * steps, cin * k)
-        w.grad += (g2 @ cols2).reshape(cout, cin, k)
+        _acc(w, (g2 @ cols2).reshape(cout, cin, k))
         if x.op == "input":
             return
         dcols = (w2.T @ g).reshape(batch, cin, k, steps)
@@ -399,11 +393,11 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
         dz2 = dz.reshape(steps * batch, 4 * hidden)
         if xs.op != "input":
             _acc(xs, (dz2 @ wx_v.T).reshape(steps, batch, d).transpose(1, 0, 2))
-        wx.grad += xs_step_major().T @ dz2
+        _acc(wx, xs_step_major().T @ dz2)
         h_prev = np.zeros((steps, batch, hidden))  # h_0..h_{T-1}, step-major
         h_prev[1:] = hs[:, :-1].transpose(1, 0, 2)
-        wh.grad += h_prev.reshape(steps * batch, hidden).T @ dz2
-        b.grad += dz2.sum(axis=0)
+        _acc(wh, h_prev.reshape(steps * batch, hidden).T @ dz2)
+        _acc(b, dz2.sum(axis=0))
 
     return Node(hs, "lstm", backward)
 

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .config import TrainConfig
-from .params import Layout, ParamStore, init_store, linear_layout, require
+from .params import Layout, ParamStore, init_values, linear_layout, require
 
 
 def dae_layout(config: TrainConfig) -> Layout:
@@ -44,11 +44,11 @@ HEAD_PARAM_NAMES = tuple(name for name, _, _ in head_layout(TrainConfig()))
 
 
 def init_dae_params(config: TrainConfig, seed: int) -> ParamStore:
-    return init_store(dae_layout(config), seed)
+    return ParamStore(init_values(dae_layout(config), seed))
 
 
 def init_head_params(config: TrainConfig, seed: int) -> ParamStore:
-    return init_store(head_layout(config), seed)
+    return ParamStore(init_values(head_layout(config), seed))
 
 
 def dae_graph(features: Node, params: ParamStore,

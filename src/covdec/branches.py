@@ -32,7 +32,7 @@ from .autodiff import Node
 from .config import RNN_AXES, RNN_ORDERS, TrainConfig
 from .covariance import CovMatrix
 from .errors import ConfigError
-from .params import Layout, ParamStore, init_store, linear_layout, require
+from .params import Layout, ParamStore, init_values, linear_layout, require
 
 # trials per chunk of a forward-only pass over a whole set (feature
 # extraction, and the epoch-0 loss and validation of a branch or of the
@@ -74,7 +74,7 @@ CNN_PARAM_NAMES = tuple(name for name, _, _ in cnn_layout(TrainConfig(), 8))
 
 
 def init_cnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
-    return init_store(cnn_layout(config, channels), seed)
+    return ParamStore(init_values(cnn_layout(config, channels), seed))
 
 
 def cnn_graph(mats: Node, params: ParamStore, logits: bool = True) -> tuple[Node, Node | None]:
@@ -127,35 +127,35 @@ RNN_PARAM_NAMES = tuple(dict.fromkeys(name.partition("_")[0] for name in RNN_FIL
 
 
 def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
-    return join_rnn_gates(init_store(rnn_layout(config, channels), seed).snapshot())
+    return join_rnn_gates(init_values(rnn_layout(config, channels), seed))
 
 
 def split_rnn_gates(params: ParamStore) -> ParamStore:
     """The rnn.cvdp layout of an RNN store: each LSTM layer's fused wx, wh
     and b split into its twelve per-gate entries, all entries in file order."""
     require(params, RNN_PARAM_NAMES, "rnn")
-    out = ParamStore()
+    entries = {}
     for name in RNN_FILE_NAMES:
         fused, _, gate = name.partition("_")
         value = params[fused].value
         if gate:
             value = np.split(value, 4, axis=-1)[ad.LSTM_GATES.index(gate)]
-        out.add(name, value)
-    return out
+        entries[name] = value
+    return ParamStore(entries)
 
 
 def join_rnn_gates(entries: dict[str, np.ndarray]) -> ParamStore:
     """The RNN store of the complete rnn.cvdp layout, name -> array: each
     LSTM layer's per-gate entries joined into its fused wx, wh and b
     (`autodiff.lstm`), every parameter an owned copy."""
-    store = ParamStore()
+    fused = {}
     for param in RNN_PARAM_NAMES:
         if param in entries:
-            store.add(param, np.array(entries[param], np.float64))
+            fused[param] = np.array(entries[param], np.float64)
         else:
             parts = [entries[f"{param}_{gate}"] for gate in ad.LSTM_GATES]
-            store.add(param, np.concatenate(parts, axis=-1, dtype=np.float64))
-    return store
+            fused[param] = np.concatenate(parts, axis=-1, dtype=np.float64)
+    return ParamStore(fused)
 
 
 def rnn_graph(

@@ -9,6 +9,7 @@ Diagnostics go to stderr, results to stdout.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
@@ -100,16 +101,8 @@ def _cmd_gen_synth(args) -> int:
     )
     manifest_path = write_synth_dataset(args.out, spec)
     # echo the generator settings next to the data for reproducibility
-    echo = "\n".join(
-        f"{k} = {v}"
-        for k, v in (
-            ("channels", spec.channels), ("samples", spec.samples),
-            ("classes", spec.classes), ("trials_per_class", spec.trials_per_class),
-            ("noise_sigma", spec.noise_sigma),
-            ("signature_strength", spec.signature_strength), ("seed", spec.seed),
-        )
-    )
-    (Path(args.out) / "synth.txt").write_text(echo + "\n", encoding="utf-8")
+    echo = "".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(spec).items())
+    (Path(args.out) / "synth.txt").write_text(echo, encoding="utf-8")
     print(f"wrote {spec.classes * spec.trials_per_class} trials, "
           f"manifest {manifest_path}")
     return 0

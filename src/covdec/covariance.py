@@ -32,14 +32,6 @@ class Trial:
             raise DataError(f"trial '{self.trial_id}': non-finite samples")
         object.__setattr__(self, "data", arr)
 
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def samples(self) -> int:
-        return self.data.shape[1]
-
 
 @dataclass(frozen=True)
 class CovMatrix:

@@ -140,26 +140,29 @@ class Manifest:
 def load_manifest(path: str | Path) -> Manifest:
     p = Path(path)
     data = read_file(p, "manifest not found", DataError)
-    task, subject, classes = "", "", []
+    fields: dict[str, str] = {}
     trial_paths: list[Path] = []
     # resolved once: an entry is joined to it as written, not resolved itself
     root = p.parent.resolve()
     for lineno, key, value in key_values(data, p, ParseError):
-        if key == "task":
-            task = value
-        elif key == "subject":
-            subject = value
-        elif key == "classes":
-            classes = [c.strip() for c in value.split(",") if c.strip()]
-        elif key == "trial":
+        if key == "trial":
             trial_paths.append(root / value)
-        else:
+        elif key not in ("task", "subject", "classes"):
             raise ParseError(f"{p}:{lineno}: unknown key {key!r}")
-    return Manifest(task, classes, subject, trial_paths)
+        elif key in fields:
+            raise ParseError(f"{p}:{lineno}: duplicate key {key!r}")
+        else:
+            fields[key] = value
+    classes = [c.strip() for c in fields.get("classes", "").split(",") if c.strip()]
+    return Manifest(fields.get("task", ""), classes, fields.get("subject", ""), trial_paths)
 
 
 def save_manifest(path: str | Path, manifest: Manifest) -> None:
+    """Write `manifest` to `path`, each absolute trial path relative to the
+    manifest's resolved directory; one outside it raises DataError before
+    anything is written."""
     p = Path(path)
+    root = p.parent.resolve()
     lines = [
         f"task = {manifest.task}",
         f"classes = {','.join(manifest.classes)}",
@@ -168,7 +171,9 @@ def save_manifest(path: str | Path, manifest: Manifest) -> None:
     for tp in manifest.trial_paths:
         rel = Path(tp)
         if rel.is_absolute():
-            rel = rel.relative_to(p.parent.resolve())
+            if not rel.is_relative_to(root):
+                raise DataError(f"trial {rel} lies outside the manifest directory {root}")
+            rel = rel.relative_to(root)
         lines.append(f"trial = {rel.as_posix()}")
     p.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -293,7 +298,7 @@ def _synth_draws(spec: SynthSpec) -> Iterator[tuple[str, int, np.ndarray]]:
             yield f"c{k}-t{j:03d}", k, x32
 
 
-def write_synth_dataset(out_dir: str | Path, spec: SynthSpec, task: str = "synth") -> Path:
+def write_synth_dataset(out_dir: str | Path, spec: SynthSpec) -> Path:
     """Materialize gen_synth output as trial files plus a manifest.
 
     Each trial is written as soon as it is drawn, its float32 samples straight
@@ -307,7 +312,7 @@ def write_synth_dataset(out_dir: str | Path, spec: SynthSpec, task: str = "synth
         _write_trial(path, x32, k, 0.0, trial_id)
         paths.append(path)
     manifest = Manifest(
-        task=task,
+        task="synth",
         classes=[f"class{k}" for k in range(spec.classes)],
         subject="synth",
         trial_paths=paths,

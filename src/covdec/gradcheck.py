@@ -68,7 +68,7 @@ class CheckResult:
 def _weighted_sum(node: Node, weights: np.ndarray) -> Node:
     # scalarizer for ops whose output is not already a scalar
     def backward(g):
-        node.grad += g * weights
+        ad._acc(node, g * weights)
 
     return Node(float(np.sum(node.value * weights)), "wsum", backward)
 

@@ -1,12 +1,15 @@
 """Named parameter collections, their layouts and init, the Adam update, and
 the CVDP weight format.
 
-In memory, a store packs itself on its first zero_grad() or adam_step(): its
-values, gradients, Adam moments and scratch space move into flat float64
-buffers, parameters end to end (see ParamStore), so that adam_step is a fixed
-sequence of in-place numpy calls over every parameter at once. Loading and
-forward evaluation never pack a store, so they allocate no gradient or moment
-buffer.
+A store is made whole from an ordered name -> array mapping
+(`ParamStore(arrays)`; `init_values` draws a layout's arrays), so its names
+are fixed when it is made. In memory, a store packs itself on its first
+zero_grad() or adam_step(): its values, gradients, Adam moments and scratch
+space move into flat float64 buffers, parameters end to end (see
+ParamStore), and each parameter's value and gradient views are bound then,
+once, so that zero_grad and adam_step are fixed sequences of in-place numpy
+calls over every parameter at once. Loading and forward evaluation never
+pack a store, so they allocate no gradient or moment buffer.
 
 CVDP file layout (all little-endian):
 
@@ -30,7 +33,7 @@ from __future__ import annotations
 import math
 import struct
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -48,54 +51,41 @@ _ADAM_V = "::adam_v"
 _ROWS = 5
 _VALUE, _GRAD = 0, 1
 
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
 
 class ParamStore:
     """Ordered name -> Node map, packed into flat training buffers on first use.
 
-    Iteration follows insertion order, which also fixes the on-disk entry
-    order, so identical construction yields byte-identical files.
+    A store is made whole from an ordered name -> array mapping, each array
+    held as it is; its names are fixed then. Iteration follows that order,
+    which also fixes the on-disk entry order, so identical construction
+    yields byte-identical files.
 
     Packing (on the first zero_grad() or adam_step()) allocates one [5, n]
     float64 array, n the total parameter count: rows hold the values, the
     gradients, the Adam first and second moments and one scratch array.
     adam_step spends the gradient row as scratch space too, so after a step
     it holds that step's update, not the gradient.
-    Each parameter takes the same slice of every row, in insertion order, and
-    its Node's .value and .grad become views of its value and gradient
-    slices. Values and any gradient allocated before packing are copied in.
-    A view that a caller later replaces by assignment (`node.grad = ...`) is
-    copied into its slice and rebound at the next zero_grad() or adam_step().
-    A packed store takes no new parameters; unpack() returns it to owned
-    value arrays and frees the buffer.
+    Each parameter takes the same slice of every row, in order, and its
+    Node's .value and .grad become views of its value and gradient slices,
+    bound once, when the store packs. Values and any gradient that arrived
+    before packing are copied in. unpack() returns the store to owned value
+    arrays and frees the buffer.
     """
 
-    def __init__(self):
-        self._nodes: dict[str, Node] = {}
+    def __init__(self, arrays: Mapping[str, np.ndarray]):
+        for name in arrays:
+            if not name or _is_reserved(name):
+                raise ConfigError(f"invalid parameter name {name!r}")
+        self._nodes = {name: Node(arr, op="param") for name, arr in arrays.items()}
         self._flat: np.ndarray | None = None
-        self._views: list[tuple[Node, np.ndarray, np.ndarray]] = []
-
-    def add(self, name: str, value) -> Node:
-        if not name or _is_reserved(name):
-            raise ConfigError(f"invalid parameter name {name!r}")
-        if name in self._nodes:
-            raise ConfigError(f"duplicate parameter name {name!r}")
-        if self._flat is not None:
-            raise StateError(f"cannot add parameter {name!r} to a store packed for training")
-        node = Node(value, op="param")
-        self._nodes[name] = node
-        return node
 
     def __getitem__(self, name: str) -> Node:
         return self._nodes[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._nodes
-
-    def __len__(self) -> int:
-        return len(self._nodes)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._nodes)
 
     def names(self) -> list[str]:
         return list(self._nodes)
@@ -125,10 +115,10 @@ class ParamStore:
             node.value = node.value.copy()
             node._grad = None
         self._flat = None
-        self._views = []
 
     def _packed(self) -> np.ndarray:
-        """The [5, n] training buffer, packed on first use, with every view bound."""
+        """The [5, n] training buffer, allocated on first use, which is also
+        when every value and gradient view is bound."""
         if self._flat is None:
             sizes = [node.value.size for node in self._nodes.values()]
             self._flat = np.zeros((_ROWS, sum(sizes)))
@@ -136,16 +126,11 @@ class ParamStore:
             for node, size in zip(self._nodes.values(), sizes):
                 value, grad = (self._flat[row, start : start + size].reshape(node.value.shape)
                                for row in (_VALUE, _GRAD))
-                self._views.append((node, value, grad))
-                start += size
-        for node, value, grad in self._views:
-            if node.value is not value:
                 value[...] = node.value
-                node.value = value
-            if node._grad is not grad:
                 if node._grad is not None:
                     grad[...] = node._grad
-                node._grad = grad
+                node.value, node._grad = value, grad
+                start += size
         return self._flat
 
 
@@ -174,35 +159,28 @@ def linear_layout(name: str, n_in: int, n_out: int, rule: str) -> Layout:
             (f"{name}.b", (n_out,), ("zeros",))]
 
 
-def init_store(layout: Layout, seed: int) -> ParamStore:
-    """A store of fresh parameters, one per layout entry in order, each drawn
-    from one generator seeded with `seed`, so the layout fixes the draws."""
+def init_values(layout: Layout, seed: int) -> dict[str, np.ndarray]:
+    """Fresh parameter arrays, one per layout entry in order, each drawn from
+    one generator seeded with `seed`, so the layout fixes the draws."""
     rng = np.random.default_rng(seed)
-    store = ParamStore()
+    values = {}
     for name, shape, (rule, *fans) in layout:
         if rule == "he":
-            value = rng.normal(0.0, np.sqrt(2.0 / fans[0]), size=shape)
+            values[name] = rng.normal(0.0, np.sqrt(2.0 / fans[0]), size=shape)
         elif rule == "xavier":
             limit = np.sqrt(6.0 / sum(fans))
-            value = rng.uniform(-limit, limit, size=shape)
+            values[name] = rng.uniform(-limit, limit, size=shape)
         elif rule == "logit":
             # small logit layer so an untrained net predicts near-uniformly
-            value = rng.normal(0.0, 0.01, size=shape)
+            values[name] = rng.normal(0.0, 0.01, size=shape)
         else:
-            value = np.full(shape, 1.0 if rule == "ones" else 0.0)
-        store.add(name, value)
-    return store
+            values[name] = np.full(shape, 1.0 if rule == "ones" else 0.0)
+    return values
 
 
-def adam_step(
-    store: ParamStore,
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-    t: int = 1,
-) -> None:
-    """Standard in-place Adam update with bias correction at step t >= 1.
+def adam_step(store: ParamStore, lr: float, t: int = 1) -> None:
+    """Standard in-place Adam update with bias correction at step t >= 1,
+    beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 
     Each element takes the per-parameter formula's operations in the same
     order, lr * (m/bc1) / (sqrt(v/bc2) + eps), so the update is bit-identical
@@ -217,23 +195,23 @@ def adam_step(
     """
     if t < 1:
         raise ConfigError(f"adam_step: step count must be >= 1, got {t}")
-    bc1 = 1.0 - beta1**t
-    bc2 = 1.0 - beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     value, g, m, v, s = store._packed()
     # the flags go into scratch memory that is overwritten below
     if not np.isfinite(g, out=s.view(np.bool_)[: g.size]).all():
         name = next(n for n, node in store.items() if not np.isfinite(node.grad).all())
         raise NumericError(f"non-finite gradient for parameter '{name}'")
-    np.multiply(v, beta2, out=v)
+    np.multiply(v, _BETA2, out=v)
     np.multiply(g, g, out=s)
-    np.multiply(s, 1.0 - beta2, out=s)
+    np.multiply(s, 1.0 - _BETA2, out=s)
     np.add(v, s, out=v)
-    np.multiply(m, beta1, out=m)
-    np.multiply(g, 1.0 - beta1, out=g)  # the gradient's last read
+    np.multiply(m, _BETA1, out=m)
+    np.multiply(g, 1.0 - _BETA1, out=g)  # the gradient's last read
     np.add(m, g, out=m)
     np.divide(v, bc2, out=s)
     np.sqrt(s, out=s)
-    np.add(s, eps, out=s)
+    np.add(s, _EPS, out=s)
     np.divide(m, bc1, out=g)
     np.multiply(g, lr, out=g)
     np.divide(g, s, out=g)
@@ -271,21 +249,12 @@ def load(path: str | Path) -> ParamStore:
     (`read_entries` lists the checks).
     """
     p = Path(path)
-    return store_of(owned(read_entries(read_file(p, "weight file not found", ParseError), p)))
+    return ParamStore(owned(read_entries(read_file(p, "weight file not found", ParseError), p)))
 
 
 def owned(views: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """An owned, aligned float64 copy of each array, names and order kept."""
     return {name: np.array(view, np.float64) for name, view in views.items()}
-
-
-def store_of(arrays: dict[str, np.ndarray]) -> ParamStore:
-    """A store of the given float64 arrays, in order, each held as it is; the
-    names are taken as checked (`read_entries` checks a file's)."""
-    store = ParamStore()
-    for name, arr in arrays.items():
-        store._nodes[name] = Node(arr, op="param")
-    return store
 
 
 def read_entries(data: bytes, path: Path) -> dict[str, np.ndarray]:

@@ -98,10 +98,8 @@ def save_run(out_dir: str | Path, outcome: RunOutcome) -> None:
     for stage in STAGE_FILES:
         store = split_rnn_gates(artifacts.rnn) if stage == "rnn" else getattr(artifacts, stage)
         pstore.save(store, out / f"{stage}.cvdp")
-    norm_store = pstore.ParamStore()
-    norm_store.add("mean", artifacts.norm.mean)
-    norm_store.add("std", artifacts.norm.std)
-    pstore.save(norm_store, out / "norm.cvdp")
+    norm = pstore.ParamStore({"mean": artifacts.norm.mean, "std": artifacts.norm.std})
+    pstore.save(norm, out / "norm.cvdp")
 
     write_config(out / "config.txt", artifacts.config)
     (out / "classes.txt").write_text(
@@ -178,9 +176,9 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
                 )
     return PipelineArtifacts(
         config=config, classes=classes,
-        cnn=pstore.store_of(entries["cnn"]),
+        cnn=pstore.ParamStore(entries["cnn"]),
         rnn=join_rnn_gates(entries["rnn"]),
-        dae=pstore.store_of(entries["dae"]), head=pstore.store_of(entries["head"]),
+        dae=pstore.ParamStore(entries["dae"]), head=pstore.ParamStore(entries["head"]),
         norm=NormStats(mean, std),
     )
 

@@ -319,9 +319,8 @@ def test_format_roundtrips(tmp_path):
     trial_ok = p1.read_bytes() == p2.read_bytes()
 
     # ParamStore: save -> load -> save is byte-exact, moments included
-    store = ps.ParamStore()
-    store.add("w", rng.normal(size=(4, 3)))
-    store.add("b", rng.normal(size=3))
+    store = ps.ParamStore({"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)})
+    store.zero_grad()
     store["w"].grad[...] = 0.5
     store["b"].grad[...] = -0.25
     ps.adam_step(store, lr=1e-3, t=1)

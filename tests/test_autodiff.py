@@ -9,6 +9,7 @@ import pytest
 import covdec.autodiff as ad
 from covdec.autodiff import Node
 from covdec.errors import ConfigError, DataError, ShapeError, StateError
+from covdec.gradcheck import _weighted_sum
 
 from conftest import complex_step_grads, gate_block, lstm_arrays, lstm_loop
 
@@ -45,10 +46,21 @@ def test_matmul_backward_formulas():
     with ad.tape():
         out = ad.linear(a, b)
         g = rng.normal(size=(3, 2))
-        out.grad += g - np.ones_like(g)  # so the seeded ones make the total g
+        ad._acc(out, g - np.ones_like(g))  # so the seeded ones make the total g
         out.backward()
     assert np.allclose(a.grad, g @ b.value.T)
     assert np.allclose(b.grad, a.value.T @ g)
+
+
+def test_unbatched_linear_backward_is_the_outer_product_bit_for_bit():
+    rng = np.random.default_rng(5)
+    x, w, b = Node(rng.normal(size=4)), Node(rng.normal(size=(4, 3))), Node(rng.normal(size=3))
+    r = rng.normal(size=3)
+    with ad.tape():
+        _weighted_sum(ad.linear(x, w, b), r).backward()  # the output's gradient is r
+    assert w.grad.tobytes() == np.outer(x.value, r).tobytes()
+    assert b.grad.tobytes() == r.tobytes()
+    assert x.grad.tobytes() == (r @ w.value.T).tobytes()
 
 
 def test_relu_values_and_subgradient_at_zero():

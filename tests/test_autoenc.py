@@ -142,6 +142,6 @@ def test_predict_names_missing_stage(small_cnn, small_rnn, small_dae):
     rng = np.random.default_rng(40)
     cov = CovMatrix(rng.normal(size=(6, 6)))
     with pytest.raises(StateError, match="stage 'head'"):
-        predict_one(cov, small_cnn, small_rnn, small_dae, ParamStore())
+        predict_one(cov, small_cnn, small_rnn, small_dae, ParamStore({}))
     with pytest.raises(StateError, match="stage 'dae'"):
-        predict_one(cov, small_cnn, small_rnn, ParamStore(), small_dae)
+        predict_one(cov, small_cnn, small_rnn, ParamStore({}), small_dae)

@@ -654,11 +654,7 @@ def test_gen_synth_out_that_is_not_a_directory_exits_2_writing_nothing(tmp_path,
 
 
 def _norm_store(mean, std=None):
-    store = ParamStore()
-    store.add("mean", mean)
-    if std is not None:
-        store.add("std", std)
-    return store
+    return ParamStore({"mean": mean} if std is None else {"mean": mean, "std": std})
 
 
 def _head_out_b_short(store):
@@ -888,3 +884,86 @@ def test_gen_synth_writes_through_a_symlinked_trials_directory(tmp_path):
     rc = main(["train", "--data", str(linked / "manifest.txt"), "--config", str(config),
                "--epochs", "1,1,1", "--out", str(tmp_path / "run")])
     assert rc == 0
+
+
+def test_gen_synth_echoes_the_whole_spec(dataset):
+    assert (dataset / "synth.txt").read_text() == (
+        "channels = 6\nsamples = 64\nclasses = 3\ntrials_per_class = 8\n"
+        "noise_sigma = 0.05\nsignature_strength = 1.0\nseed = 21\n"
+    )
+
+
+@pytest.mark.parametrize("config_text, flags, message", [
+    ("classes = 1\n", [], "need at least 2 classes, got 1"),
+    ("", ["--epochs", "-1,2,2"], "epoch counts must be >= 0"),
+    ("rnn_axis = diagonal\n", [],
+     "rnn_axis must be one of ('rows', 'cols'), got 'diagonal'"),
+])
+def test_config_out_of_range_exits_2_before_training(dataset, tmp_path, capsys,
+                                                     config_text, flags, message):
+    config = tmp_path / "config.txt"
+    config.write_text(config_text)
+    rc = main(["train", "--data", str(dataset / "manifest.txt"), "--config", str(config),
+               "--out", str(tmp_path / "run"), *flags])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_config_line_without_equals_exits_2_naming_line(dataset, tmp_path, capsys):
+    config = tmp_path / "config.txt"
+    config.write_text("seed = 3\nbatch_size 8\n")
+    rc = main(["train", "--data", str(dataset / "manifest.txt"), "--config", str(config),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"error: {config}:2: expected 'key = value', got 'batch_size 8'\n")
+
+
+def test_trial_of_another_format_version_exits_3(trained_run, dataset, tmp_path, capsys):
+    trial = tmp_path / "v2.eegt"
+    blob = bytearray((dataset / "trials" / "t0000.eegt").read_bytes())
+    blob[4:8] = struct.pack("<I", 2)
+    trial.write_bytes(bytes(blob))
+    rc = main(["predict", "--trial", str(trial), "--weights", str(trained_run)])
+    assert rc == 3
+    assert capsys.readouterr() == (
+        "", f"error: {trial}: unsupported format version 2 at byte 4\n")
+
+
+def test_manifest_without_classes_exits_3(dataset, tmp_path, capsys):
+    manifest = tmp_path / "manifest.txt"
+    manifest.write_text(f"task = synth\nsubject = synth\n"
+                        f"trial = {dataset / 'trials' / 't0000.eegt'}\n")
+    rc = main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert capsys.readouterr() == ("", "error: manifest declares no classes\n")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("task", "synth"), ("subject", "synth"), ("classes", "class0,class1,class2"),
+])
+def test_manifest_repeating_a_key_exits_3_naming_line(trained_run, dataset, tmp_path, capsys,
+                                                      key, value):
+    shutil.copytree(dataset, tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    lines.insert(3, f"{key} = {value}\n")  # after task, classes and subject
+    manifest.write_text("".join(lines))
+    rc = main(["eval", "--data", str(manifest), "--weights", str(trained_run)])
+    assert rc == 3
+    assert capsys.readouterr() == ("", f"error: {manifest}:4: duplicate key '{key}'\n")
+
+
+def test_report_names_a_stage_without_curve_rows(trained_run, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(trained_run, run)
+    curves = (run / "curves.csv").read_text().splitlines(keepends=True)
+    kept = [line for line in curves if ",dae," not in line]
+    assert len(kept) < len(curves)
+    (run / "curves.csv").write_text("".join(kept))
+    rc = main(["report", "--run", str(run)])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "dae: no curve data\n" in out
+    assert "head: no curve data" not in out

@@ -28,10 +28,7 @@ def stores(draw, min_size=0):
 
 
 def save_entries(entries, path) -> bytes:
-    store = ParamStore()
-    for name, arr in entries:
-        store.add(name, arr)
-    ps.save(store, path)
+    ps.save(ParamStore(dict(entries)), path)
     return path.read_bytes()
 
 

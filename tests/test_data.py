@@ -116,6 +116,19 @@ def test_manifest_roundtrip(tmp_path):
     assert loaded.trial_paths == manifest.trial_paths
 
 
+def test_save_manifest_rejects_a_trial_outside_its_directory_before_writing(tmp_path):
+    out = tmp_path / "sets"
+    out.mkdir()
+    inside = (out / "t0.eegt").resolve()
+    outside = (tmp_path / "elsewhere.eegt").resolve()
+    manifest = Manifest("demo", ["x", "y"], "S7", [inside, outside])
+    with pytest.raises(DataError) as exc:
+        save_manifest(out / "manifest.txt", manifest)
+    assert str(exc.value) == (
+        f"trial {outside} lies outside the manifest directory {out.resolve()}")
+    assert not (out / "manifest.txt").exists()
+
+
 def test_manifest_rejects_unknown_key(tmp_path):
     path = tmp_path / "manifest.txt"
     path.write_text("task = t\nclasses = a,b\nbogus = 1\n")

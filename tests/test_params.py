@@ -16,24 +16,36 @@ from conftest import store_bytes
 
 
 def make_store() -> ParamStore:
-    store = ParamStore()
-    store.add("w", np.arange(6.0).reshape(2, 3))
-    store.add("b", np.array([0.5, -0.5, 0.25]))
-    return store
+    return ParamStore({"w": np.arange(6.0).reshape(2, 3), "b": np.array([0.5, -0.5, 0.25])})
 
 
 def test_names_unique_and_ordered():
     store = make_store()
     assert store.names() == ["w", "b"]
-    with pytest.raises(ConfigError, match="duplicate"):
-        store.add("w", np.zeros(1))
-    with pytest.raises(ConfigError, match="invalid"):
-        store.add("w::adam_m", np.zeros(1))
-    with pytest.raises(ConfigError, match="invalid"):
-        store.add("", np.zeros(1))
+    for name in ("w::adam_m", ""):
+        with pytest.raises(ConfigError, match=f"invalid parameter name {name!r}"):
+            ParamStore({"w": np.zeros(1), name: np.zeros(1)})
+
+
+def test_views_are_bound_once_when_the_store_packs():
+    store = make_store()
+    early = np.full((2, 3), 0.5)
+    ad._acc(store["w"], early)  # a gradient that arrives before packing
+    assert store["w"].grad is early and store["b"].grad is None
+    flat = store._packed()
+    views = {name: (node.value, node.grad) for name, node in store.items()}
+    assert np.shares_memory(views["w"][1], flat) and np.array_equal(views["w"][1], early)
+    assert np.array_equal(views["w"][0], np.arange(6.0).reshape(2, 3))
+    assert not views["b"][1].any()
     store.zero_grad()
-    with pytest.raises(StateError, match="'c' to a store packed for training"):
-        store.add("c", np.zeros(1))
+    adam_step(store, lr=0.1, t=1)
+    store.zero_grad()
+    for name, node in store.items():
+        assert node.value is views[name][0] and node.grad is views[name][1]
+    ad._acc(store["b"], np.ones(3))  # later gradients add into the packed row
+    assert flat[1].tolist() == [0.0] * 6 + [1.0] * 3
+    with pytest.raises(AttributeError):
+        store["w"].grad = np.zeros((2, 3))
 
 
 def test_snapshot_is_a_copy():
@@ -61,8 +73,8 @@ def test_adam_zero_gradient_leaves_parameters_unchanged():
 
 
 def test_adam_first_step_magnitude_is_lr():
-    store = ParamStore()
-    store.add("w", np.array([2.0]))
+    store = ParamStore({"w": np.array([2.0])})
+    store.zero_grad()
     store["w"].grad[...] = 1.0
     adam_step(store, lr=0.01, t=1)
     assert store["w"].value[0] == pytest.approx(2.0 - 0.01, abs=1e-6)
@@ -70,8 +82,7 @@ def test_adam_first_step_magnitude_is_lr():
 
 def test_adam_converges_on_quadratic():
     # minimize (w - 3)^2 from 0; convergence of the optimizer is the oracle
-    store = ParamStore()
-    store.add("w", np.array([0.0]))
+    store = ParamStore({"w": np.array([0.0])})
     for t in range(1, 2001):
         store.zero_grad()
         store["w"].grad[...] = 2.0 * (store["w"].value - 3.0)
@@ -83,15 +94,15 @@ def test_adam_rejects_nonfinite_gradient_naming_parameter():
     # the first, a middle and the last parameter, before and after packing
     for name in ("k", "w", "b"):
         for packed in (False, True):
-            store = ParamStore()
-            store.add("k", np.ones((2, 3, 2)))
-            store.add("w", np.arange(6.0).reshape(2, 3))
-            store.add("b", np.array([0.5, -0.5, 0.25]))
+            store = ParamStore({"k": np.ones((2, 3, 2)), "w": np.arange(6.0).reshape(2, 3),
+                                "b": np.array([0.5, -0.5, 0.25])})
             if packed:
                 store.zero_grad()
-            for other in store.names():
-                store[other].grad[...] = 0.125
-            store[name].grad.flat[-1] = np.inf if packed else np.nan
+            for other, node in store.items():
+                g = np.full(node.value.shape, 0.125)
+                if other == name:
+                    g.flat[-1] = np.inf if packed else np.nan
+                ad._acc(node, g)
             before = store_bytes(store)
             with pytest.raises(NumericError, match=f"parameter '{name}'$"):
                 adam_step(store, lr=0.1, t=1)
@@ -117,11 +128,9 @@ def reference_adam(values, grads, ms, vs, lr, t, beta1=0.9, beta2=0.999, eps=1e-
 
 def test_adam_matches_per_parameter_loop_bit_for_bit():
     rng = np.random.default_rng(31)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(3, 4)))
-    store.add("b", rng.normal(size=4))
-    store.add("k", rng.normal(size=(2, 3, 5)))  # outside the graph
-    store.add("s", rng.normal(size=()))
+    store = ParamStore({"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4),
+                        "k": rng.normal(size=(2, 3, 5)),  # outside the graph
+                        "s": rng.normal(size=())})
     x, target = rng.normal(size=(6, 3)), rng.normal(size=(6, 4))
     values = store.snapshot()
     ms = {name: np.zeros_like(v) for name, v in values.items()}
@@ -136,17 +145,17 @@ def test_adam_matches_per_parameter_loop_bit_for_bit():
         if t == 1:
             backward()  # allocates w and b's gradients lazily, before packing
         elif t == 4:
-            for name, node in store.items():  # replaces every packed view
-                node.grad = rng.normal(size=node.value.shape)
+            for name, node in store.items():  # overwrites every packed view
+                node.grad[...] = rng.normal(size=node.value.shape)
         else:
             store.zero_grad()
             backward()
             if t == 3:
-                store["k"].grad = rng.normal(size=(2, 3, 5))
+                store["k"].grad[...] = rng.normal(size=(2, 3, 5))
             else:
-                store["k"].grad += rng.normal(size=(2, 3, 5))
+                store["k"].grad[...] += rng.normal(size=(2, 3, 5))
             store["s"].grad[...] = rng.normal()
-        grads = {name: np.zeros_like(v) if store[name]._grad is None else store[name].grad.copy()
+        grads = {name: np.zeros_like(v) if store[name].grad is None else store[name].grad.copy()
                  for name, v in values.items()}
         updates = reference_adam(values, grads, ms, vs, lr=0.05, t=t)
         adam_step(store, lr=0.05, t=t)
@@ -158,9 +167,7 @@ def test_adam_matches_per_parameter_loop_bit_for_bit():
 
 def test_packed_store_allocates_five_rows():
     # values, gradients, Adam m and v, and one scratch row
-    store = ParamStore()
-    for k in range(4):
-        store.add(f"p{k}", np.ones((50, 500)))
+    store = ParamStore({f"p{k}": np.ones((50, 500)) for k in range(4)})
     n = 4 * 50 * 500
     tracemalloc.start()
     try:
@@ -216,6 +223,7 @@ def entry_names(blob: bytes) -> list[str]:
 
 def test_save_writes_parameter_entries_only(tmp_path):
     store = make_store()
+    store.zero_grad()
     store["w"].grad[...] = 0.25
     store["b"].grad[...] = -0.5
     adam_step(store, lr=0.01, t=1)  # moment buffers now exist in memory
@@ -297,8 +305,7 @@ def test_load_rejects_trailing_bytes(tmp_path):
 
 
 def test_load_rejects_nonfinite_entries(tmp_path):
-    store = ParamStore()
-    store.add("w", np.array([np.inf]))
+    store = ParamStore({"w": np.array([np.inf])})
     path = tmp_path / "weights.cvdp"
     ps.save(store, path)
     with pytest.raises(ParseError, match="non-finite"):

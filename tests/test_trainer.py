@@ -284,9 +284,7 @@ def test_early_stopping_returns_minimum_validation_checkpoint():
 
 def test_restore_returns_best_epoch_values_into_the_packed_store():
     rng = np.random.default_rng(12)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(4, 3)))
-    store.add("b", np.zeros(3))
+    store = ParamStore({"w": rng.normal(size=(4, 3)), "b": np.zeros(3)})
     x, y = rng.normal(size=(12, 4)), rng.integers(0, 3, size=12)
 
     def loss_fn(xb, yb):
@@ -317,9 +315,7 @@ def test_restore_returns_best_epoch_values_into_the_packed_store():
 
 def test_fit_records_each_step_on_its_own_tape_and_leaves_none_open():
     rng = np.random.default_rng(13)
-    store = ParamStore()
-    store.add("w", rng.normal(size=(4, 3)))
-    store.add("b", np.zeros(3))
+    store = ParamStore({"w": rng.normal(size=(4, 3)), "b": np.zeros(3)})
     x, y = rng.normal(size=(8, 4)), rng.integers(0, 3, size=8)
     tapes = []
 
