@@ -1,12 +1,12 @@
 """Deep autoencoder over concatenated branch features, plus the softmax head.
 
 The DAE has two ReLU encoder layers, a linear-output two-layer decoder that
-mirrors them, and trains unsupervised on reconstruction MSE; encoding
-(`dae_encode`) runs the encoder layers only. Its input is
+mirrors them, and trains unsupervised on reconstruction MSE. `dae_graph` is
+the encoder; the decoder runs only inside the loss, `dae_loss`. Its input is
 `TrainConfig.feature_width` wide (CNN plus RNN feature), its layers
 `dae_hidden` and `dae_latent`. The head is a two-layer FC network over latent
 codes, `head_hidden` wide; softmax is applied only inside the loss or at
-predict time.
+predict time. Both graphs take an array, a data leaf ("input") in the graph.
 
 Each net's parameters, their names, shapes and init rules, are one table
 built from a `TrainConfig`: `dae_layout` and `head_layout`. Init draws from
@@ -51,42 +51,33 @@ def init_head_params(config: TrainConfig, seed: int) -> ParamStore:
     return ParamStore(init_values(head_layout(config), seed))
 
 
-def dae_graph(features: Node, params: ParamStore,
-              decode: bool = True) -> tuple[Node, Node | None]:
-    """(latent, reconstruction) nodes for [n] or [B, n] feature input. With
-    `decode` false only the encoder runs and the reconstruction is None."""
+def dae_graph(features: np.ndarray, params: ParamStore) -> Node:
+    """Latent node for [n] or [B, n] features: the encoder alone."""
     require(params, DAE_PARAM_NAMES, "dae")
-    h = ad.relu(ad.linear(features, params["enc1.w"], params["enc1.b"]))
-    latent = ad.relu(ad.linear(h, params["enc2.w"], params["enc2.b"]))
-    if not decode:
-        return latent, None
-    h = ad.relu(ad.linear(latent, params["dec1.w"], params["dec1.b"]))
-    recon = ad.linear(h, params["dec2.w"], params["dec2.b"])
-    return latent, recon
+    h = ad.relu(ad.linear(Node(features, "input"), params["enc1.w"], params["enc1.b"]))
+    return ad.relu(ad.linear(h, params["enc2.w"], params["enc2.b"]))
 
 
 def dae_encode(features: np.ndarray, params: ParamStore) -> np.ndarray:
     """Deterministic latent code(s) for [n] or [B, n] features: the encoder
     alone, recording no backward graph."""
-    latent, _ = dae_graph(Node(features), params, decode=False)
-    return latent.value
+    return dae_graph(features, params).value
 
 
 def dae_loss(features: np.ndarray, params: ParamStore) -> Node:
-    """Reconstruction MSE node; gradient reaches all four layers, not the
-    features, a data leaf ("input"). No labels."""
-    x = Node(features, "input")
-    _, recon = dae_graph(x, params)
-    return ad.mse(recon, x.value)
+    """Reconstruction MSE node, the decoder over `dae_graph`'s latent; gradient
+    reaches all four layers, not the features. No labels."""
+    h = ad.relu(ad.linear(dae_graph(features, params), params["dec1.w"], params["dec1.b"]))
+    return ad.mse(ad.linear(h, params["dec2.w"], params["dec2.b"]), features)
 
 
-def head_graph(latents: Node, params: ParamStore) -> Node:
-    """Logit node(s) for [n] or [B, n] latent input."""
+def head_graph(latents: np.ndarray, params: ParamStore) -> Node:
+    """Logit node(s) for [n] or [B, n] latent codes."""
     require(params, HEAD_PARAM_NAMES, "head")
-    h = ad.relu(ad.linear(latents, params["fc1.w"], params["fc1.b"]))
+    h = ad.relu(ad.linear(Node(latents, "input"), params["fc1.w"], params["fc1.b"]))
     return ad.linear(h, params["out.w"], params["out.b"])
 
 
 def head_forward(latent: np.ndarray, params: ParamStore) -> np.ndarray:
     """Logits for one latent code or a batch of them; records no backward graph."""
-    return head_graph(Node(latent), params).value
+    return head_graph(latent, params).value

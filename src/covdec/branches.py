@@ -7,9 +7,10 @@ matrix rows (or columns) are time steps of two stacked LSTM layers, each one
 FC(128)+ReLU -> FC(64)+ReLU pair maps every step before the LSTMs; it runs
 once, over the steps of all trials as one [B*C, C] batch. With `lstm-first`
 the LSTMs read the raw steps and the FC pair maps the last hidden state. In
-both nets the last hidden activation is the exported feature; a small affine
-head on top produces logits used only while the branch itself is being
-trained, so feature extraction does not run it.
+both nets the last hidden activation is the feature the autoencoder reads:
+`cnn_graph` and `rnn_graph` map a [B, C, C] array, a data leaf ("input"), to
+it. The affine `out` layer on top (`branch_logits`) gives the logits a branch
+trains through; only a stage-1 loss runs it, feature extraction never.
 
 Each branch's parameters, their names, shapes and init rules, are one table
 built from a `TrainConfig` and the channel count: `cnn_layout` and
@@ -77,17 +78,20 @@ def init_cnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore
     return ParamStore(init_values(cnn_layout(config, channels), seed))
 
 
-def cnn_graph(mats: Node, params: ParamStore, logits: bool = True) -> tuple[Node, Node | None]:
-    """Forward graph over a [B, C, C] batch; returns (features, logits) nodes.
-    With `logits` false the logit layer does not run and logits is None."""
+def cnn_graph(mats: np.ndarray, params: ParamStore) -> Node:
+    """Feature node over a [B, C, C] batch, which gets no gradient."""
     require(params, CNN_PARAM_NAMES, "cnn")
-    h = ad.relu(ad.conv1d(mats, params["conv1.w"], params["conv1.b"]))
+    h = ad.relu(ad.conv1d(Node(mats, "input"), params["conv1.w"], params["conv1.b"]))
     h = ad.relu(ad.conv1d(h, params["conv2.w"], params["conv2.b"]))
     batch = h.value.shape[0]
     h = ad.reshape(h, (batch, h.value.shape[1] * h.value.shape[2]))
     h = ad.relu(ad.linear(h, params["fc1.w"], params["fc1.b"]))
-    feature = ad.relu(ad.linear(h, params["fc2.w"], params["fc2.b"]))
-    return feature, ad.linear(feature, params["out.w"], params["out.b"]) if logits else None
+    return ad.relu(ad.linear(h, params["fc2.w"], params["fc2.b"]))
+
+
+def branch_logits(feature: Node, params: ParamStore) -> Node:
+    """Logit node over either branch's feature: its store's `out` layer."""
+    return ad.linear(feature, params["out.w"], params["out.b"])
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +167,8 @@ def rnn_graph(
     params: ParamStore,
     order: str = "fc-first",
     axis: str = "rows",
-    logits: bool = True,
-) -> tuple[Node, Node | None]:
-    """Forward graph over a [B, C, C] batch; returns (features, logits) nodes.
-    With `logits` false the logit layer does not run and logits is None. The
-    batch enters as a data leaf ("input"), which gets no gradient."""
+) -> Node:
+    """Feature node over a [B, C, C] batch, which gets no gradient."""
     require(params, RNN_PARAM_NAMES, "rnn")
     if order not in RNN_ORDERS:
         raise ConfigError(f"rnn order must be one of {RNN_ORDERS}, got {order!r}")
@@ -189,10 +190,8 @@ def rnn_graph(
         batch, steps, width = mats.shape
         fc = fc_pair(Node(mats.reshape(batch * steps, width), "input"))
         seq = ad.reshape(fc, (batch, steps, fc.value.shape[1]))
-        feature = ad.last_step(lstm(lstm(seq, "lstm1"), "lstm2"))
-    else:
-        feature = fc_pair(ad.last_step(lstm(lstm(Node(mats, "input"), "lstm1"), "lstm2")))
-    return feature, ad.linear(feature, params["out.w"], params["out.b"]) if logits else None
+        return ad.last_step(lstm(lstm(seq, "lstm1"), "lstm2"))
+    return fc_pair(ad.last_step(lstm(lstm(Node(mats, "input"), "lstm1"), "lstm2")))
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +232,8 @@ def extract_features_batch(
     runs no branch logit layer."""
 
     def forward(chunk: np.ndarray) -> np.ndarray:
-        cnn_feat, _ = cnn_graph(Node(chunk), cnn_params, logits=False)
-        rnn_feat, _ = rnn_graph(chunk, rnn_params, order, axis, logits=False)
-        return np.concatenate([cnn_feat.value, rnn_feat.value], axis=1)
+        return np.concatenate([cnn_graph(chunk, cnn_params).value,
+                               rnn_graph(chunk, rnn_params, order, axis).value], axis=1)
 
     return _forward_in_chunks(forward, mats)
 

@@ -144,7 +144,8 @@ def load_manifest(path: str | Path) -> Manifest:
     trial_paths: list[Path] = []
     # resolved once: an entry is joined to it as written, not resolved itself
     root = p.parent.resolve()
-    for lineno, key, value in key_values(data, p, ParseError):
+    entries = key_values(data, p, ParseError)
+    for lineno, key, value in entries:
         if key == "trial":
             trial_paths.append(root / value)
         elif key not in ("task", "subject", "classes"):
@@ -154,7 +155,11 @@ def load_manifest(path: str | Path) -> Manifest:
         else:
             fields[key] = value
     classes = [c.strip() for c in fields.get("classes", "").split(",") if c.strip()]
-    return Manifest(fields.get("task", ""), classes, fields.get("subject", ""), trial_paths)
+    try:
+        return Manifest(fields.get("task", ""), classes, fields.get("subject", ""), trial_paths)
+    except DataError as exc:  # the class-list checks, named at the classes line
+        where = next((f"{p}:{n}" for n, key, _ in entries if key == "classes"), p)
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def save_manifest(path: str | Path, manifest: Manifest) -> None:

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .autoenc import dae_loss, head_graph, init_dae_params, init_head_params
-from .branches import cnn_graph, init_cnn_params, init_rnn_params, rnn_graph
+from .branches import branch_logits, cnn_graph, init_cnn_params, init_rnn_params, rnn_graph
 from .config import TrainConfig
 from .errors import ConfigError
 
@@ -164,8 +164,7 @@ def _cnn_check(rng) -> CheckResult:
     labels = rng.integers(0, 3, size=2)
 
     def build():
-        _, logits = cnn_graph(Node(mats, "input"), params)
-        return ad.softmax_xent(logits, labels)
+        return ad.softmax_xent(branch_logits(cnn_graph(mats, params), params), labels)
 
     return _check("cnn_graph", 1e-4, build, [node for _, node in params.items()])
 
@@ -177,8 +176,7 @@ def _rnn_check(rng) -> CheckResult:
     labels = rng.integers(0, 3, size=2)
 
     def build():
-        _, logits = rnn_graph(mats, params)
-        return ad.softmax_xent(logits, labels)
+        return ad.softmax_xent(branch_logits(rnn_graph(mats, params), params), labels)
 
     return _check("rnn_graph", 1e-4, build, [node for _, node in params.items()])
 
@@ -199,7 +197,7 @@ def _head_check(rng) -> CheckResult:
     labels = rng.integers(0, 3, size=3)
 
     def build():
-        return ad.softmax_xent(head_graph(Node(latents, "input"), params), labels)
+        return ad.softmax_xent(head_graph(latents, params), labels)
 
     return _check("head_graph", 1e-4, build, [node for _, node in params.items()])
 

@@ -139,8 +139,11 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             read_file(path, f"missing stage weights '{stage}'", StateError), path)
         entries[stage] = views if stage == "rnn" else pstore.owned(views)
     config_path = run / "config.txt"
-    config = config_from_dict(config_values(
-        read_file(config_path, "missing config echo", StateError), config_path))
+    values = config_values(read_file(config_path, "missing config echo", StateError), config_path)
+    try:
+        config = config_from_dict(values)
+    except ConfigError as exc:  # unknown keys, unreadable or invalid values
+        raise StateError(f"{config_path}: {exc}") from None
     classes_path = run / "classes.txt"
     text = decode_utf8(read_file(classes_path, "missing class names", StateError),
                        classes_path, ParseError)

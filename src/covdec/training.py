@@ -24,8 +24,8 @@ from .autoenc import (
     dae_encode, dae_loss, head_forward, head_graph, init_dae_params, init_head_params,
 )
 from .branches import (
-    _forward_in_chunks, cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params,
-    rnn_graph,
+    _forward_in_chunks, branch_logits, cnn_graph, extract_features_batch, init_cnn_params,
+    init_rnn_params, rnn_graph,
 )
 from .config import TrainConfig
 from .covariance import NormStats, Trial, covariances, prepare, standardize
@@ -248,10 +248,10 @@ def train_stage1(
     rnn_params = init_rnn_params(config, channels, seeds["rnn_init"])
 
     def cnn_fn(x, p):
-        return cnn_graph(Node(x, "input"), p)[1]
+        return branch_logits(cnn_graph(x, p), p)
 
     def rnn_fn(x, p):
-        return rnn_graph(x, p, config.rnn_order, config.rnn_axis)[1]
+        return branch_logits(rnn_graph(x, p, config.rnn_order, config.rnn_axis), p)
 
     common = dict(
         lr=config.lr_stage1, epochs=config.epochs_stage1,
@@ -289,12 +289,8 @@ def train_stage3(
     """Supervised head training on frozen-autoencoder latents."""
     seeds = _derived_seeds(config.seed)
     params = init_head_params(config, seeds["head_init"])
-
-    def head_fn(z, p):
-        return head_graph(Node(z, "input"), p)
-
     return _fit_classifier(
-        head_fn, params, train_latents, train_labels, val_latents, val_labels,
+        head_graph, params, train_latents, train_labels, val_latents, val_labels,
         lr=config.lr_stage3, epochs=config.epochs_stage3,
         batch_size=config.batch_size, patience=config.patience,
         shuffle_seed=seeds["head_shuffle"], stage="head",

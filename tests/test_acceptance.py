@@ -16,8 +16,7 @@ import numpy as np
 import pytest
 
 from covdec import params as ps
-from covdec.autodiff import Node
-from covdec.branches import cnn_graph, rnn_graph
+from covdec.branches import branch_logits, cnn_graph, rnn_graph
 from covdec.cli import main
 from covdec.covariance import Trial, ccv, standardize
 from covdec.data import (
@@ -124,8 +123,9 @@ def _branch_train_accuracy(run_dir, data_dir):
     mats, _ = standardize(np.stack([ccv(t, cfg.tau).values for t in train_trials]),
                           artifacts.norm)
     labels = np.array([t.label for t in train_trials])
-    _, cnn_logits = cnn_graph(Node(mats), artifacts.cnn)
-    _, rnn_logits = rnn_graph(mats, artifacts.rnn, cfg.rnn_order, cfg.rnn_axis)
+    cnn_logits = branch_logits(cnn_graph(mats, artifacts.cnn), artifacts.cnn)
+    rnn_logits = branch_logits(rnn_graph(mats, artifacts.rnn, cfg.rnn_order, cfg.rnn_axis),
+                               artifacts.rnn)
     cnn_acc = float(np.mean(np.argmax(cnn_logits.value, axis=1) == labels))
     rnn_acc = float(np.mean(np.argmax(rnn_logits.value, axis=1) == labels))
     return cnn_acc, rnn_acc

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -38,6 +39,32 @@ def test_matmul_hand_computed():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
         ad.linear(Node(np.zeros((2, 3))), Node(np.zeros((2, 2))))
+
+
+def _zeros(*shape):
+    return Node(np.zeros(shape))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ad.linear(_zeros(2, 3), _zeros(3)), "linear: weight must be 2-D, got (3,)"),
+    (lambda: ad.linear(_zeros(2, 3), _zeros(3, 4), _zeros(3)),
+     "linear: bias (3,) vs weight (3, 4)"),
+    (lambda: ad.conv1d(_zeros(2, 6), _zeros(4, 2), _zeros(4)),
+     "conv1d: weight must be [Cout, Cin, K], got (4, 2)"),
+    (lambda: ad.conv1d(_zeros(6), _zeros(4, 2, 3), _zeros(4)),
+     "conv1d: input must be 2-D or 3-D, got (6,)"),
+    (lambda: ad.conv1d(_zeros(3, 6), _zeros(4, 2, 3), _zeros(4)),
+     "conv1d: input channels 3 vs weight Cin 2"),
+    (lambda: ad.conv1d(_zeros(2, 6), _zeros(4, 2, 3), _zeros(5)),
+     "conv1d: bias (5,) vs Cout 4"),
+    (lambda: ad.softmax_xent(_zeros(3), [0, 1, 2]),
+     "softmax_xent: logits must be [B, K], got (3,)"),
+    (lambda: ad.softmax_xent(_zeros(2, 3), [0, 1, 2]), "softmax_xent: 2 rows vs 3 labels"),
+], ids=["linear-weight", "linear-bias", "conv1d-weight", "conv1d-input", "conv1d-channels",
+        "conv1d-bias", "softmax_xent-logits", "softmax_xent-labels"])
+def test_op_shape_rejections_name_the_shapes(build, message):
+    with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_matmul_backward_formulas():

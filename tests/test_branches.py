@@ -8,6 +8,7 @@ from covdec.autodiff import Node
 from covdec.branches import (
     RNN_FILE_NAMES,
     RNN_PARAM_NAMES,
+    branch_logits,
     cnn_graph,
     extract_features,
     extract_features_batch,
@@ -34,15 +35,15 @@ def random_cov(rng, c=6):
 
 
 def cnn_single(cov, params):
-    """(feature, logits) of cnn_graph over a batch of one."""
-    feature, logits = cnn_graph(Node(cov.values[None]), params)
-    return feature.value[0], logits.value[0]
+    """(feature, logits) of the CNN branch over a batch of one."""
+    feature = cnn_graph(cov.values[None], params)
+    return feature.value[0], branch_logits(feature, params).value[0]
 
 
 def rnn_single(cov, params, order="fc-first", axis="rows"):
-    """(feature, logits) of rnn_graph over a batch of one."""
-    feature, logits = rnn_graph(cov.values[None], params, order, axis)
-    return feature.value[0], logits.value[0]
+    """(feature, logits) of the RNN branch over a batch of one."""
+    feature = rnn_graph(cov.values[None], params, order, axis)
+    return feature.value[0], branch_logits(feature, params).value[0]
 
 
 def rnn_reference(mats, params, order="fc-first", axis="rows"):
@@ -155,11 +156,11 @@ def test_forward_graph_allocates_no_gradient_buffers(branch, small_run):
     def build():
         if branch == "cnn":
             params = init_cnn_params(SMALL_CONFIG, channels=6, seed=42)
-            _, logits = cnn_graph(Node(mats), params)
+            feature = cnn_graph(mats, params)
         else:
             params = init_rnn_params(SMALL_CONFIG, channels=6, seed=43)
-            _, logits = rnn_graph(mats, params)
-        return params, logits
+            feature = rnn_graph(mats, params)
+        return params, branch_logits(feature, params)
 
     with ad.tape() as nodes:
         params, logits = build()
@@ -190,8 +191,9 @@ def test_batched_graph_matches_per_sample_forward(small_cnn, small_rnn):
     rng = np.random.default_rng(26)
     covs = [random_cov(rng) for _ in range(4)]
     mats = np.stack([c.values for c in covs])
-    cnn_feat, cnn_logits = cnn_graph(Node(mats), small_cnn)
-    rnn_feat, rnn_logits = rnn_graph(mats, small_rnn)
+    cnn_feat, rnn_feat = cnn_graph(mats, small_cnn), rnn_graph(mats, small_rnn)
+    cnn_logits = branch_logits(cnn_feat, small_cnn)
+    rnn_logits = branch_logits(rnn_feat, small_rnn)
     for i, cov in enumerate(covs):
         single_cnn = cnn_single(cov, small_cnn)
         single_rnn = rnn_single(cov, small_rnn)
@@ -217,7 +219,8 @@ def test_rnn_graph_matches_numpy_reference(order, axis):
     config = dataclasses.replace(SMALL_CONFIG, rnn_order=order)
     params = init_rnn_params(config, channels=6, seed=7)
     mats = np.random.default_rng(34).normal(size=(3, 6, 6))  # not symmetric
-    feature, logits = rnn_graph(mats, params, order, axis)
+    feature = rnn_graph(mats, params, order, axis)
+    logits = branch_logits(feature, params)
     want_feature, want_logits = rnn_reference(mats, params, order, axis)
     assert feature.value.shape == (3, config.rnn_feature)
     assert np.allclose(feature.value, want_feature, rtol=0.0, atol=1e-12)
@@ -225,7 +228,9 @@ def test_rnn_graph_matches_numpy_reference(order, axis):
 
 
 def test_rnn_graph_size_does_not_grow_with_channels(monkeypatch):
-    # one op per layer: the node count of a decode graph is fixed, not one per step
+    # one op per layer: the node count of a decode graph is fixed, not one per
+    # step: the input leaf, two linear+relu pairs, a reshape, two lstm ops and
+    # last_step
     init = Node.__init__
     built = []
 
@@ -242,7 +247,7 @@ def test_rnn_graph_size_does_not_grow_with_channels(monkeypatch):
         rnn_graph(mats, params)
         monkeypatch.undo()
         counts[channels] = len(built)
-    assert counts == {8: 10, 64: 10}
+    assert counts == {8: 9, 64: 9}
 
 
 def test_rnn_column_axis_equals_rows_on_symmetric_input(small_rnn):

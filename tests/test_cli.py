@@ -764,6 +764,19 @@ def test_config_kernels_too_wide_for_the_channels_exits_2(trained_run, dataset, 
         "", f"error: {broken / 'config.txt'}: cnn needs at least 7 channels, got 6\n")
 
 
+@pytest.mark.parametrize("line, edited, message", [
+    ("classes = 3", "classes = 1", "need at least 2 classes, got 1"),
+    ("rnn_axis = rows", "rnn_axis = diagonal",
+     "rnn_axis must be one of ('rows', 'cols'), got 'diagonal'"),
+], ids=["classes", "rnn_axis"])
+def test_run_config_rejection_exits_2_naming_config_txt(trained_run, dataset, tmp_path, capsys,
+                                                        line, edited, message):
+    broken = tmp_path / "broken"
+    rc = _run_with_config_edit(trained_run, broken, dataset, "predict", line, edited)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {broken / 'config.txt'}: {message}\n")
+
+
 def test_python_m_covdec_runs_the_cli(tmp_path):
     src = str(Path(covdec.__file__).resolve().parents[1])
     proc = subprocess.run(
@@ -937,7 +950,24 @@ def test_manifest_without_classes_exits_3(dataset, tmp_path, capsys):
                         f"trial = {dataset / 'trials' / 't0000.eegt'}\n")
     rc = main(["train", "--data", str(manifest), "--out", str(tmp_path / "run")])
     assert rc == 3
-    assert capsys.readouterr() == ("", "error: manifest declares no classes\n")
+    assert capsys.readouterr() == ("", f"error: {manifest}: manifest declares no classes\n")
+
+
+@pytest.mark.parametrize("value, message", [
+    ("a,a", "duplicate class names: ['a', 'a']"),
+    ("", "manifest declares no classes"),
+], ids=["duplicate", "empty"])
+def test_manifest_class_list_rejection_exits_3_naming_line(trained_run, dataset, tmp_path,
+                                                           capsys, value, message):
+    shutil.copytree(dataset, tmp_path / "data")
+    manifest = tmp_path / "data" / "manifest.txt"
+    lines = manifest.read_text().splitlines(keepends=True)
+    assert lines[1].startswith("classes = ")
+    lines[1] = f"classes = {value}\n"
+    manifest.write_text("".join(lines))
+    rc = main(["eval", "--data", str(manifest), "--weights", str(trained_run)])
+    assert rc == 3
+    assert capsys.readouterr() == ("", f"error: {manifest}:2: {message}\n")
 
 
 @pytest.mark.parametrize("key, value", [

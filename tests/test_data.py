@@ -98,6 +98,15 @@ def test_label_out_of_manifest_range_names_file(tmp_path):
         next(trials)
 
 
+@pytest.mark.parametrize("classes, message", [
+    ([], "manifest declares no classes"),
+    (["a", "a"], r"duplicate class names: \['a', 'a'\]"),
+])
+def test_manifest_built_in_code_checks_its_class_list(classes, message):
+    with pytest.raises(DataError, match=f"^{message}$"):
+        Manifest("demo", classes, "S1", [])
+
+
 def test_missing_manifest_names_path():
     with pytest.raises(DataError, match="no/such/manifest.txt"):
         load("no/such/manifest.txt")

@@ -9,7 +9,7 @@ from covdec import autoenc, branches, training
 from covdec.autodiff import Node
 from covdec.autoenc import dae_loss, head_graph, init_dae_params, init_head_params
 from covdec.branches import (
-    cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params, rnn_graph,
+    branch_logits, cnn_graph, extract_features_batch, init_cnn_params, init_rnn_params, rnn_graph,
     split_rnn_gates,
 )
 from covdec.config import TrainConfig
@@ -207,21 +207,22 @@ def test_data_leaf_gets_no_gradient_and_moves_no_parameter_gradient(graph, monke
             leaves.append(Node(value, op if kind == "input" else kind))
             return leaves[-1]
 
+        monkeypatch.setattr(branches, "Node", leaf)
+        monkeypatch.setattr(autoenc, "Node", leaf)
         if graph == "cnn":
             params = init_cnn_params(config, 6, seed=1)
-            loss = lambda: ad.softmax_xent(cnn_graph(leaf(mats, "input"), params)[1], labels)
+            loss = lambda: ad.softmax_xent(branch_logits(cnn_graph(mats, params), params), labels)
         elif graph.startswith("rnn"):
-            monkeypatch.setattr(branches, "Node", leaf)
             order = graph[len("rnn-"):]
             params = init_rnn_params(small_config(rnn_order=order), 6, seed=2)
-            loss = lambda: ad.softmax_xent(rnn_graph(mats, params, order)[1], labels)
+            loss = lambda: ad.softmax_xent(
+                branch_logits(rnn_graph(mats, params, order), params), labels)
         elif graph == "dae":
-            monkeypatch.setattr(autoenc, "Node", leaf)
             params = init_dae_params(config, seed=3)
             loss = lambda: dae_loss(features, params)
         else:
             params = init_head_params(config, seed=4)
-            loss = lambda: ad.softmax_xent(head_graph(leaf(latents, "input"), params), labels)
+            loss = lambda: ad.softmax_xent(head_graph(latents, params), labels)
         with ad.tape():
             params.zero_grad()
             loss().backward()
@@ -235,19 +236,20 @@ def test_data_leaf_gets_no_gradient_and_moves_no_parameter_gradient(graph, monke
 
 
 def test_training_builds_its_cnn_and_head_graphs_over_data_leaves(monkeypatch):
+    # every leaf the graph modules make while stages 1 and 3 train is data
     seen = []
-    for name in ("cnn_graph", "head_graph"):
-        def spy(x, *args, graph=getattr(training, name), **kwargs):
-            seen.append((graph.__name__, x.op))
-            return graph(x, *args, **kwargs)
+    for module in (branches, autoenc):
+        def spy(value, op="leaf", *args, name=module.__name__):
+            seen.append((name, op))
+            return Node(value, op, *args)
 
-        monkeypatch.setattr(training, name, spy)
+        monkeypatch.setattr(module, "Node", spy)
     config = small_config(epochs_stage1=1, epochs_stage3=1)
     train_stage1(*prepared(synth_trials(), config), config)
     rng = np.random.default_rng(58)
     train_stage3(rng.normal(size=(12, config.dae_latent)), rng.integers(0, 3, size=12),
                  rng.normal(size=(6, config.dae_latent)), rng.integers(0, 3, size=6), config)
-    assert set(seen) == {("cnn_graph", "input"), ("head_graph", "input")}
+    assert set(seen) == {("covdec.branches", "input"), ("covdec.autoenc", "input")}
 
 
 def test_stage3_zero_epochs_and_determinism():
@@ -278,7 +280,7 @@ def test_early_stopping_returns_minimum_validation_checkpoint():
     from covdec.autoenc import head_graph
     from covdec.training import _xent_eval
 
-    loss, _ = _xent_eval(lambda z, p: head_graph(Node(z), p), result.params, vlat, vlab)
+    loss, _ = _xent_eval(head_graph, result.params, vlat, vlab)
     assert loss == pytest.approx(min(val_losses), abs=1e-12)
 
 
@@ -599,7 +601,7 @@ def test_chunked_head_pass_is_byte_identical_to_one_batch(n, monkeypatch):
     labels = rng.integers(0, config.classes, size=n)
 
     def run():
-        loss, acc = _xent_eval(lambda z, p: head_graph(Node(z), p), head, latents, labels)
+        loss, acc = _xent_eval(head_graph, head, latents, labels)
         return np.float64(loss).tobytes(), np.float64(acc).tobytes()
 
     chunked = run()
