@@ -149,13 +149,13 @@ def split_rnn_gates(params: ParamStore) -> ParamStore:
 
 
 def join_rnn_gates(entries: dict[str, np.ndarray]) -> ParamStore:
-    """The RNN store of the complete rnn.cvdp layout, name -> array: each
-    LSTM layer's per-gate entries joined into its fused wx, wh and b
-    (`autodiff.lstm`), every parameter an owned copy."""
+    """The RNN store of the complete rnn.cvdp layout, name -> float64 array:
+    each LSTM layer's per-gate entries joined into its fused wx, wh and b
+    (`autodiff.lstm`), the other entries held as they are."""
     fused = {}
     for param in RNN_PARAM_NAMES:
         if param in entries:
-            fused[param] = np.array(entries[param], np.float64)
+            fused[param] = entries[param]
         else:
             parts = [entries[f"{param}_{gate}"] for gate in ad.LSTM_GATES]
             fused[param] = np.concatenate(parts, axis=-1, dtype=np.float64)

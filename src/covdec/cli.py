@@ -125,7 +125,16 @@ def _cmd_train(args) -> int:
         values["epochs_stage1"], values["epochs_stage2"], values["epochs_stage3"] = parts
     # a declared class count must match the manifest; run_training checks it
     values.setdefault("classes", len(manifest.classes))
-    config = config_from_dict(values)
+    # a rejected value names where the merged values came from
+    sources = [args.config] if args.config else []
+    sources += [flag for flag, v in (("--seed", args.seed), ("--epochs", args.epochs))
+                if v is not None]
+    try:
+        config = config_from_dict(values)
+    except ConfigError as exc:
+        if not sources:
+            raise
+        raise ConfigError(f"{' with '.join(sources)}: {exc}") from None
 
     outcome = run_training(trials, manifest.classes, config)
     save_run(args.out, outcome)

@@ -51,11 +51,14 @@ def ccv(trial: Trial, lag: int = 0) -> CovMatrix:
     W = T - |lag| overlapping samples, with mu the per-channel mean of that
     window. lag 0 is the ordinary sample covariance, exactly symmetric.
     """
-    return CovMatrix(_ccv(trial.data, lag), lag)
+    return CovMatrix(_ccv(trial.data, lag)[0], lag)
 
 
-def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
-    """ccv's [C, C] values for the [C, T] samples `x`.
+def _ccv(
+    x: np.ndarray, lag: int, buf: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """ccv's [C, C] values for the [C, T] samples `x`, and the buffer the
+    centred windows were written to.
 
     At lag 0 the trial is centred once, and `a @ a.T` on that one buffer
     makes numpy call BLAS `syrk`, which is symmetric by construction and does
@@ -63,7 +66,9 @@ def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
     own and multiplies them with `gemm`. The two kernels may round
     differently, so lag-0 entries can differ in the last bits from a `gemm`
     on two buffers. The mean is `sum / W`, the bits `mean` gives without its
-    call overhead.
+    call overhead. The buffer is `buf` when it is the float64 [1, C, W]
+    array (lag 0) or [2, C, W] array (any other lag) the windows need, and a
+    new one otherwise, so a caller can pass it on to the next trial.
     """
     t_len = x.shape[1]
     if abs(lag) >= t_len:
@@ -71,17 +76,21 @@ def _ccv(x: np.ndarray, lag: int) -> np.ndarray:
     window = t_len - abs(lag)
     if window <= 1:
         raise DataError(f"degenerate {window}-sample overlap for lag {lag}")
+    shape = (2 if lag else 1, x.shape[0], window)
+    if buf is None or buf.shape != shape:
+        buf = np.empty(shape)
     if lag == 0:
-        a = x - x.sum(axis=1, keepdims=True) / window
+        a = np.subtract(x, x.sum(axis=1, keepdims=True) / window, out=buf[0])
         m = a @ a.T
     else:
         # a holds x_i(t) and b x_j(t + lag), each over the window where both exist
-        a, b = (x[:, start : start + window] for start in (max(-lag, 0), max(lag, 0)))
-        a = a - a.sum(axis=1, keepdims=True) / window
-        b = b - b.sum(axis=1, keepdims=True) / window
+        a, b = buf
+        for out, start in ((a, max(-lag, 0)), (b, max(lag, 0))):
+            w = x[:, start : start + window]
+            np.subtract(w, w.sum(axis=1, keepdims=True) / window, out=out)
         m = a @ b.T
     m /= window - 1
-    return m
+    return m, buf
 
 
 @dataclass(frozen=True)
@@ -124,9 +133,12 @@ def covariances(
     source such as `data.load` has one raw trial in memory at a time. Every
     trial must have `channels` channels (by default, the first trial's). The
     set is held twice only while it is stacked; no trials give [0, 0, 0].
+    Each trial is centred into one buffer, made again only when the sample
+    count changes (`_ccv`).
     """
     covs: list[np.ndarray] = []
     labels: list[int] = []
+    buf = None
     for trial in trials:
         x = trial.data
         if channels is None:
@@ -136,9 +148,11 @@ def covariances(
                 f"trial '{trial.trial_id}' has {x.shape[0]} channels, "
                 f"expected {channels}"
             )
-        covs.append(_ccv(x, tau))
+        m, buf = _ccv(x, tau, buf)
+        covs.append(m)
         labels.append(trial.label)
         del trial, x  # release the trial before the source makes the next one
+    del buf  # and the buffer before the set is stacked
     mats = np.stack(covs) if covs else np.empty((0, 0, 0))
     return mats, np.array(labels, dtype=np.int64)
 

@@ -1,12 +1,13 @@
 """The one way covdec reads an input file: trials, manifests, configs and
 every file of a run directory.
 
-`read_file` opens a path once, without blocking, and takes its bytes only
-when fstat calls it a regular file. A path that names nothing, a directory,
-a FIFO, a socket or a device gets the error a missing file gets, so a FIFO in
-place of an input cannot stall a command; any other failure to open or read
-it gets an error naming the path. The text formats are decoded as UTF-8
-(`decode_utf8`) and the key = value ones split into lines (`key_values`).
+`open_regular` opens a path once, without blocking, and hands out the
+descriptor only when fstat calls it a regular file; `read_file` takes all
+its bytes. A path that names nothing, a directory, a FIFO, a socket or a
+device gets the error a missing file gets, so a FIFO in place of an input
+cannot stall a command; any other failure to open or read it gets an error
+naming the path. The text formats are decoded as UTF-8 (`decode_utf8`) and
+the key = value ones split into lines (`key_values`).
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ _FLAGS = os.O_RDONLY | os.O_NONBLOCK | os.O_CLOEXEC
 _ABSENT = frozenset((errno.ENOENT, errno.ENOTDIR, errno.ELOOP, errno.ENXIO, errno.ENODEV))
 
 
-def read_file(path: Path, missing: str, error: type[CovdecError]) -> bytes:
-    """The whole content of the regular file at `path`.
+def open_regular(path: Path, missing: str, error: type[CovdecError]) -> tuple[int, int]:
+    """A descriptor open for reading on the regular file at `path`, which the
+    caller closes, and the size fstat gives the file.
 
     Raises error(f"{missing}: {path}") when `path` names no regular file,
-    and error(f"{path}: cannot read (<reason>)") when opening or reading it
-    fails otherwise, as for a file without read permission.
+    and error(f"{path}: cannot read (<reason>)") when opening it fails
+    otherwise, as for a file without read permission; a caller raises the
+    same for a read that fails.
     """
     try:
         fd = os.open(path, _FLAGS)
@@ -41,14 +44,28 @@ def read_file(path: Path, missing: str, error: type[CovdecError]) -> bytes:
         raise error(f"{path}: cannot read ({exc.strerror})") from None
     try:
         st = os.fstat(fd)
-        if not stat.S_ISREG(st.st_mode):
-            raise error(f"{missing}: {path}")
+        if stat.S_ISREG(st.st_mode):
+            return fd, st.st_size
+    except OSError as exc:
+        os.close(fd)
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
+    os.close(fd)
+    raise error(f"{missing}: {path}")
+
+
+def read_file(path: Path, missing: str, error: type[CovdecError]) -> bytes:
+    """The whole content of the regular file at `path`, with the errors of
+    `open_regular`."""
+    fd, size = open_regular(path, missing, error)
+    try:
         # one byte past the size fstat gave, so that the file usually takes
         # one read and the empty one that ends the loop. Later reads ask for
         # at most 64 KiB: each read allocates what it asks for, and a second
         # buffer the size of a large file costs glibc a heap trim and the
-        # page faults that refill it
-        chunks, size = [], st.st_size + 1
+        # page faults that refill it. Weight files, the large ones, do not
+        # come here: `params.read_entries` reads each payload straight into
+        # its array
+        chunks, size = [], size + 1
         while chunk := os.read(fd, size):
             chunks.append(chunk)
             size = min(size, 1 << 16)

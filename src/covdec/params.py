@@ -26,11 +26,16 @@ CVDP file layout (all little-endian):
 Files hold parameter values only. "::" is reserved and rejected in parameter
 names: older writers appended Adam moment buffers as "<param>::adam_m" and
 "<param>::adam_v" entries, which the reader still validates and then drops.
+Payloads move between the file and their own arrays: `save` writes each
+array's buffer after its header, and `read_entries` reads each payload
+straight into a fresh array, so a loaded parameter is one copy of its bytes.
 """
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -38,8 +43,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .autodiff import Node
-from .errors import ConfigError, NumericError, ParseError, StateError
-from .files import read_file
+from .errors import ConfigError, CovdecError, NumericError, ParseError, StateError
+from .files import open_regular
 
 MAGIC = b"CVDP"
 FORMAT_VERSION = 1
@@ -223,92 +228,106 @@ def adam_step(store: ParamStore, lr: float, t: int = 1) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _pack_entry(name: str, arr: np.ndarray) -> bytes:
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_BUFFER = 1 << 16
+
+
+def _header(name: str, arr: np.ndarray) -> bytes:
     name_b = name.encode("utf-8")
-    parts = [struct.pack("<H", len(name_b)), name_b, struct.pack("<I", arr.ndim)]
-    parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-    parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return b"".join(parts)
+    return (_U16.pack(len(name_b)) + name_b + _U32.pack(arr.ndim)
+            + struct.pack(f"<{arr.ndim}I", *arr.shape))
 
 
 def save(store: ParamStore, path: str | Path) -> None:
-    """Write the store's parameter values to a CVDP file."""
-    entries = [_pack_entry(name, node.value) for name, node in store.items()]
-    blob = MAGIC + struct.pack("<II", FORMAT_VERSION, len(entries)) + b"".join(entries)
-    Path(path).write_bytes(blob)
-
-
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
+    """Write the store's parameter values to a CVDP file: each entry's header,
+    then its array's own buffer (a copy only for an array that is not
+    contiguous little-endian float64, such as a split LSTM gate)."""
+    headers = [_header(name, node.value) for name, node in store.items()]
+    with open(path, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(headers)))
+        for header, (_, node) in zip(headers, store.items()):
+            f.write(header)
+            f.write(np.ascontiguousarray(node.value, dtype="<f8").data)
 
 
 def load(path: str | Path) -> ParamStore:
     """Read a CVDP file back into a ParamStore; moment entries are dropped.
 
-    The store holds an owned, aligned copy of each parameter entry's payload
+    The store holds each parameter entry's payload in an array of its own
     (`read_entries` lists the checks).
     """
-    p = Path(path)
-    return ParamStore(owned(read_entries(read_file(p, "weight file not found", ParseError), p)))
+    return ParamStore(read_entries(Path(path)))
 
 
-def owned(views: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """An owned, aligned float64 copy of each array, names and order kept."""
-    return {name: np.array(view, np.float64) for name, view in views.items()}
+def read_entries(path: Path, missing: str = "weight file not found",
+                 error: type[CovdecError] = ParseError) -> dict[str, np.ndarray]:
+    """The parameter entries of the CVDP file at `path`: name -> a fresh
+    float64 array holding its payload, in file order.
 
-
-def read_entries(data: bytes, path: Path) -> dict[str, np.ndarray]:
-    """The parameter entries of the CVDP file bytes `data`, read from `path`:
-    name -> a read-only view of its payload in `data`, in file order.
-
-    Every header is walked and checked (truncation, names, dims, trailing
-    bytes) before any payload is read; the payloads are then checked for
-    non-finite values in entry order, and the moment entries for pairing
-    before they are dropped.
+    One pass reads the file through a 64 KiB buffer. Each header is checked
+    (truncation, names, dims) against the size fstat gave, and only then is
+    its payload read straight into a new array of its dims, so no array
+    outgrows the file; a file that ends early is truncated where it ends.
+    After the last header come the trailing-bytes check, the payloads' check
+    for non-finite values in entry order, and the moment entries' pairing
+    check before they are dropped. A path that names no regular file raises
+    error(f"{missing}: {path}") (`files.open_regular`); a fault in the file
+    raises ParseError.
     """
-    end = len(data)
+    fd, end = open_regular(path, missing, error)
+    try:
+        with open(fd, "rb", buffering=_BUFFER, closefd=False) as f:
+            return _read_entries(f, end, path)
+    except OSError as exc:
+        raise error(f"{path}: cannot read ({exc.strerror})") from None
+    finally:
+        os.close(fd)
 
+
+def _read_entries(f: io.BufferedReader, end: int, path: Path) -> dict[str, np.ndarray]:
     def truncated(off: int, n: int) -> ParseError:
         return ParseError(f"{path}: truncated at byte {off} (need {n} bytes, {end - off} available)")
 
-    if end < 4:
-        raise truncated(0, 4)
-    if data[:4] != MAGIC:
-        raise ParseError(f"{path}: bad magic {data[:4]!r} at byte 0 (expected {MAGIC!r})")
-    if end < 8:
-        raise truncated(4, 4)
-    (version,) = _U32.unpack_from(data, 4)
+    def take(off: int, n: int) -> bytes:
+        """The n bytes at `off`, where the reader stands."""
+        nonlocal end
+        if off + n > end:
+            raise truncated(off, n)
+        data = f.read(n)
+        if len(data) < n:  # the file shrank after fstat
+            end = off + len(data)
+            raise truncated(off, n)
+        return data
+
+    magic = take(0, 4)
+    if magic != MAGIC:
+        raise ParseError(f"{path}: bad magic {magic!r} at byte 0 (expected {MAGIC!r})")
+    (version,) = _U32.unpack(take(4, 4))
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported format version {version}")
-    if end < 12:
-        raise truncated(8, 4)
-    (count,) = _U32.unpack_from(data, 8)
+    (count,) = _U32.unpack(take(8, 4))
 
-    # pass 1: headers; each entry becomes (name, its byte offset, payload view)
+    # pass 1: headers, each payload read into its array; each entry becomes
+    # (name, its byte offset, array)
     entries = []
     params: set[str] = set()
     moments: list[str] = []
     off = 12
     for _ in range(count):
         start = off
-        if off + 2 > end:
-            raise truncated(off, 2)
-        (n,) = _U16.unpack_from(data, off)
+        (n,) = _U16.unpack(take(off, 2))
         off += 2
-        if off + n > end:
-            raise truncated(off, n)
         try:
-            name = data[off : off + n].decode("utf-8")
+            name = take(off, n).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: entry name is not valid UTF-8 at byte {off + exc.start}") from None
         off += n
-        if off + 4 > end:
-            raise truncated(off, 4)
-        (rank,) = _U32.unpack_from(data, off)
+        (rank,) = _U32.unpack(take(off, 4))
         off += 4
         if off + 4 * rank > end:
             raise truncated(off + (end - off) // 4 * 4, 4)  # the first missing dim
-        dims = struct.unpack_from(f"<{rank}I", data, off)
+        dims = struct.unpack(f"<{rank}I", take(off, 4 * rank))
         off += 4 * rank
         size = math.prod(dims)  # exact; a wrapped int64 product could pass as 0
         if off + 8 * size > end:
@@ -322,12 +341,16 @@ def read_entries(data: bytes, path: Path) -> dict[str, np.ndarray]:
         else:
             params.add(name)
         try:
-            view = np.frombuffer(data, "<f8", size, off).reshape(dims)
+            arr = np.empty(dims, "<f8")
         except ValueError as exc:  # more dims than numpy takes, or a 0 beside huge dims
             raise ParseError(
                 f"{path}: entry '{name}' at byte {start} has {rank} dims that no array can hold ({exc})"
             ) from None
-        entries.append((name, start, view))
+        got = f.readinto(arr)
+        if got < 8 * size:  # the file shrank after fstat
+            end = off + got
+            raise truncated(off, 8 * size)
+        entries.append((name, start, arr))
         off += 8 * size
     if off != end:
         raise ParseError(f"{path}: {end - off} trailing bytes at byte {off}")
@@ -335,9 +358,9 @@ def read_entries(data: bytes, path: Path) -> dict[str, np.ndarray]:
     # pass 2: payloads. A finite sum proves every value finite; a sum that
     # overflowed, or met an inf or NaN, sends its entry to the exact check
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = [view.sum() for _, _, view in entries]
-    for (name, start, view), total in zip(entries, sums):
-        if not math.isfinite(total) and not np.isfinite(view).all():
+        sums = [arr.sum() for _, _, arr in entries]
+    for (name, start, arr), total in zip(entries, sums):
+        if not math.isfinite(total) and not np.isfinite(arr).all():
             raise ParseError(f"{path}: non-finite values in entry '{name}' at byte {start}")
 
     paired: dict[str, set[str]] = {_ADAM_M: set(), _ADAM_V: set()}
@@ -350,4 +373,4 @@ def read_entries(data: bytes, path: Path) -> dict[str, np.ndarray]:
         paired[sep + suffix].add(base)
     if paired[_ADAM_M] != paired[_ADAM_V]:
         raise ParseError(f"{path}: unpaired Adam moment entries")
-    return {name: view for name, _, view in entries if name in params}
+    return {name: arr for name, _, arr in entries if name in params}

@@ -128,16 +128,14 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     weight entry must have the shape its stage's layout gives for config.txt
     and the channel count of norm.cvdp; rnn.cvdp's gate entries are fused last.
 
-    Each file is read once, and each weight payload copied once out of its
-    file's bytes: rnn.cvdp's by the join, into the fused arrays.
+    Each file is read once, each weight payload straight into an array of
+    its own (`params.read_entries`); rnn.cvdp's gate entries are then copied
+    once more, by the join, into the fused arrays.
     """
     run = Path(run_dir)
     paths = {stage: run / f"{stage}.cvdp" for stage in STAGE_FILES + ("norm",)}
-    entries = {}
-    for stage, path in paths.items():
-        views = pstore.read_entries(
-            read_file(path, f"missing stage weights '{stage}'", StateError), path)
-        entries[stage] = views if stage == "rnn" else pstore.owned(views)
+    entries = {stage: pstore.read_entries(path, f"missing stage weights '{stage}'", StateError)
+               for stage, path in paths.items()}
     config_path = run / "config.txt"
     values = config_values(read_file(config_path, "missing config echo", StateError), config_path)
     try:

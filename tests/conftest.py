@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import weakref
 
 import numpy as np
@@ -16,6 +18,26 @@ SMALL_CONFIG = TrainConfig(
     rnn_fc1=8, rnn_fc2=6, rnn_hidden1=5, rnn_hidden2=4,
     dae_hidden=6, dae_latent=4, head_hidden=3,
 )
+
+
+@functools.cache
+def blas_kernel() -> str:
+    """The kernel OpenBLAS chose for this CPU, as numpy's bundled library
+    names it (`SkylakeX`, `Haswell`, ...), or "unknown" when it cannot say.
+    Each kernel sums in its own order, so the exact-byte pins hold on one."""
+    try:
+        # the symbol is found through the numpy extension's own dependencies
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        corename = lib.scipy_openblas_get_corename64_
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    except (AttributeError, OSError, ValueError):
+        return "unknown"
+
+
+def pin_note() -> str:
+    """What an exact-byte pin adds to its failure message."""
+    return f"the pins were recorded on OpenBLAS SkylakeX; this run uses {blas_kernel()}"
 
 
 def zeroed(store: ParamStore) -> ParamStore:

@@ -911,6 +911,9 @@ def test_gen_synth_echoes_the_whole_spec(dataset):
     ("", ["--epochs", "-1,2,2"], "epoch counts must be >= 0"),
     ("rnn_axis = diagonal\n", [],
      "rnn_axis must be one of ('rows', 'cols'), got 'diagonal'"),
+    ("learning_rate = 0.1\n", ["--seed", "3"], "unknown config key(s): learning_rate"),
+    ("batch_size = many\n", ["--seed", "3", "--epochs", "1,1,1"],
+     "config key 'batch_size': cannot read 'many' as int"),
 ])
 def test_config_out_of_range_exits_2_before_training(dataset, tmp_path, capsys,
                                                      config_text, flags, message):
@@ -919,7 +922,9 @@ def test_config_out_of_range_exits_2_before_training(dataset, tmp_path, capsys,
     rc = main(["train", "--data", str(dataset / "manifest.txt"), "--config", str(config),
                "--out", str(tmp_path / "run"), *flags])
     assert rc == 2
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    # the file is named, and so is each flag merged over it
+    source = " with ".join([str(config), *flags[::2]])
+    assert capsys.readouterr() == ("", f"error: {source}: {message}\n")
     assert not (tmp_path / "run").exists()
 
 

@@ -7,6 +7,8 @@ import pytest
 from covdec.covariance import Trial, ccv, covariances, prepare, standardize
 from covdec.errors import ConfigError, DataError
 
+from conftest import pin_note
+
 
 def brute_ccv(data: np.ndarray, lag: int = 0) -> np.ndarray:
     """Textbook double loop straight from the definition (the oracle)."""
@@ -231,7 +233,7 @@ def test_prepare_holds_the_covariance_set_at_most_twice():
     assert max(fit_peak, apply_peak) <= 2.05 * copy, (fit_peak / copy, apply_peak / copy)
     digest = hashlib.sha256(fitted.tobytes() + norm.mean.tobytes()
                             + norm.std.tobytes()).hexdigest()
-    assert digest == "e91db98b3bc85482cf61f51c5912f704c7e7608d0d8fcc8fa0f52af28de309ed"
+    assert digest == "e91db98b3bc85482cf61f51c5912f704c7e7608d0d8fcc8fa0f52af28de309ed", pin_note()
     assert applied.tobytes() == fitted.tobytes()
 
 
@@ -294,3 +296,14 @@ def test_ccv_bytes_equal_two_centrings_formula(shape, lag, snapped):
     data[-1] = 2.25  # a flat channel: its centred row is exactly zero
     got = ccv(Trial(data, label=0), lag).values
     assert got.tobytes() == _ccv_formula(data, lag).tobytes()
+
+
+@pytest.mark.parametrize("lag", [0, 3])
+def test_covariances_reusing_one_buffer_match_allocating_bytes(lag):
+    # `_ccv_formula` allocates each centred window anew; the sample count
+    # changes twice, so `covariances` makes its one buffer three times
+    rng = np.random.default_rng(lag + 5)
+    data = [rng.normal(size=(9, t)) * 2.5 + 0.5 for t in (40, 40, 57, 57, 57, 40)]
+    mats, _ = covariances((Trial(x, 0) for x in data), lag)
+    for got, x in zip(mats, data):
+        assert got.tobytes() == _ccv_formula(x, lag).tobytes()

@@ -7,6 +7,8 @@ import pytest
 
 from covdec.gradcheck import numeric_gradient, rel_error, run_suite
 
+from conftest import pin_note
+
 # spec'd per-op bounds: primitives 1e-6, 5-step BPTT 1e-5, full networks 1e-4
 EXPECTED_OPS = {
     "linear": 1e-6,
@@ -64,7 +66,7 @@ def test_suite_errors_at_seed_0_are_pinned():
         "dae_loss": "0x1.e3c8ef430eae0p-31", "head_graph": "0x1.499c40edf73bep-28",
         "linear_shared": "0x1.5189589df884bp-36",
     }
-    assert {r.name: r.rel_err.hex() for r in run_suite(seed=0)} == pins
+    assert {r.name: r.rel_err.hex() for r in run_suite(seed=0)} == pins, pin_note()
 
 
 def test_suite_runtime_budget():

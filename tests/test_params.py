@@ -1,3 +1,5 @@
+import os
+import shutil
 import struct
 import tracemalloc
 import warnings
@@ -8,8 +10,10 @@ import pytest
 from covdec import autodiff as ad
 from covdec import params as ps
 from covdec.autodiff import Node
+from covdec.cli import main
 from covdec.errors import ConfigError, NumericError, ParseError
 from covdec.params import ParamStore, adam_step, require
+from covdec.report import load_artifacts
 from covdec.errors import StateError
 
 from conftest import store_bytes
@@ -448,3 +452,76 @@ def test_finite_check_by_sum_names_the_entry_and_warns_of_nothing(tmp_path):
         with pytest.raises(ParseError) as exc:
             ps.load(path)
     assert str(exc.value) == f"{path}: non-finite values in entry 'c' at byte 66"
+
+
+@pytest.fixture(scope="module")
+def run16(tmp_path_factory):
+    """A tiny default-config run over 16 channels: cnn.cvdp is its largest file."""
+    root = tmp_path_factory.mktemp("run16")
+    assert main(["gen-synth", "--out", str(root / "data"), "--channels", "16",
+                 "--samples", "40", "--classes", "2", "--trials-per-class", "6"]) == 0
+    assert main(["train", "--data", str(root / "data" / "manifest.txt"),
+                 "--out", str(root / "run"), "--epochs", "1,1,1"]) == 0
+    return root / "run"
+
+
+def test_load_artifacts_holds_each_payload_once(run16):
+    files = {p.stem: p for p in run16.glob("*.cvdp")}
+    payload = {stem: sum(a.nbytes for a in ps.read_entries(p).values())
+               for stem, p in files.items()}
+    assert max(files, key=lambda stem: files[stem].stat().st_size) == "cnn"
+    tracemalloc.start()
+    try:
+        load_artifacts(run16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # every payload in its own array, the RNN's gate entries once more in
+    # the fused arrays, and no more than the read buffer beside them
+    assert peak <= sum(payload.values()) + payload["rnn"] + (1 << 16)
+
+
+def _fstat_off_by(monkeypatch, delta: int) -> None:
+    """Make os.fstat report `delta` bytes more than each file holds."""
+    real = os.fstat
+
+    def fstat(fd):
+        st = real(fd)
+        return os.stat_result((st.st_mode, st.st_ino, st.st_dev, st.st_nlink, st.st_uid,
+                               st.st_gid, st.st_size + delta, int(st.st_atime),
+                               int(st.st_mtime), int(st.st_ctime)))
+
+    monkeypatch.setattr(os, "fstat", fstat)
+
+
+def _size_change_message(path, case: str) -> str:
+    """What reading `path` raises when its size is 8 bytes off fstat's, by `case`."""
+    size = path.stat().st_size
+    if case == "grown":
+        return f"{path}: 8 trailing bytes at byte {size}"
+    # the last entry's payload, 8 bytes short of its end
+    nbytes = list(ps.read_entries(path).values())[-1].nbytes
+    return (f"{path}: truncated at byte {size - nbytes} "
+            f"(need {nbytes} bytes, {nbytes - 8} available)")
+
+
+@pytest.mark.parametrize("case, delta", [
+    ("grown", 8),  # fstat reports 8 bytes the file does not hold
+    ("short", -8),  # the file holds 8 bytes past what fstat reports
+    ("shrunk", 8),  # the file loses its last 8 bytes after fstat
+])
+def test_a_size_change_under_the_reader_is_a_parse_error(tmp_path, run16, monkeypatch,
+                                                        case, delta):
+    path = tmp_path / "weights.cvdp"
+    ps.save(make_store(), path)
+    run = tmp_path / "run"
+    shutil.copytree(run16, run)
+    expected = {p: _size_change_message(p, case) for p in (path, run / "cnn.cvdp")}
+    if case == "shrunk":
+        for p in expected:
+            p.write_bytes(p.read_bytes()[:-8])
+    _fstat_off_by(monkeypatch, delta)
+    for load, arg, p in ((ps.load, path, path), (load_artifacts, run, run / "cnn.cvdp")):
+        with pytest.raises(ParseError) as exc:
+            load(arg)
+        assert str(exc.value) == expected[p]

@@ -15,6 +15,8 @@ import pytest
 
 from covdec.cli import main
 
+from conftest import pin_note
+
 RUN_FILES = ("cnn.cvdp", "rnn.cvdp", "dae.cvdp", "head.cvdp", "norm.cvdp",
              "curves.csv", "config.txt", "classes.txt")
 
@@ -119,4 +121,4 @@ def test_run_files_and_decoded_output_are_pinned(dataset, tmp_path, name):
     evaluated = _stdout(["eval", "--data", str(data / "manifest.txt"),
                          "--weights", str(run)])
     got = {"files": files, "predict": _sha(predict.encode()), "eval": _sha(evaluated.encode())}
-    assert got == {k: pin[k] for k in got}
+    assert got == {k: pin[k] for k in got}, pin_note()

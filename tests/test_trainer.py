@@ -32,7 +32,7 @@ from covdec.training import (
     train_stage3,
 )
 
-from conftest import TrialCounter, store_bytes, zeroed
+from conftest import TrialCounter, pin_note, store_bytes, zeroed
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -587,7 +587,7 @@ def test_chunked_forward_is_byte_identical_to_one_batch(n, monkeypatch):
 
     chunked = run()
     monkeypatch.setattr(branches, "_CHUNK", n + 1)  # one chunk: the whole batch
-    assert run() == chunked
+    assert run() == chunked, pin_note()
 
 
 @pytest.mark.parametrize("n", [63, 64, 127, 128, 129, 240])
