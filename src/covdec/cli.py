@@ -41,13 +41,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synth", help="generate a synthetic dataset")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--channels", type=int, default=8)
-    p.add_argument("--samples", type=int, default=128)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--trials-per-class", type=int, default=40)
-    p.add_argument("--noise", type=float, default=0.05)
-    p.add_argument("--strength", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
+    # each flag sets the SynthSpec field it names, whose default it keeps
+    p.add_argument("--channels", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--classes", type=int)
+    p.add_argument("--trials-per-class", type=int)
+    p.add_argument("--noise", type=float, dest="noise_sigma")
+    p.add_argument("--strength", type=float, dest="signature_strength")
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gen_synth)
 
     p = sub.add_parser("train", help="run the three training stages end to end")
@@ -94,11 +95,8 @@ def _check_out(out: str) -> None:
 
 def _cmd_gen_synth(args) -> int:
     _check_out(args.out)
-    spec = SynthSpec(
-        channels=args.channels, samples=args.samples, classes=args.classes,
-        trials_per_class=args.trials_per_class, noise_sigma=args.noise,
-        signature_strength=args.strength, seed=args.seed,
-    )
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SynthSpec)}
+    spec = SynthSpec(**{name: value for name, value in given.items() if value is not None})
     manifest_path = write_synth_dataset(args.out, spec)
     # echo the generator settings next to the data for reproducibility
     echo = "".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(spec).items())

@@ -30,6 +30,11 @@ class Trial:
             )
         if not np.isfinite(arr).all():
             raise DataError(f"trial '{self.trial_id}': non-finite samples")
+        label = self.label
+        if isinstance(label, bool) or not isinstance(label, (int, np.integer)) or label < 0:
+            raise DataError(
+                f"trial '{self.trial_id}': label must be a non-negative integer, got {label!r}"
+            )
         object.__setattr__(self, "data", arr)
 
 

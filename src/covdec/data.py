@@ -64,7 +64,8 @@ def conversion_contract() -> dict[str, list[str]]:
 
 def save_trial(path: str | Path, trial: Trial, sample_rate_hz: float = 0.0) -> None:
     """Write one trial; float64 samples are stored at float32 precision, and
-    one beyond its range raises DataError before the file is opened."""
+    one beyond its range, or a label beyond 2**32 - 1, raises DataError
+    before the file is opened."""
     with np.errstate(over="ignore"):  # _write_trial reports it
         x32 = np.ascontiguousarray(trial.data, dtype="<f4")
     _write_trial(path, x32, trial.label, sample_rate_hz, trial.trial_id)
@@ -75,6 +76,8 @@ def _write_trial(path: str | Path, x32: np.ndarray, label: int, sample_rate_hz: 
     """Write the C-contiguous "<f4" [channels, samples] array `x32`, if finite."""
     if not np.isfinite(x32).all():  # the check a Trial makes
         raise DataError(f"trial '{trial_id}': non-finite samples")
+    if label > 0xFFFFFFFF:
+        raise DataError(f"trial '{trial_id}': label {label} does not fit the u32 label field")
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(TRIAL_MAGIC, TRIAL_VERSION, *x32.shape, label, sample_rate_hz))
         fh.write(x32)

@@ -31,13 +31,16 @@ def open_regular(path: Path, missing: str, error: type[CovdecError]) -> tuple[in
     """A descriptor open for reading on the regular file at `path`, which the
     caller closes, and the size fstat gives the file.
 
-    Raises error(f"{missing}: {path}") when `path` names no regular file,
+    Raises error(f"{missing}: {path}") when `path` names no regular file
+    (with the path quoted when it holds a NUL byte),
     and error(f"{path}: cannot read (<reason>)") when opening it fails
     otherwise, as for a file without read permission; a caller raises the
     same for a read that fails.
     """
     try:
         fd = os.open(path, _FLAGS)
+    except ValueError:  # a NUL byte, which no file name holds
+        raise error(f"{missing}: {str(path)!r} (a path cannot hold a NUL byte)") from None
     except OSError as exc:
         if exc.errno in _ABSENT:
             raise error(f"{missing}: {path}") from None

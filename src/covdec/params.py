@@ -3,9 +3,9 @@ the CVDP weight format.
 
 A store is made whole from an ordered name -> array mapping
 (`ParamStore(arrays)`; `init_values` draws a layout's arrays), so its names
-are fixed when it is made. In memory, a store packs itself on its first
-zero_grad() or adam_step(): its values, gradients, Adam moments and scratch
-space move into flat float64 buffers, parameters end to end (see
+are fixed when it is made. For training, a store packs (`pack()`, which
+`training._fit` calls once per stage): its values, gradients, Adam moments
+and scratch space move into flat float64 buffers, parameters end to end (see
 ParamStore), and each parameter's value and gradient views are bound then,
 once, so that zero_grad and adam_step are fixed sequences of in-place numpy
 calls over every parameter at once. Loading and forward evaluation never
@@ -60,14 +60,14 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 class ParamStore:
-    """Ordered name -> Node map, packed into flat training buffers on first use.
+    """Ordered name -> Node map, packed into flat training buffers for training.
 
     A store is made whole from an ordered name -> array mapping, each array
     held as it is; its names are fixed then. Iteration follows that order,
     which also fixes the on-disk entry order, so identical construction
     yields byte-identical files.
 
-    Packing (on the first zero_grad() or adam_step()) allocates one [5, n]
+    pack() (which zero_grad() and adam_step() call too) allocates one [5, n]
     float64 array, n the total parameter count: rows hold the values, the
     gradients, the Adam first and second moments and one scratch array.
     adam_step spends the gradient row as scratch space too, so after a step
@@ -81,7 +81,7 @@ class ParamStore:
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
         for name in arrays:
-            if not name or _is_reserved(name):
+            if not name or "::" in name:
                 raise ConfigError(f"invalid parameter name {name!r}")
         self._nodes = {name: Node(arr, op="param") for name, arr in arrays.items()}
         self._flat: np.ndarray | None = None
@@ -99,21 +99,12 @@ class ParamStore:
         return self._nodes.items()
 
     def zero_grad(self) -> None:
-        self._packed()[_GRAD].fill(0.0)
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copy of all current values, for checkpointing."""
-        return {name: node.value.copy() for name, node in self._nodes.items()}
-
-    def load_values(self, values: dict[str, np.ndarray]) -> None:
-        for name, arr in values.items():
-            self._nodes[name].value[...] = arr
+        self.pack()[_GRAD].fill(0.0)
 
     def unpack(self) -> None:
         """Free the training buffers: each value becomes an owned copy of its
         slice, and the gradients, Adam moments and scratch rows are dropped.
-        A later zero_grad() or adam_step() packs the store again, with zeroed
-        moments."""
+        A later pack() packs the store again, with zeroed moments."""
         if self._flat is None:
             return
         for node in self._nodes.values():
@@ -121,9 +112,10 @@ class ParamStore:
             node._grad = None
         self._flat = None
 
-    def _packed(self) -> np.ndarray:
-        """The [5, n] training buffer, allocated on first use, which is also
-        when every value and gradient view is bound."""
+    def pack(self) -> np.ndarray:
+        """The [5, n] training buffer, allocated by the first call after the
+        store was made or unpacked, which is also when every value and
+        gradient view is bound; row 0 holds the values."""
         if self._flat is None:
             sizes = [node.value.size for node in self._nodes.values()]
             self._flat = np.zeros((_ROWS, sum(sizes)))
@@ -137,10 +129,6 @@ class ParamStore:
                 node.value, node._grad = value, grad
                 start += size
         return self._flat
-
-
-def _is_reserved(name: str) -> bool:
-    return "::" in name
 
 
 def require(store: ParamStore, names: Iterable[str], stage: str) -> None:
@@ -202,7 +190,7 @@ def adam_step(store: ParamStore, lr: float, t: int = 1) -> None:
         raise ConfigError(f"adam_step: step count must be >= 1, got {t}")
     bc1 = 1.0 - _BETA1**t
     bc2 = 1.0 - _BETA2**t
-    value, g, m, v, s = store._packed()
+    value, g, m, v, s = store.pack()
     # the flags go into scratch memory that is overwritten below
     if not np.isfinite(g, out=s.view(np.bool_)[: g.size]).all():
         name = next(n for n, node in store.items() if not np.isfinite(node.grad).all())
@@ -241,8 +229,10 @@ def _header(name: str, arr: np.ndarray) -> bytes:
 
 def save(store: ParamStore, path: str | Path) -> None:
     """Write the store's parameter values to a CVDP file: each entry's header,
-    then its array's own buffer (a copy only for an array that is not
-    contiguous little-endian float64, such as a split LSTM gate)."""
+    then its array's own buffer. A Node holds a C-contiguous float64 array
+    (`autodiff.as_tensor`; a split LSTM gate is made contiguous when
+    `branches.split_rnn_gates` hands it to its Node), so only a big-endian
+    machine copies a payload here."""
     headers = [_header(name, node.value) for name, node in store.items()]
     with open(path, "wb") as f:
         f.write(MAGIC + struct.pack("<II", FORMAT_VERSION, len(headers)))
@@ -334,7 +324,7 @@ def _read_entries(f: io.BufferedReader, end: int, path: Path) -> dict[str, np.nd
             raise truncated(off, 8 * size)
         if not name:
             raise ParseError(f"{path}: empty entry name at byte {start}")
-        if _is_reserved(name):
+        if "::" in name:
             moments.append(name)
         elif name in params:
             raise ParseError(f"{path}: duplicate entry '{name}' at byte {start}")

@@ -70,9 +70,11 @@ def _split_indices(
 
     Per class, train gets floor(n * fraction + 0.5) items (halves round
     toward train); the split is disjoint, exhaustive, and deterministic.
+    With `classes`, a label >= classes or a class without trials is a DataError.
     """
     present = sorted(set(labels))
     if classes is not None:
+        _check_labels(labels, classes)
         for k in range(classes):
             if k not in present:
                 raise DataError(f"class {k} has no trials")
@@ -86,6 +88,13 @@ def _split_indices(
         train.extend(members[i] for i in order[:n_train])
         val.extend(members[i] for i in order[n_train:])
     return train, val
+
+
+def _check_labels(labels: Sequence[int], classes: int) -> None:
+    """Raise DataError, naming the trial's index, at the first label >= `classes`."""
+    for i, label in enumerate(labels):
+        if label >= classes:
+            raise DataError(f"trial at index {i}: label {label} out of range [0, {classes})")
 
 
 def split(
@@ -159,9 +168,10 @@ def _fit(
     (default: loss_fn's value). validate() returns (val_loss, val_acc) for
     every curve point. With patience set too, training stops after
     `patience` epochs without a lower validation loss and the best checkpoint
-    is returned. The store keeps its values only: its gradients and Adam
-    state are freed on return. Each step records on its own `autodiff.tape()`;
-    the epoch-0 loss and the validation passes record nothing.
+    is returned; a checkpoint is one copy of the packed value row. The store
+    packs after the epoch-0 point and unpacks however the loop ends, keeping
+    its values only. Each step records on its own `autodiff.tape()`; the
+    epoch-0 loss and the validation passes record nothing.
     """
     rng = np.random.default_rng(shuffle_seed)
     n = x.shape[0]
@@ -172,47 +182,45 @@ def _fit(
     initial = float(loss_fn(x, y).value) if set_loss is None else set_loss(x, y)
     curves = [point(0, initial)]
 
-    # the untrained weights are checkpoint candidate number zero; without
-    # patience no checkpoint is restored, so none is taken
-    best_val = curves[0].val_loss
-    best_snap = params.snapshot() if patience is not None else None
-    best_epoch = 0
-    stale = 0
-    step = 0
-    for epoch in range(1, epochs + 1):
-        perm = rng.permutation(n)
-        batch_losses = []
-        for bi, start in enumerate(range(0, n, batch_size)):
-            idx = perm[start : start + batch_size]
-            with ad.tape():
-                loss = loss_fn(x[idx], None if y is None else y[idx])
-                value = float(loss.value)
-                if not np.isfinite(value):
-                    raise NumericError(
-                        f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {bi}"
-                    )
-                params.zero_grad()
-                loss.backward()
-            step += 1
-            adam_step(params, lr, t=step)
-            batch_losses.append(value)
-        curves.append(point(epoch, float(np.mean(batch_losses))))
+    best_val, best_epoch, stale, step = curves[0].val_loss, 0, 0, 0
+    values = params.pack()[0]
+    try:
+        # the untrained weights are checkpoint candidate number zero; without
+        # patience no checkpoint is restored, so none is taken
+        best = values.copy() if patience is not None else None
+        for epoch in range(1, epochs + 1):
+            perm = rng.permutation(n)
+            batch_losses = []
+            for bi, start in enumerate(range(0, n, batch_size)):
+                idx = perm[start : start + batch_size]
+                with ad.tape():
+                    loss = loss_fn(x[idx], None if y is None else y[idx])
+                    value = float(loss.value)
+                    if not np.isfinite(value):
+                        raise NumericError(
+                            f"non-finite loss in stage '{stage}' at epoch {epoch}, batch {bi}"
+                        )
+                    params.zero_grad()
+                    loss.backward()
+                step += 1
+                adam_step(params, lr, t=step)
+                batch_losses.append(value)
+            curves.append(point(epoch, float(np.mean(batch_losses))))
+            if patience is not None:
+                if curves[-1].val_loss < best_val:
+                    best_val, best_epoch, stale = curves[-1].val_loss, epoch, 0
+                    np.copyto(best, values)
+                else:
+                    stale += 1
+                    if stale >= patience:
+                        break
         if patience is not None:
-            if curves[-1].val_loss < best_val:
-                best_val, best_epoch, stale = curves[-1].val_loss, epoch, 0
-                best_snap = params.snapshot()
-            else:
-                stale += 1
-                if stale >= patience:
-                    break
-
-    epochs_run = len(curves) - 1
-    if patience is not None:
-        params.load_values(best_snap)
-    else:
-        best_epoch = epochs_run
-    params.unpack()
-    return StageResult(params, curves, best_epoch, epochs_run)
+            np.copyto(values, best)
+        else:
+            best_epoch = len(curves) - 1
+    finally:
+        params.unpack()
+    return StageResult(params, curves, best_epoch, len(curves) - 1)
 
 
 def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, **kwargs) -> StageResult:
@@ -224,24 +232,15 @@ def _fit_classifier(graph_fn, params, train_x, train_y, val_x, val_y, **kwargs) 
     )
 
 
-@dataclass
-class Stage1Result:
-    cnn: StageResult
-    rnn: StageResult
-
-    @property
-    def curves(self) -> list[CurvePoint]:
-        return self.cnn.curves + self.rnn.curves
-
-
 def train_stage1(
     train_mats: np.ndarray,
     train_labels: np.ndarray,
     val_mats: np.ndarray,
     val_labels: np.ndarray,
     config: TrainConfig,
-) -> Stage1Result:
-    """Train both branches independently on standardized covariance inputs."""
+) -> tuple[StageResult, StageResult]:
+    """Train both branches independently on standardized covariance inputs:
+    the (cnn, rnn) records."""
     seeds = _derived_seeds(config.seed)
     channels = train_mats.shape[1]
     cnn_params = init_cnn_params(config, channels, seeds["cnn_init"])
@@ -257,15 +256,15 @@ def train_stage1(
         lr=config.lr_stage1, epochs=config.epochs_stage1,
         batch_size=config.batch_size, patience=config.patience,
     )
-    cnn_result = _fit_classifier(
+    cnn = _fit_classifier(
         cnn_fn, cnn_params, train_mats, train_labels, val_mats, val_labels,
         shuffle_seed=seeds["cnn_shuffle"], stage="cnn", **common,
     )
-    rnn_result = _fit_classifier(
+    rnn = _fit_classifier(
         rnn_fn, rnn_params, train_mats, train_labels, val_mats, val_labels,
         shuffle_seed=seeds["rnn_shuffle"], stage="rnn", **common,
     )
-    return Stage1Result(cnn_result, rnn_result)
+    return cnn, rnn
 
 
 def train_stage2(train_features: np.ndarray, config: TrainConfig) -> StageResult:
@@ -358,8 +357,10 @@ def _score(labels: np.ndarray, predicted: np.ndarray, k: int) -> EvalResult:
 def evaluate(trials: Iterable[Trial], artifacts: PipelineArtifacts) -> EvalResult:
     """Full-pipeline evaluation of raw trials against the stored statistics.
 
-    `trials` may be any iterable; `prepare` reads it once, a trial at a time."""
+    `trials` may be any iterable; `prepare` reads it once, a trial at a time.
+    A label >= the class count raises DataError before the network runs."""
     mats, labels = prepare(trials, artifacts.config.tau, artifacts.norm)
+    _check_labels(labels, artifacts.config.classes)
     predicted, _ = predict_batch(mats, artifacts)
     return _score(labels, predicted, artifacts.config.classes)
 
@@ -367,16 +368,14 @@ def evaluate(trials: Iterable[Trial], artifacts: PipelineArtifacts) -> EvalResul
 @dataclass
 class RunOutcome:
     artifacts: PipelineArtifacts
-    stage1: Stage1Result
-    stage2: StageResult
-    stage3: StageResult
+    stages: dict[str, StageResult]  # cnn, rnn, dae, head: the curves.csv order
     train_eval: EvalResult
     val_eval: EvalResult
     wall_clock: dict[str, float] = field(default_factory=dict)
 
     @property
     def curves(self) -> list[CurvePoint]:
-        return self.stage1.curves + self.stage2.curves + self.stage3.curves
+        return [point for result in self.stages.values() for point in result.curves]
 
 
 def run_training(
@@ -420,38 +419,36 @@ def run_training(
     clock["prep"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    stage1 = train_stage1(train_mats, train_labels, val_mats, val_labels, config)
+    cnn, rnn = train_stage1(train_mats, train_labels, val_mats, val_labels, config)
     clock["stage1"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     train_features = extract_features_batch(
-        train_mats, stage1.cnn.params, stage1.rnn.params,
-        config.rnn_order, config.rnn_axis,
+        train_mats, cnn.params, rnn.params, config.rnn_order, config.rnn_axis,
     )
-    stage2 = train_stage2(train_features, config)
+    dae = train_stage2(train_features, config)
     clock["stage2"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
     val_features = extract_features_batch(
-        val_mats, stage1.cnn.params, stage1.rnn.params,
-        config.rnn_order, config.rnn_axis,
+        val_mats, cnn.params, rnn.params, config.rnn_order, config.rnn_axis,
     )
-    train_latents = dae_encode(train_features, stage2.params)
-    val_latents = dae_encode(val_features, stage2.params)
-    stage3 = train_stage3(train_latents, train_labels, val_latents, val_labels, config)
+    train_latents = dae_encode(train_features, dae.params)
+    val_latents = dae_encode(val_features, dae.params)
+    head = train_stage3(train_latents, train_labels, val_latents, val_labels, config)
     clock["stage3"] = time.perf_counter() - t0
 
+    stages = {"cnn": cnn, "rnn": rnn, "dae": dae, "head": head}
     artifacts = PipelineArtifacts(
-        config=config, classes=list(class_names),
-        cnn=stage1.cnn.params, rnn=stage1.rnn.params,
-        dae=stage2.params, head=stage3.params, norm=norm,
+        config=config, classes=list(class_names), norm=norm,
+        **{name: result.params for name, result in stages.items()},
     )
     t0 = time.perf_counter()
-    train_pred, _ = _head_predict(train_latents, stage3.params)
-    val_pred, _ = _head_predict(val_latents, stage3.params)
+    train_pred, _ = _head_predict(train_latents, head.params)
+    val_pred, _ = _head_predict(val_latents, head.params)
     train_eval = _score(train_labels, train_pred, config.classes)
     val_eval = _score(val_labels, val_pred, config.classes)
     clock["eval"] = time.perf_counter() - t0
 
     release_freed_memory()
-    return RunOutcome(artifacts, stage1, stage2, stage3, train_eval, val_eval, clock)
+    return RunOutcome(artifacts, stages, train_eval, val_eval, clock)

@@ -35,6 +35,18 @@ def blas_kernel() -> str:
         return "unknown"
 
 
+def pytest_report_header(config) -> str:
+    # the exact-byte pins hold on one kernel; name this run's at the top of its log
+    return f"OpenBLAS kernel: {blas_kernel()} (exact-byte pins recorded on SkylakeX)"
+
+
+def pytest_sessionstart(session) -> None:
+    # -q hides the header, so a quiet run writes the kernel line on its own
+    reporter = session.config.pluginmanager.get_plugin("terminalreporter")
+    if reporter is not None and session.config.get_verbosity() < 0:
+        reporter.write_line(pytest_report_header(session.config))
+
+
 def pin_note() -> str:
     """What an exact-byte pin adds to its failure message."""
     return f"the pins were recorded on OpenBLAS SkylakeX; this run uses {blas_kernel()}"

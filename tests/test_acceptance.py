@@ -181,8 +181,7 @@ def test_hard_preset_digest(tmp_path):
     config = TrainConfig(seed=11, epochs_stage1=20, epochs_stage2=40, epochs_stage3=20,
                          patience=5).validate()
     outcome = run_training(trials, ["class0", "class1", "class2"], config)
-    stages = {s.curves[0].stage: (s.best_epoch, s.epochs_run)
-              for s in (outcome.stage1.cnn, outcome.stage1.rnn, outcome.stage2, outcome.stage3)}
+    stages = {name: (s.best_epoch, s.epochs_run) for name, s in outcome.stages.items()}
     save_run(tmp_path, outcome)
     curves = hashlib.sha256((tmp_path / "curves.csv").read_bytes()).hexdigest()
     ok = (outcome.val_eval.accuracy == 48 / 60
@@ -260,19 +259,19 @@ def test_stage_isolation_and_leakage_canary():
     train_y = np.array([t.label for t in train_t])
     val_y = np.array([t.label for t in val_t])
 
-    stage1 = train_stage1(train_mats, train_y, val_mats, val_y, config)
-    cnn_before = store_bytes(stage1.cnn.params)
-    rnn_before = store_bytes(stage1.rnn.params)
-    feats = extract_features_batch(train_mats, stage1.cnn.params, stage1.rnn.params)
+    cnn, rnn = train_stage1(train_mats, train_y, val_mats, val_y, config)
+    cnn_before = store_bytes(cnn.params)
+    rnn_before = store_bytes(rnn.params)
+    feats = extract_features_batch(train_mats, cnn.params, rnn.params)
     stage2 = train_stage2(feats, config)
     dae_before = store_bytes(stage2.params)
     latents = dae_encode(feats, stage2.params)
-    val_feats = extract_features_batch(val_mats, stage1.cnn.params, stage1.rnn.params)
+    val_feats = extract_features_batch(val_mats, cnn.params, rnn.params)
     val_latents = dae_encode(val_feats, stage2.params)
     train_stage3(latents, train_y, val_latents, val_y, config)
     isolated = (
-        store_bytes(stage1.cnn.params) == cnn_before
-        and store_bytes(stage1.rnn.params) == rnn_before
+        store_bytes(cnn.params) == cnn_before
+        and store_bytes(rnn.params) == rnn_before
         and store_bytes(stage2.params) == dae_before
     )
 

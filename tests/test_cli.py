@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import json
 import os
@@ -15,13 +16,14 @@ import covdec
 import covdec.autodiff
 from covdec.cli import main
 from covdec.config import config_from_dict, config_values
-from covdec.data import load
+from covdec.data import SynthSpec, load, write_synth_dataset
 from covdec.params import ParamStore, load as load_store, save as save_store
 from covdec.report import load_artifacts, load_report_json, read_curves_csv
 from covdec.training import _derived_seeds
 from covdec.branches import init_cnn_params
 
 from conftest import TrialCounter, store_bytes
+from test_run_bytes import RUN_FILES
 
 CONFIG_SMALL = """
 batch_size = 8
@@ -788,8 +790,9 @@ def test_python_m_covdec_runs_the_cli(tmp_path):
     assert proc.stdout.startswith("wrote 3 trials")
 
 
-def test_blas_thread_count_does_not_change_weights(tmp_path):
-    # matrix products go through BLAS, which may split them across threads
+def test_blas_thread_count_does_not_change_run_files(tmp_path):
+    # matrix products go through BLAS, which may split them across threads;
+    # the README data set, trained in a fresh process per thread count
     data = tmp_path / "data"
     assert main(["gen-synth", "--out", str(data), "--seed", "7"]) == 0
     src = str(Path(covdec.__file__).resolve().parents[1])
@@ -805,8 +808,7 @@ def test_blas_thread_count_does_not_change_weights(tmp_path):
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        runs[threads] = {stage: (out / f"{stage}.cvdp").read_bytes()
-                         for stage in ("cnn", "rnn", "dae", "head")}
+        runs[threads] = {name: (out / name).read_bytes() for name in RUN_FILES}
     assert runs["1"] == runs["2"]
 
 
@@ -904,6 +906,22 @@ def test_gen_synth_echoes_the_whole_spec(dataset):
         "channels = 6\nsamples = 64\nclasses = 3\ntrials_per_class = 8\n"
         "noise_sigma = 0.05\nsignature_strength = 1.0\nseed = 21\n"
     )
+
+
+def test_gen_synth_without_flags_writes_the_default_spec(tmp_path, capsys):
+    cli, library = tmp_path / "cli", tmp_path / "library"
+    assert main(["gen-synth", "--out", str(cli)]) == 0
+    capsys.readouterr()
+    write_synth_dataset(library, SynthSpec())
+    echo = "".join(f"{k} = {v}\n" for k, v in dataclasses.asdict(SynthSpec()).items())
+    (library / "synth.txt").write_text(echo, encoding="utf-8")
+
+    def files(root):
+        return {p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    assert files(cli) == files(library)
+    assert len(files(cli)) == 3 * 40 + 2
 
 
 @pytest.mark.parametrize("config_text, flags, message", [

@@ -118,6 +118,14 @@ def test_trial_validation():
         Trial(np.array([[1.0, np.nan], [0.0, 1.0]]), label=0)
 
 
+@pytest.mark.parametrize("label", [-1, 1.0, True, "1", None])
+def test_trial_rejects_a_label_that_is_not_a_non_negative_integer(label):
+    with pytest.raises(DataError, match=(f"^trial 't7': label must be a non-negative "
+                                         f"integer, got {label!r}$")):
+        Trial(np.eye(2), label, trial_id="t7")
+    assert Trial(np.eye(2), np.int64(2)).label == 2
+
+
 # ---------------------------------------------------------------------------
 # standardization
 # ---------------------------------------------------------------------------

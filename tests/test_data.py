@@ -85,6 +85,17 @@ def test_save_trial_rejects_float32_overflow_before_writing(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_save_trial_rejects_a_label_beyond_the_u32_field_before_writing(tmp_path):
+    path = tmp_path / "big.eegt"
+    save_trial(path, Trial(np.eye(2), 2**32 - 1, trial_id="top"))
+    assert load_trial(path)[0].label == 2**32 - 1
+    path.unlink()
+    with pytest.raises(DataError, match=r"^trial 'big': label 4294967296 does not fit the u32 "
+                                        r"label field$"):
+        save_trial(path, Trial(np.eye(2), 2**32, trial_id="big"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_label_out_of_manifest_range_names_file(tmp_path):
     trial = sample_trial(label=5)
     (tmp_path / "trials").mkdir()
@@ -110,6 +121,14 @@ def test_manifest_built_in_code_checks_its_class_list(classes, message):
 def test_missing_manifest_names_path():
     with pytest.raises(DataError, match="no/such/manifest.txt"):
         load("no/such/manifest.txt")
+
+
+def test_a_trial_path_holding_a_nul_byte_is_a_data_error(tmp_path):
+    (tmp_path / "manifest.txt").write_bytes(b"classes = x,y\ntrial = trials/t\x00.eegt\n")
+    trials, _ = load(tmp_path / "manifest.txt")
+    with pytest.raises(DataError, match=r"^trial file not found: '.*/trials/t\\x00\.eegt' "
+                                        r"\(a path cannot hold a NUL byte\)$"):
+        next(trials)
 
 
 def test_manifest_roundtrip(tmp_path):

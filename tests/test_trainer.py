@@ -122,20 +122,19 @@ def test_stage1_zero_epochs_returns_initialization():
     config = small_config(epochs_stage1=0)
     trials = synth_trials()
     train_x, train_y, val_x, val_y = prepared(trials, config)
-    result = train_stage1(train_x, train_y, val_x, val_y, config)
+    cnn, rnn = train_stage1(train_x, train_y, val_x, val_y, config)
     seeds = _derived_seeds(config.seed)
     fresh_cnn = init_cnn_params(config, 6, seeds["cnn_init"])
     fresh_rnn = init_rnn_params(config, 6, seeds["rnn_init"])
-    assert store_bytes(result.cnn.params) == store_bytes(fresh_cnn)
-    assert store_bytes(result.rnn.params) == store_bytes(fresh_rnn)
-    assert result.cnn.epochs_run == 0
+    assert store_bytes(cnn.params) == store_bytes(fresh_cnn)
+    assert store_bytes(rnn.params) == store_bytes(fresh_rnn)
+    assert cnn.epochs_run == 0
 
 
 def test_stage1_initial_loss_is_near_uniform():
     config = small_config(epochs_stage1=1)
     trials = synth_trials()
-    result = train_stage1(*prepared(trials, config), config)
-    for branch in (result.cnn, result.rnn):
+    for branch in train_stage1(*prepared(trials, config), config):
         assert branch.curves[0].epoch == 0
         assert abs(branch.curves[0].train_loss - np.log(3.0)) < 0.2
 
@@ -297,7 +296,7 @@ def test_restore_returns_best_epoch_values_into_the_packed_store():
     seen = []
 
     def validate():
-        seen.append(store.snapshot())
+        seen.append({name: node.value.copy() for name, node in store.items()})
         return next(scripted), 0.0
 
     result = _fit(loss_fn, store, x, y, lr=0.01, epochs=10, batch_size=4, shuffle_seed=3,
@@ -339,6 +338,28 @@ def test_fit_records_each_step_on_its_own_tape_and_leaves_none_open():
         _fit(diverging, store, x, None, lr=0.01, epochs=2, batch_size=4, shuffle_seed=3,
              stage="head")
     assert tapes[-1] == [] and ad._tape.get() is None
+
+
+def test_a_stage_that_raises_leaves_its_store_unpacked():
+    rng = np.random.default_rng(14)
+    store = ParamStore({"w": rng.normal(size=(4, 3)), "b": np.zeros(3)})
+    x, y = rng.normal(size=(12, 4)), rng.integers(0, 3, size=12)
+    calls = []
+
+    def loss_fn(xb, yb):
+        # the epoch-0 loss, one step that packs and updates the store, then
+        # a non-finite loss
+        calls.append(len(xb))
+        if len(calls) == 3:
+            return Node(np.nan)
+        return ad.softmax_xent(ad.linear(Node(xb), store["w"], store["b"]), yb)
+
+    with pytest.raises(NumericError, match="stage 'head' at epoch 1, batch 1"):
+        _fit(loss_fn, store, x, y, lr=0.01, epochs=2, batch_size=4, shuffle_seed=3,
+             stage="head", validate=lambda: (1.0, 0.0), patience=2)
+    assert store._flat is None
+    for name, node in store.items():
+        assert node._grad is None and node.value.flags.owndata, name
 
 
 def test_patience_off_returns_final_epoch_weights():
@@ -416,8 +437,38 @@ def test_run_training_report_invariants():
     for k in range(3):
         assert val.confusion[k].sum() == sum(t.label == k for t in val_trials)
     assert val.accuracy == pytest.approx(np.trace(val.confusion) / val.count, abs=1e-12)
-    stages = {c.stage for c in outcome.curves}
-    assert stages == {"cnn", "rnn", "dae", "head"}
+    # one record per stage, in curves.csv order, each holding its stage's store
+    assert list(outcome.stages) == ["cnn", "rnn", "dae", "head"]
+    assert [c.stage for c in outcome.curves] == [
+        name for name, result in outcome.stages.items() for _ in result.curves]
+    for name, result in outcome.stages.items():
+        assert result.params is getattr(outcome.artifacts, name)
+
+
+def _relabelled(trials, index, label):
+    """`trials` with the one at `index` given `label`."""
+    t = trials[index]
+    return [*trials[:index], Trial(t.data, label, t.subject_id, t.trial_id), *trials[index + 1:]]
+
+
+def test_run_training_rejects_an_out_of_range_label_before_any_stage(monkeypatch):
+    def no_stage(*args):
+        raise AssertionError("a stage ran")
+
+    monkeypatch.setattr(training, "train_stage1", no_stage)
+    trials = _relabelled(synth_trials(), 5, 7)
+    with pytest.raises(DataError, match=r"^trial at index 5: label 7 out of range \[0, 3\)$"):
+        run_training(trials, ["a", "b", "c"], small_config())
+
+
+def test_evaluate_rejects_an_out_of_range_label_before_the_network_runs(monkeypatch):
+    def no_pass(*args):
+        raise AssertionError("the network ran")
+
+    monkeypatch.setattr(training, "predict_batch", no_pass)
+    trials = [Trial(t.data, 5, t.subject_id, t.trial_id) for t in synth_trials(per_class=1)]
+    with pytest.raises(DataError, match=r"^trial at index 0: label 5 out of range \[0, 3\)$"):
+        evaluate(trials, zero_param_artifacts(small_config()))
 
 
 def test_run_training_class_count_mismatch():
@@ -430,25 +481,25 @@ def test_stage_isolation_weights_untouched_by_later_stages():
     config = small_config()
     trials = synth_trials()
     train_x, train_y, val_x, val_y = prepared(trials, config)
-    stage1 = train_stage1(train_x, train_y, val_x, val_y, config)
-    cnn_bytes = store_bytes(stage1.cnn.params)
-    rnn_bytes = store_bytes(stage1.rnn.params)
+    cnn, rnn = train_stage1(train_x, train_y, val_x, val_y, config)
+    cnn_bytes = store_bytes(cnn.params)
+    rnn_bytes = store_bytes(rnn.params)
 
     from covdec.branches import extract_features_batch
 
-    feats = extract_features_batch(train_x, stage1.cnn.params, stage1.rnn.params)
+    feats = extract_features_batch(train_x, cnn.params, rnn.params)
     stage2 = train_stage2(feats, config)
     dae_bytes = store_bytes(stage2.params)
 
     from covdec.autoenc import dae_encode
 
     latents = dae_encode(feats, stage2.params)
-    val_feats = extract_features_batch(val_x, stage1.cnn.params, stage1.rnn.params)
+    val_feats = extract_features_batch(val_x, cnn.params, rnn.params)
     val_latents = dae_encode(val_feats, stage2.params)
     train_stage3(latents, train_y, val_latents, val_y, config)
 
-    assert store_bytes(stage1.cnn.params) == cnn_bytes
-    assert store_bytes(stage1.rnn.params) == rnn_bytes
+    assert store_bytes(cnn.params) == cnn_bytes
+    assert store_bytes(rnn.params) == rnn_bytes
     assert store_bytes(stage2.params) == dae_bytes
 
 
