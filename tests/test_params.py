@@ -52,6 +52,18 @@ def test_views_are_bound_once_when_the_store_packs():
         store["w"].grad = np.zeros((2, 3))
 
 
+def test_snapshot_is_a_copy():
+    # a checkpoint is one copy of the packed value row, restored with one copy
+    store = make_store()
+    values = store.pack()[0]
+    snap = values.copy()
+    store["w"].value[...] = 0.0
+    assert snap[1] == 1.0
+    np.copyto(values, snap)
+    assert store["w"].value[0, 1] == 1.0
+    assert np.array_equal(store["b"].value, [0.5, -0.5, 0.25])
+
+
 def test_require_names_stage_and_params():
     store = make_store()
     require(store, ["w", "b"], "cnn")
