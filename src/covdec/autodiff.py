@@ -35,6 +35,7 @@ the layer types need.
 
 from __future__ import annotations
 
+import itertools
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Callable, Iterator, Sequence
@@ -275,22 +276,30 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     gates' columns side by side in LSTM_GATES order (i, f, o, g). Sigmoid is
     computed via tanh so large |x| cannot overflow.
 
-    The input projection of all T steps is one matrix product of a
-    step-major [T*B, d] copy of xs, which is not kept, and each step
-    overwrites its contiguous [B, 4H] block of that projection with its gate
-    values. A step activates the whole block with full-block `scale` and
-    `shift` arrays made once per call: z *= scale (0.5 on the sigmoid gates,
-    1.0 on g), tanh in place, z *= scale, z += shift (0.5 on the sigmoid
-    gates, -0.0 on g). Halving is exact, so a sigmoid gate is
-    0.5 * (1 + tanh(z / 2)) bit for bit; -0.0 is the additive identity, so g
-    is tanh(z) bit for bit, a -0.0 candidate included. Step 0 starts from the
-    zero state, so it skips the recurrent product, and backward skips the
-    gradient that would flow into that state. Step t writes h_t straight into
-    its [B, H] slice of the [B, T, H] result, and the next step's recurrent
-    product reads it from there. Only while a tape records does a call keep
-    the [T+1, B, H] cell states and the [T, B, H] tanh(c_t) that backward
-    reads; outside a tape step t reads c_{t-1} from one of two [B, H]
-    buffers and writes c_t and tanh(c_t) over the other and over one more.
+    The input projection of all T steps is one matrix product of a step-major
+    [T*B, d] copy of xs, which is not kept, and each step overwrites its
+    contiguous [B, 4H] block of that projection with its gate values. At batch
+    1 a step's cost is its calls, not its arithmetic, so a step makes only the
+    calls of its arithmetic: every per-step view (the block and its i, f, o and
+    g columns, the step's [B, H] slice of the [B, T, H] result, its cell and
+    tanh(c) buffers) comes from iterating over those arrays side by side, with
+    no indexing inside the loop. Step t writes h_t straight into its slice of
+    the result, and step t + 1's recurrent product np.matmul(h_t, wh, out=rec)
+    reads it from there into one [B, 4H] buffer made per call, before adding it
+    to its block: the same matmul as h_t @ wh, so the same bytes, without a new
+    array per step (np.dot would copy the strided h_t first, at B > 1). Step 0
+    starts from the zero state, so it skips the recurrent product, and backward
+    skips the gradient that would flow into that state. A step activates the
+    whole block with full-block `scale` and `shift` arrays made once per call:
+    z *= scale (0.5 on the sigmoid gates, 1.0 on g), tanh in place, z *= scale,
+    z += shift (0.5 on the sigmoid gates, -0.0 on g). Halving is exact, so a
+    sigmoid gate is 0.5 * (1 + tanh(z / 2)) bit for bit; -0.0 is the additive
+    identity, so g is tanh(z) bit for bit, a -0.0 candidate included. i*g is
+    written over the first [B, H] of `rec`, which the block has read by then.
+    Only while a tape records does a call keep the [T+1, B, H] cell states and
+    the [T, B, H] tanh(c_t) that backward reads; outside a tape step t reads
+    c_{t-1} from one of two [B, H] buffers, writes c_t into the other and then
+    tanh(c_t) over c_{t-1}, which no later step reads.
 
     Backward runs BPTT over the stored gate values, with every per-step
     temporary in a buffer made once per call. A step copies its gates,
@@ -327,34 +336,43 @@ def lstm(xs: Node, wx: Node, wh: Node, b: Node) -> Node:
     gates = (xs_step_major() @ wx_v).reshape(steps, batch, 4 * hidden)
     gates += b.value
     hs = np.empty((batch, steps, hidden))  # h_1..h_T, the result
-    # cs[0] is the zero state; step t reads cs[t % n] and writes cs[(t + 1) % n]
-    # and tanh_cs[t % (n - 1)]
-    n = steps + 1 if _tape.get() is not None else 2
-    cs = np.zeros((n, batch, hidden))
-    tanh_cs = np.empty((n - 1, batch, hidden))
     h1, h2, sig = hidden, 2 * hidden, 3 * hidden
+    # step t reads c_{t-1} and writes c_t and tanh(c_t): from and into the
+    # histories backward reads while a tape records, else from and into two
+    # cell buffers in turn, tanh(c_t) over c_{t-1}; cs[0] is the zero state
+    if _tape.get() is not None:
+        cs = np.zeros((steps + 1, batch, hidden))
+        tanh_cs = np.empty((steps, batch, hidden))
+        cells = zip(cs[:-1], cs[1:], tanh_cs)
+    else:
+        cs = np.zeros((2, batch, hidden))
+        cells = itertools.cycle(((cs[0], cs[1], cs[0]), (cs[1], cs[0], cs[1])))
     # sigmoid(z) = 0.5 * tanh(0.5 * z) + 0.5 on i, f, o; tanh(z) + -0.0 on g
     scale = np.full((batch, 4 * hidden), 0.5)
     scale[:, sig:] = 1.0
     shift = np.full((batch, 4 * hidden), 0.5)
     shift[:, sig:] = -0.0
-    ig = np.empty((batch, hidden))
+    rec = np.empty((batch, 4 * hidden))  # the recurrent product h_{t-1} @ wh
+    ig = rec.reshape(4, batch, hidden)[0]  # i*g, over rec once z has read it
 
-    for t in range(steps):
-        z = gates[t]
-        if t:  # h_0 is zero
-            z += hs[:, t - 1] @ wh_v
+    h_prev = None  # h_0 is zero
+    for z, i, f, o, g, h, (c_prev, c, tc) in zip(
+        gates, gates[..., :h1], gates[..., h1:h2], gates[..., h2:sig], gates[..., sig:],
+        hs.transpose(1, 0, 2), cells,
+    ):
+        if h_prev is not None:
+            np.matmul(h_prev, wh_v, out=rec)
+            z += rec
         z *= scale
         np.tanh(z, out=z)
         z *= scale
         z += shift
-        i, f, o, g = z[:, :h1], z[:, h1:h2], z[:, h2:sig], z[:, sig:]
-        c, tc = cs[(t + 1) % n], tanh_cs[t % (n - 1)]
-        np.multiply(f, cs[t % n], out=c)
+        np.multiply(f, c_prev, out=c)
         np.multiply(i, g, out=ig)
         c += ig
         np.tanh(c, out=tc)
-        np.multiply(o, tc, out=hs[:, t])
+        np.multiply(o, tc, out=h)
+        h_prev = h
 
     def backward(grad):
         grad_t = grad.transpose(1, 0, 2)

@@ -16,7 +16,7 @@ import sys
 from functools import cache
 from pathlib import Path
 
-from .config import config_from_dict, config_values
+from .config import EPOCH_KEYS, config_from_dict, config_values
 from .covariance import prepare
 from .data import SynthSpec, load, load_trial, write_synth_dataset
 from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
@@ -111,25 +111,32 @@ def _cmd_train(args) -> int:
     _check_out(args.out)
     trials, manifest = load(args.data)
     values: dict = {}
+    lines: dict[str, int] = {}  # the --config line that set each of its keys
     if args.config:
         path = Path(args.config)
-        values = config_values(read_file(path, "config file not found", ConfigError), path)
+        values, lines = config_values(read_file(path, "config file not found", ConfigError),
+                                      path)
+    flags: dict = {}
     if args.seed is not None:
-        values["seed"] = args.seed
+        flags["seed"] = args.seed
     if args.epochs is not None:
         parts = args.epochs.split(",")
         if len(parts) != 3:
             raise ConfigError(f"--epochs wants E1,E2,E3, got {args.epochs!r}")
-        values["epochs_stage1"], values["epochs_stage2"], values["epochs_stage3"] = parts
+        flags.update(zip(EPOCH_KEYS, parts))
+    values.update(flags)
     # a declared class count must match the manifest; run_training checks it
     values.setdefault("classes", len(manifest.classes))
-    # a rejected value names where the merged values came from
-    sources = [args.config] if args.config else []
-    sources += [flag for flag, v in (("--seed", args.seed), ("--epochs", args.epochs))
-                if v is not None]
     try:
         config = config_from_dict(values)
     except ConfigError as exc:
+        # a rejected value that the --config file set names its line; any
+        # other names where the merged values came from
+        if exc.key in lines and exc.key not in flags:
+            raise ConfigError(f"{path}:{lines[exc.key]}: {exc}") from None
+        sources = [args.config] if args.config else []
+        sources += [flag for flag, v in (("--seed", args.seed), ("--epochs", args.epochs))
+                    if v is not None]
         if not sources:
             raise
         raise ConfigError(f"{' with '.join(sources)}: {exc}") from None

@@ -30,6 +30,7 @@ _WIDTH_KEYS = (
     "head_hidden",
 )
 _LR_KEYS = ("lr_stage1", "lr_stage2", "lr_stage3")
+EPOCH_KEYS = ("epochs_stage1", "epochs_stage2", "epochs_stage3")
 
 
 @dataclass
@@ -64,32 +65,36 @@ class TrainConfig:
 
     def validate(self) -> "TrainConfig":
         if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", "seed")
         for key in _WIDTH_KEYS:
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}", key)
         for key in _LR_KEYS:
             lr = getattr(self, key)
             if not (math.isfinite(lr) and lr > 0.0):
-                raise ConfigError(f"{key} must be a finite number above 0, got {lr}")
+                raise ConfigError(f"{key} must be a finite number above 0, got {lr}", key)
         if not 0.0 < self.split_fraction < 1.0:
-            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}")
+            raise ConfigError(f"split_fraction must be in (0, 1), got {self.split_fraction}",
+                              "split_fraction")
         if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}", "batch_size")
         if self.classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.classes}")
-        if min(self.epochs_stage1, self.epochs_stage2, self.epochs_stage3) < 0:
-            raise ConfigError("epoch counts must be >= 0")
+            raise ConfigError(f"need at least 2 classes, got {self.classes}", "classes")
+        for key in EPOCH_KEYS:
+            if getattr(self, key) < 0:
+                raise ConfigError("epoch counts must be >= 0", key)
         if self.patience is not None and self.patience < 1:
-            raise ConfigError(f"patience must be >= 1 or off, got {self.patience}")
+            raise ConfigError(f"patience must be >= 1 or off, got {self.patience}", "patience")
         if self.rnn_order not in RNN_ORDERS:
-            raise ConfigError(f"rnn_order must be one of {RNN_ORDERS}, got {self.rnn_order!r}")
+            raise ConfigError(f"rnn_order must be one of {RNN_ORDERS}, got {self.rnn_order!r}",
+                              "rnn_order")
         if self.rnn_axis not in RNN_AXES:
-            raise ConfigError(f"rnn_axis must be one of {RNN_AXES}, got {self.rnn_axis!r}")
+            raise ConfigError(f"rnn_axis must be one of {RNN_AXES}, got {self.rnn_axis!r}",
+                              "rnn_axis")
         if not self.dae_latent < self.feature_width:
             raise ConfigError(
                 f"dae latent width {self.dae_latent} must be smaller than "
-                f"input width {self.feature_width}"
+                f"input width {self.feature_width}", "dae_latent"
             )
         return self
 
@@ -122,7 +127,7 @@ def _coerce(key: str, raw: str):
         if kind == "float":
             return float(raw)
     except ValueError:
-        raise ConfigError(f"config key {key!r}: cannot read {raw!r} as {kind}") from None
+        raise ConfigError(f"config key {key!r}: cannot read {raw!r} as {kind}", key) from None
     return raw
 
 
@@ -134,19 +139,21 @@ def config_from_dict(values: dict) -> TrainConfig:
     return TrainConfig(**coerced).validate()
 
 
-def config_values(data: bytes, path: Path) -> dict[str, str]:
+def config_values(data: bytes, path: Path) -> tuple[dict[str, str], dict[str, int]]:
     """Raw key -> value strings of the config text `data`, read from `path`,
-    before coercion.
+    before coercion, and the line number that set each key.
 
     Rejects invalid UTF-8, lines without '=' and duplicate keys; unknown keys
-    and bad values are left to config_from_dict.
+    and bad values are left to config_from_dict, whose ConfigError names the
+    rejected key, so that a caller can name the line that set it.
     """
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, key, value in key_values(data, path, ConfigError):
         if key in values:
             raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value
-    return values
+        values[key], lines[key] = value, lineno
+    return values, lines
 
 
 def write_config(path: str | Path, config: TrainConfig) -> None:

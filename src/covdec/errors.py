@@ -15,7 +15,12 @@ class ShapeError(CovdecError):
 
 
 class ConfigError(CovdecError):
-    """Invalid configuration or model geometry."""
+    """Invalid configuration or model geometry; `key` is the config key whose
+    value was rejected, when one was."""
+
+    def __init__(self, message: str = "", key: str | None = None):
+        super().__init__(message)
+        self.key = key
 
 
 class DataError(CovdecError):

@@ -137,11 +137,13 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     entries = {stage: pstore.read_entries(path, f"missing stage weights '{stage}'", StateError)
                for stage, path in paths.items()}
     config_path = run / "config.txt"
-    values = config_values(read_file(config_path, "missing config echo", StateError), config_path)
+    values, lines = config_values(read_file(config_path, "missing config echo", StateError),
+                                  config_path)
     try:
         config = config_from_dict(values)
     except ConfigError as exc:  # unknown keys, unreadable or invalid values
-        raise StateError(f"{config_path}: {exc}") from None
+        where = f"{config_path}:{lines[exc.key]}" if exc.key in lines else config_path
+        raise StateError(f"{where}: {exc}") from None
     classes_path = run / "classes.txt"
     text = decode_utf8(read_file(classes_path, "missing class names", StateError),
                        classes_path, ParseError)

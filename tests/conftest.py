@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import os
 import weakref
 
 import numpy as np
@@ -36,8 +37,12 @@ def blas_kernel() -> str:
 
 
 def pytest_report_header(config) -> str:
-    # the exact-byte pins hold on one kernel; name this run's at the top of its log
-    return f"OpenBLAS kernel: {blas_kernel()} (exact-byte pins recorded on SkylakeX)"
+    # the exact-byte pins hold on one kernel, and the thread-count tests set
+    # the BLAS threads themselves; name this run's settings at the top of its log
+    threads = ", ".join(f"{name}={os.environ.get(name, 'unset')}"
+                        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"))
+    return (f"OpenBLAS kernel: {blas_kernel()} (exact-byte pins recorded on SkylakeX); "
+            f"{threads}; numpy {np.__version__}")
 
 
 def pytest_sessionstart(session) -> None:

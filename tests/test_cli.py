@@ -126,7 +126,7 @@ def test_zero_epoch_run_keeps_init_weights_and_emits_report(dataset, tmp_path, c
                "--out", str(run_dir), "--seed", "4", "--epochs", "0,0,0"])
     assert rc == 0
     config_path = run_dir / "config.txt"
-    config = config_from_dict(config_values(config_path.read_bytes(), config_path))
+    config = config_from_dict(config_values(config_path.read_bytes(), config_path)[0])
     fresh = init_cnn_params(config, 6, _derived_seeds(4)["cnn_init"])
     saved = load_store(run_dir / "cnn.cvdp")
     assert store_bytes(saved) == store_bytes(fresh)
@@ -776,7 +776,10 @@ def test_run_config_rejection_exits_2_naming_config_txt(trained_run, dataset, tm
     broken = tmp_path / "broken"
     rc = _run_with_config_edit(trained_run, broken, dataset, "predict", line, edited)
     assert rc == 2
-    assert capsys.readouterr() == ("", f"error: {broken / 'config.txt'}: {message}\n")
+    # the file and the line of the edited value
+    lineno = (broken / "config.txt").read_text(encoding="utf-8").splitlines().index(edited) + 1
+    assert capsys.readouterr() == (
+        "", f"error: {broken / 'config.txt'}:{lineno}: {message}\n")
 
 
 def test_python_m_covdec_runs_the_cli(tmp_path):
@@ -790,11 +793,17 @@ def test_python_m_covdec_runs_the_cli(tmp_path):
     assert proc.stdout.startswith("wrote 3 trials")
 
 
-def test_blas_thread_count_does_not_change_run_files(tmp_path):
+@pytest.mark.parametrize("synth, epochs", [
+    ((), "2,2,2"),
+    (("--channels", "64", "--samples", "256", "--classes", "2", "--trials-per-class", "10"),
+     "1,2,2"),
+], ids=["readme", "channels64"])
+def test_blas_thread_count_does_not_change_run_files(tmp_path, synth, epochs):
     # matrix products go through BLAS, which may split them across threads;
-    # the README data set, trained in a fresh process per thread count
+    # the README data set, and a recording's channel count (64-wide products,
+    # two 64-step LSTMs), each trained in a fresh process per thread count
     data = tmp_path / "data"
-    assert main(["gen-synth", "--out", str(data), "--seed", "7"]) == 0
+    assert main(["gen-synth", "--out", str(data), "--seed", "7", *synth]) == 0
     src = str(Path(covdec.__file__).resolve().parents[1])
     runs = {}
     for threads in ("1", "2"):
@@ -804,7 +813,7 @@ def test_blas_thread_count_does_not_change_run_files(tmp_path):
             [sys.executable, "-c",
              "import sys; from covdec.cli import main; sys.exit(main(sys.argv[1:]))",
              "train", "--data", str(data / "manifest.txt"), "--out", str(out),
-             "--seed", "11", "--epochs", "2,2,2"],
+             "--seed", "11", "--epochs", epochs],
             env=env, capture_output=True, text=True, timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
@@ -940,9 +949,34 @@ def test_config_out_of_range_exits_2_before_training(dataset, tmp_path, capsys,
     rc = main(["train", "--data", str(dataset / "manifest.txt"), "--config", str(config),
                "--out", str(tmp_path / "run"), *flags])
     assert rc == 2
-    # the file is named, and so is each flag merged over it
-    source = " with ".join([str(config), *flags[::2]])
+    # a value that the file sets, each on line 1 here, is named by its line; a
+    # flag's value or a key the config does not know by the file and each
+    # flag merged over it
+    if config_text and not message.startswith("unknown config key"):
+        source = f"{config}:1"
+    else:
+        source = " with ".join([str(config), *flags[::2]])
     assert capsys.readouterr() == ("", f"error: {source}: {message}\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("config_text, flags, source", [
+    ("seed = 3\nclasses = 1\n", ["--epochs", "1,1,1"], "{config}:2"),
+    ("seed = 3\nclasses = 1\n", [], "{config}:2"),
+    ("batch_size = 8\nseed = 3\n", ["--seed", "-1"], "{config} with --seed"),
+    ("epochs_stage2 = 3\n", ["--epochs", "1,-1,1"], "{config} with --epochs"),
+    ("seed = 3\n\n# stage 2\nepochs_stage2 = -1\n", ["--seed", "4"], "{config}:4"),
+], ids=["line-2-with-epochs", "line-2", "seed-flag-over-line", "epochs-flag-over-line",
+        "after-comment-with-seed"])
+def test_config_rejection_names_the_line_that_set_the_value(dataset, tmp_path, capsys,
+                                                            config_text, flags, source):
+    config = tmp_path / "config.txt"
+    config.write_text(config_text)
+    rc = main(["train", "--data", str(dataset / "manifest.txt"), "--config", str(config),
+               "--out", str(tmp_path / "run"), *flags])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {source.format(config=config)}: "), err
     assert not (tmp_path / "run").exists()
 
 

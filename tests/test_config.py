@@ -8,7 +8,7 @@ from covdec.errors import ConfigError
 
 
 def read_config(path: Path) -> TrainConfig:
-    return config_from_dict(config_values(path.read_bytes(), path))
+    return config_from_dict(config_values(path.read_bytes(), path)[0])
 
 
 def test_roundtrip_through_file(tmp_path):
@@ -62,6 +62,26 @@ def test_validation_errors():
         TrainConfig(seed=-1).validate()
 
 
+@pytest.mark.parametrize("values, key", [
+    ({"seed": -1}, "seed"), ({"classes": 1}, "classes"), ({"cnn_kernel2": 0}, "cnn_kernel2"),
+    ({"lr_stage2": 0.0}, "lr_stage2"), ({"split_fraction": 1.0}, "split_fraction"),
+    ({"batch_size": 0}, "batch_size"), ({"epochs_stage3": -1}, "epochs_stage3"),
+    ({"patience": 0}, "patience"), ({"rnn_order": "x"}, "rnn_order"),
+    ({"rnn_axis": "x"}, "rnn_axis"), ({"dae_latent": 300}, "dae_latent"),
+])
+def test_validation_error_carries_the_rejected_key(values, key):
+    # a config reader turns the key into the line that set it
+    with pytest.raises(ConfigError) as info:
+        TrainConfig(**values).validate()
+    assert info.value.key == key
+
+
+def test_uncoercible_value_error_carries_its_key():
+    with pytest.raises(ConfigError) as info:
+        config_from_dict({"batch_size": "many"})
+    assert info.value.key == "batch_size"
+
+
 def test_feature_width_tracks_rnn_order():
     assert TrainConfig().feature_width == 128
     assert TrainConfig(rnn_order="lstm-first", rnn_fc2=48).feature_width == 64 + 48
@@ -83,7 +103,8 @@ def test_missing_config_file(tmp_path):
 def test_config_values_keeps_raw_strings(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("seed = 7  # comment\n\npatience = off\n")
-    assert config_values(path.read_bytes(), path) == {"seed": "7", "patience": "off"}
+    assert config_values(path.read_bytes(), path) == (
+        {"seed": "7", "patience": "off"}, {"seed": 1, "patience": 3})
 
 
 @pytest.mark.parametrize("key, raw", [("seed", "abc"), ("lr_stage1", "fast"), ("patience", "soon")])

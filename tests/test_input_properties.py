@@ -1,10 +1,14 @@
-"""Property tests of the inputs a user hands covdec: a trial file, a manifest
-and a `--config` text. Each is damaged by byte flips, a truncation, appended
-bytes or, in a trial's header, a u32 field set to an edge value. Reading the
-damaged input may raise only the error of its documented exit code: DataError
-(ParseError included; exit 3) for trials and manifests, ConfigError (exit 2)
-for a config."""
+"""Property tests of the inputs a user hands covdec: a trial file, a manifest,
+a `--config` text and the text files of a run directory. Each is damaged by
+byte flips, a truncation, appended bytes or, in a trial's header, a u32 field
+set to an edge value. Reading the damaged input may raise only the errors of
+its documented exit codes: DataError (ParseError included; exit 3) for trials
+and manifests, ConfigError (exit 2) for a config; for a run directory,
+StateError or ConfigError (exit 2) for a rejected config.txt or class count,
+and ParseError (exit 3) for undecodable or malformed text."""
 
+import dataclasses
+import shutil
 import struct
 from pathlib import Path
 
@@ -14,7 +18,10 @@ from hypothesis import strategies as st
 
 from covdec.config import TrainConfig, config_from_dict, config_values, write_config
 from covdec.data import SynthSpec, load, load_trial, write_synth_dataset
-from covdec.errors import ConfigError, DataError
+from covdec.errors import ConfigError, DataError, ParseError, StateError
+from covdec.report import load_artifacts, load_report_json, read_curves_csv, save_run
+from covdec.training import run_training
+from conftest import SMALL_CONFIG
 
 # the trial header's u32 fields: version, channels, samples, label
 TRIAL_U32_OFFSETS = (4, 8, 12, 16)
@@ -79,6 +86,44 @@ def test_a_damaged_manifest_raises_only_data_errors(dataset, data):
 def test_a_damaged_config_raises_only_config_errors(dataset, data):
     path = dataset / "config.txt"
     try:
-        config_from_dict(config_values(data.draw(damaged(path.read_bytes())), path))
+        config_from_dict(config_values(data.draw(damaged(path.read_bytes())), path)[0])
     except ConfigError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def run_dir(tmp_path_factory) -> Path:
+    """A run directory of a one-epoch training on small trials."""
+    root = tmp_path_factory.mktemp("run")
+    spec = SynthSpec(channels=6, samples=32, classes=2, trials_per_class=5)
+    trials, manifest = load(write_synth_dataset(root / "data", spec))
+    config = dataclasses.replace(SMALL_CONFIG, classes=2, epochs_stage1=1, epochs_stage2=1,
+                                 epochs_stage3=1, patience=None)
+    save_run(root / "run", run_training(trials, manifest.classes, config))
+    return root / "run"
+
+
+# each text file of a run directory, the reader that takes it, and the errors
+# that reader may raise for it
+RUN_TEXT_READERS = {
+    "classes.txt": (load_artifacts, (StateError, ParseError)),
+    "config.txt": (load_artifacts, (StateError, ConfigError)),
+    "report.json": (load_report_json, (ParseError,)),
+    "curves.csv": (lambda run: read_curves_csv(run / "curves.csv"), (ParseError,)),
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_TEXT_READERS))
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_damaged_run_file_raises_only_its_documented_errors(run_dir, name, data):
+    read, errors = RUN_TEXT_READERS[name]
+    # one copy of the run per file, whose file each case overwrites
+    damaged_run = run_dir.with_name(f"damaged-{name}")
+    if not damaged_run.exists():
+        shutil.copytree(run_dir, damaged_run)
+    (damaged_run / name).write_bytes(data.draw(damaged((run_dir / name).read_bytes())))
+    try:
+        read(damaged_run)
+    except errors:
         pass
