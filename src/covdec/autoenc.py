@@ -10,8 +10,7 @@ predict time. Both graphs take an array, a data leaf ("input") in the graph.
 
 Each net's parameters, their names, shapes and init rules, are one table
 built from a `TrainConfig`: `dae_layout` and `head_layout`. Init draws from
-it, the name tuples `require` checks are taken from it, and
-`report.load_artifacts` checks a run's weight files against it.
+it, and `report.load_artifacts` checks a run's weight files against it.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .config import TrainConfig
-from .params import Layout, ParamStore, init_values, linear_layout, require
+from .params import Layout, ParamStore, init_values, linear_layout
 
 
 def dae_layout(config: TrainConfig) -> Layout:
@@ -39,10 +38,6 @@ def head_layout(config: TrainConfig) -> Layout:
             *linear_layout("out", config.head_hidden, config.classes, "logit")]
 
 
-DAE_PARAM_NAMES = tuple(name for name, _, _ in dae_layout(TrainConfig()))
-HEAD_PARAM_NAMES = tuple(name for name, _, _ in head_layout(TrainConfig()))
-
-
 def init_dae_params(config: TrainConfig, seed: int) -> ParamStore:
     return ParamStore(init_values(dae_layout(config), seed))
 
@@ -53,7 +48,6 @@ def init_head_params(config: TrainConfig, seed: int) -> ParamStore:
 
 def dae_graph(features: np.ndarray, params: ParamStore) -> Node:
     """Latent node for [n] or [B, n] features: the encoder alone."""
-    require(params, DAE_PARAM_NAMES, "dae")
     h = ad.relu(ad.linear(Node(features, "input"), params["enc1.w"], params["enc1.b"]))
     return ad.relu(ad.linear(h, params["enc2.w"], params["enc2.b"]))
 
@@ -73,7 +67,6 @@ def dae_loss(features: np.ndarray, params: ParamStore) -> Node:
 
 def head_graph(latents: np.ndarray, params: ParamStore) -> Node:
     """Logit node(s) for [n] or [B, n] latent codes."""
-    require(params, HEAD_PARAM_NAMES, "head")
     h = ad.relu(ad.linear(Node(latents, "input"), params["fc1.w"], params["fc1.b"]))
     return ad.linear(h, params["out.w"], params["out.b"])
 

@@ -14,8 +14,8 @@ trains through; only a stage-1 loss runs it, feature extraction never.
 
 Each branch's parameters, their names, shapes and init rules, are one table
 built from a `TrainConfig` and the channel count: `cnn_layout` and
-`rnn_layout`. Init draws from it, the name tuples `require` checks are taken
-from it, and `report.load_artifacts` checks a run's weight files against it.
+`rnn_layout`. Init draws from it, and `report.load_artifacts` checks a run's
+weight files against it.
 The CNN feature is `cnn_feature` wide and the RNN feature `rnn_feature`. In
 memory each LSTM layer is the three fused parameters `autodiff.lstm` takes,
 `lstmN.wx`, `lstmN.wh` and `lstmN.b`; rnn.cvdp, and `rnn_layout`, keep twelve
@@ -33,7 +33,7 @@ from .autodiff import Node
 from .config import RNN_AXES, RNN_ORDERS, TrainConfig
 from .covariance import CovMatrix
 from .errors import ConfigError
-from .params import Layout, ParamStore, init_values, linear_layout, require
+from .params import Layout, ParamStore, init_values, linear_layout
 
 # trials per chunk of a forward-only pass over a whole set (feature
 # extraction, and the epoch-0 loss and validation of a branch or of the
@@ -70,17 +70,12 @@ def cnn_layout(config: TrainConfig, channels: int) -> Layout:
     ]
 
 
-# channels set only shapes, never names
-CNN_PARAM_NAMES = tuple(name for name, _, _ in cnn_layout(TrainConfig(), 8))
-
-
 def init_cnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore:
     return ParamStore(init_values(cnn_layout(config, channels), seed))
 
 
 def cnn_graph(mats: np.ndarray, params: ParamStore) -> Node:
     """Feature node over a [B, C, C] batch, which gets no gradient."""
-    require(params, CNN_PARAM_NAMES, "cnn")
     h = ad.relu(ad.conv1d(Node(mats, "input"), params["conv1.w"], params["conv1.b"]))
     h = ad.relu(ad.conv1d(h, params["conv2.w"], params["conv2.b"]))
     batch = h.value.shape[0]
@@ -125,6 +120,7 @@ def rnn_layout(config: TrainConfig, channels: int) -> Layout:
     ]
 
 
+# channels set only shapes, never names
 RNN_FILE_NAMES = tuple(name for name, _, _ in rnn_layout(TrainConfig(), 8))
 # the in-memory names: each layer's gate entries fused, `lstmN.wx_i` -> `lstmN.wx`
 RNN_PARAM_NAMES = tuple(dict.fromkeys(name.partition("_")[0] for name in RNN_FILE_NAMES))
@@ -137,7 +133,6 @@ def init_rnn_params(config: TrainConfig, channels: int, seed: int) -> ParamStore
 def split_rnn_gates(params: ParamStore) -> ParamStore:
     """The rnn.cvdp layout of an RNN store: each LSTM layer's fused wx, wh
     and b split into its twelve per-gate entries, all entries in file order."""
-    require(params, RNN_PARAM_NAMES, "rnn")
     entries = {}
     for name in RNN_FILE_NAMES:
         fused, _, gate = name.partition("_")
@@ -169,7 +164,6 @@ def rnn_graph(
     axis: str = "rows",
 ) -> Node:
     """Feature node over a [B, C, C] batch, which gets no gradient."""
-    require(params, RNN_PARAM_NAMES, "rnn")
     if order not in RNN_ORDERS:
         raise ConfigError(f"rnn order must be one of {RNN_ORDERS}, got {order!r}")
     if axis not in RNN_AXES:

@@ -1,8 +1,9 @@
 """Command-line entry point: synthesize data, train, evaluate, inspect.
 
 Exit codes: 0 success, 1 gradient-check failure, 2 configuration/state error,
-3 data error, 4 numeric abort, 141 (128 + SIGPIPE) when stdout was closed
-before the command finished writing, for example by `| head -n 1`.
+3 data error, 4 numeric abort (each the `exit_code` of its `errors` class),
+141 (128 + SIGPIPE) when stdout was closed before the command finished
+writing, for example by `| head -n 1`.
 Diagnostics go to stderr, results to stdout.
 """
 
@@ -19,7 +20,7 @@ from pathlib import Path
 from .config import EPOCH_KEYS, config_from_dict, config_values
 from .covariance import prepare
 from .data import SynthSpec, load, load_trial, write_synth_dataset
-from .errors import ConfigError, DataError, NumericError, ShapeError, StateError
+from .errors import ConfigError, CovdecError, DataError
 from .files import read_file
 from .gradcheck import run_suite
 from .report import format_confusion, format_report, load_artifacts, save_run
@@ -212,15 +213,9 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141
-    except (ConfigError, StateError, ShapeError) as exc:
+    except CovdecError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return exc.exit_code
 
 
 if __name__ == "__main__":

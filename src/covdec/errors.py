@@ -1,13 +1,16 @@
 """Exception taxonomy shared across the package.
 
-The CLI maps these to exit codes: ConfigError/StateError/ShapeError -> 2,
-DataError (incl. ParseError) -> 3, NumericError -> 4. A closed stdout
-(BrokenPipeError, not one of these) exits 141, 128 + SIGPIPE.
+Each class carries the exit code the CLI returns for it: ConfigError,
+StateError, ShapeError and a bare CovdecError -> 2, DataError (incl.
+ParseError) -> 3, NumericError -> 4. A closed stdout (BrokenPipeError, not
+one of these) exits 141, 128 + SIGPIPE.
 """
 
 
 class CovdecError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 2
 
 
 class ShapeError(CovdecError):
@@ -26,6 +29,8 @@ class ConfigError(CovdecError):
 class DataError(CovdecError):
     """Invalid or degenerate input data."""
 
+    exit_code = 3
+
 
 class ParseError(DataError):
     """Malformed on-disk artifact; the message carries path and byte offset."""
@@ -33,6 +38,8 @@ class ParseError(DataError):
 
 class NumericError(CovdecError):
     """Non-finite value where a finite one is required."""
+
+    exit_code = 4
 
 
 class StateError(CovdecError):

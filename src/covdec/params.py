@@ -23,9 +23,10 @@ CVDP file layout (all little-endian):
         dims     u32 * rank
         payload  f64 * prod(dims), row-major
 
-Files hold parameter values only. "::" is reserved and rejected in parameter
-names: older writers appended Adam moment buffers as "<param>::adam_m" and
-"<param>::adam_v" entries, which the reader still validates and then drops.
+An entry is a name and an array; no name is reserved. Files hold parameter
+values only; the entries an older writer appended after them (Adam moments,
+"<param>::adam_m" and "<param>::adam_v") load as extra entries that no stage
+reads. A lookup of an absent name raises StateError naming it.
 Payloads move between the file and their own arrays: `save` writes each
 array's buffer after its header, and `read_entries` reads each payload
 straight into a fresh array, so a loaded parameter is one copy of its bytes.
@@ -48,9 +49,6 @@ from .files import open_regular
 
 MAGIC = b"CVDP"
 FORMAT_VERSION = 1
-
-_ADAM_M = "::adam_m"
-_ADAM_V = "::adam_v"
 
 # rows of the packed buffer: values, gradients, Adam m, Adam v, one scratch
 _ROWS = 5
@@ -80,17 +78,16 @@ class ParamStore:
     """
 
     def __init__(self, arrays: Mapping[str, np.ndarray]):
-        for name in arrays:
-            if not name or "::" in name:
-                raise ConfigError(f"invalid parameter name {name!r}")
+        if "" in arrays:
+            raise ConfigError("invalid parameter name ''")
         self._nodes = {name: Node(arr, op="param") for name, arr in arrays.items()}
         self._flat: np.ndarray | None = None
 
     def __getitem__(self, name: str) -> Node:
-        return self._nodes[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._nodes
+        try:
+            return self._nodes[name]
+        except KeyError:
+            raise StateError(f"missing parameter '{name}'") from None
 
     def names(self) -> list[str]:
         return list(self._nodes)
@@ -129,13 +126,6 @@ class ParamStore:
                 node.value, node._grad = value, grad
                 start += size
         return self._flat
-
-
-def require(store: ParamStore, names: Iterable[str], stage: str) -> None:
-    """Raise StateError naming the stage when any expected weight is absent."""
-    missing = [n for n in names if n not in store]
-    if missing:
-        raise StateError(f"stage '{stage}' missing parameter(s): {', '.join(missing)}")
 
 
 # A stage's parameter layout: its entries in order, each (name, shape, init
@@ -242,28 +232,24 @@ def save(store: ParamStore, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> ParamStore:
-    """Read a CVDP file back into a ParamStore; moment entries are dropped.
-
-    The store holds each parameter entry's payload in an array of its own
-    (`read_entries` lists the checks).
-    """
+    """Read a CVDP file back into a ParamStore that holds each entry's payload
+    in an array of its own (`read_entries` lists the checks)."""
     return ParamStore(read_entries(Path(path)))
 
 
 def read_entries(path: Path, missing: str = "weight file not found",
                  error: type[CovdecError] = ParseError) -> dict[str, np.ndarray]:
-    """The parameter entries of the CVDP file at `path`: name -> a fresh
-    float64 array holding its payload, in file order.
+    """The entries of the CVDP file at `path`: name -> a fresh float64 array
+    holding its payload, in file order.
 
     One pass reads the file through a 64 KiB buffer. Each header is checked
     (truncation, names, dims) against the size fstat gave, and only then is
     its payload read straight into a new array of its dims, so no array
     outgrows the file; a file that ends early is truncated where it ends.
-    After the last header come the trailing-bytes check, the payloads' check
-    for non-finite values in entry order, and the moment entries' pairing
-    check before they are dropped. A path that names no regular file raises
-    error(f"{missing}: {path}") (`files.open_regular`); a fault in the file
-    raises ParseError.
+    After the last header come the trailing-bytes check and the payloads'
+    check for non-finite values in entry order. A path that names no regular
+    file raises error(f"{missing}: {path}") (`files.open_regular`); a fault
+    in the file raises ParseError.
     """
     fd, end = open_regular(path, missing, error)
     try:
@@ -301,8 +287,7 @@ def _read_entries(f: io.BufferedReader, end: int, path: Path) -> dict[str, np.nd
     # pass 1: headers, each payload read into its array; each entry becomes
     # (name, its byte offset, array)
     entries = []
-    params: set[str] = set()
-    moments: list[str] = []
+    names: set[str] = set()
     off = 12
     for _ in range(count):
         start = off
@@ -324,12 +309,9 @@ def _read_entries(f: io.BufferedReader, end: int, path: Path) -> dict[str, np.nd
             raise truncated(off, 8 * size)
         if not name:
             raise ParseError(f"{path}: empty entry name at byte {start}")
-        if "::" in name:
-            moments.append(name)
-        elif name in params:
+        if name in names:
             raise ParseError(f"{path}: duplicate entry '{name}' at byte {start}")
-        else:
-            params.add(name)
+        names.add(name)
         try:
             arr = np.empty(dims, "<f8")
         except ValueError as exc:  # more dims than numpy takes, or a 0 beside huge dims
@@ -352,15 +334,4 @@ def _read_entries(f: io.BufferedReader, end: int, path: Path) -> dict[str, np.nd
     for (name, start, arr), total in zip(entries, sums):
         if not math.isfinite(total) and not np.isfinite(arr).all():
             raise ParseError(f"{path}: non-finite values in entry '{name}' at byte {start}")
-
-    paired: dict[str, set[str]] = {_ADAM_M: set(), _ADAM_V: set()}
-    for full_name in moments:
-        base, sep, suffix = full_name.rpartition("::")
-        if sep + suffix not in paired:
-            raise ParseError(f"{path}: unrecognized reserved entry '{full_name}'")
-        if base not in params:
-            raise ParseError(f"{path}: moment entry '{full_name}' has no parameter")
-        paired[sep + suffix].add(base)
-    if paired[_ADAM_M] != paired[_ADAM_V]:
-        raise ParseError(f"{path}: unpaired Adam moment entries")
-    return {name: arr for name, _, arr in entries if name in params}
+    return {name: arr for name, _, arr in entries}

@@ -126,7 +126,9 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
     """Load a trained run directory; missing or mis-shaped pieces raise
     StateError naming the file and the entry as the file holds it. Every
     weight entry must have the shape its stage's layout gives for config.txt
-    and the channel count of norm.cvdp; rnn.cvdp's gate entries are fused last.
+    and the channel count of norm.cvdp. Each stage's store holds its
+    layout's entries only, so an entry that no layout names (an older
+    writer's Adam moments) is dropped; rnn.cvdp's gate entries are fused last.
 
     Each file is read once, each weight payload straight into an array of
     its own (`params.read_entries`); rnn.cvdp's gate entries are then copied
@@ -154,8 +156,18 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
             f"on {config.classes} classes"
         )
     norm_path = paths["norm"]
-    pstore.require(entries["norm"], ("mean", "std"), str(norm_path))
-    mean, std = entries["norm"]["mean"], entries["norm"]["std"]
+
+    def entry(stage: str, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+        """The entry `name` of a stage's file, which must hold it, in `shape` when given."""
+        arr = entries[stage].get(name)
+        if arr is not None and (shape is None or arr.shape == shape):
+            return arr
+        found = "is missing" if arr is None else f"has shape {arr.shape}"
+        if shape is not None:
+            found += f", but {config_path.name} and {norm_path.name} want {shape}"
+        raise StateError(f"{paths[stage]}: entry '{name}' {found}")
+
+    mean, std = entry("norm", "mean"), entry("norm", "std")
     if mean.ndim != 2 or mean.shape[0] != mean.shape[1] or std.shape != mean.shape:
         raise StateError(
             f"{norm_path}: mean {mean.shape} and std {std.shape} are not "
@@ -169,19 +181,13 @@ def load_artifacts(run_dir: str | Path) -> PipelineArtifacts:
                    "dae": dae_layout(config), "head": head_layout(config)}
     except ConfigError as exc:  # kernels too wide for the channels of norm.cvdp
         raise StateError(f"{config_path}: {exc}") from None
-    for stage, layout in layouts.items():
-        pstore.require(entries[stage], [name for name, _, _ in layout], str(paths[stage]))
-        for name, shape, _ in layout:
-            if entries[stage][name].shape != shape:
-                raise StateError(
-                    f"{paths[stage]}: '{name}' has shape {entries[stage][name].shape}, "
-                    f"but {config_path.name} and {norm_path.name} want {shape}"
-                )
+    weights = {stage: {name: entry(stage, name, shape) for name, shape, _ in layout}
+               for stage, layout in layouts.items()}
     return PipelineArtifacts(
         config=config, classes=classes,
-        cnn=pstore.ParamStore(entries["cnn"]),
-        rnn=join_rnn_gates(entries["rnn"]),
-        dae=pstore.ParamStore(entries["dae"]), head=pstore.ParamStore(entries["head"]),
+        cnn=pstore.ParamStore(weights["cnn"]),
+        rnn=join_rnn_gates(weights["rnn"]),
+        dae=pstore.ParamStore(weights["dae"]), head=pstore.ParamStore(weights["head"]),
         norm=NormStats(mean, std),
     )
 

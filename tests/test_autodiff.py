@@ -558,9 +558,10 @@ def test_unrecorded_lstm_holds_only_gates_result_and_step_buffers():
         tracemalloc.stop()
     bh = batch * hidden * 8
     gates, result = 4 * steps * bh, steps * bh
-    # beyond them: two cell buffers, tanh(c) and i*g ([B, H] each), and the
-    # recurrent product, scale and shift ([B, 4H] each), 16 [B, H] in all,
-    # and one [B, H] of slack; no [T, B, H] history, nor a copy of the result
+    # beyond them: two cell buffers ([B, H] each) and the recurrent product,
+    # scale and shift ([B, 4H] each), 14 [B, H] in all, plus up to two [B, H]
+    # of numpy's ufunc buffers; it reads 16.1. No [T, B, H] history, nor a
+    # copy of the result
     assert peak <= gates + result + 17 * bh, (peak - gates - result) / bh
 
 

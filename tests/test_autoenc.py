@@ -141,7 +141,8 @@ def test_predict_equals_stagewise_composition(small_cnn, small_rnn, small_dae, s
 def test_predict_names_missing_stage(small_cnn, small_rnn, small_dae):
     rng = np.random.default_rng(40)
     cov = CovMatrix(rng.normal(size=(6, 6)))
-    with pytest.raises(StateError, match="stage 'head'"):
+    # the first weight each net reads
+    with pytest.raises(StateError, match="missing parameter 'fc1.w'"):
         predict_one(cov, small_cnn, small_rnn, small_dae, ParamStore({}))
-    with pytest.raises(StateError, match="stage 'dae'"):
+    with pytest.raises(StateError, match="missing parameter 'enc1.w'"):
         predict_one(cov, small_cnn, small_rnn, ParamStore({}), small_dae)

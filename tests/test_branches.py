@@ -282,10 +282,12 @@ def test_missing_weights_raise_state_error(small_cnn):
     rng = np.random.default_rng(31)
     cov = random_cov(rng)
     incomplete = ParamStore({"conv1.w": small_cnn["conv1.w"].value})
-    with pytest.raises(StateError, match="stage 'cnn' missing"):
+    with pytest.raises(StateError, match="missing parameter 'conv1.b'"):
         cnn_single(cov, incomplete)
-    with pytest.raises(StateError, match="stage 'rnn' missing"):
+    with pytest.raises(StateError, match="missing parameter 'fc1.w'"):
         rnn_single(cov, incomplete)
+    with pytest.raises(StateError, match="missing parameter 'fc1.w'"):
+        split_rnn_gates(incomplete)
 
 
 def test_he_init_statistics():

@@ -17,6 +17,7 @@ import covdec.autodiff
 from covdec.cli import main
 from covdec.config import config_from_dict, config_values
 from covdec.data import SynthSpec, load, write_synth_dataset
+from covdec.errors import CovdecError
 from covdec.params import ParamStore, load as load_store, save as save_store
 from covdec.report import load_artifacts, load_report_json, read_curves_csv
 from covdec.training import _derived_seeds
@@ -262,6 +263,34 @@ def test_numeric_abort_exits_4(dataset, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert rc == 4
     assert "non-finite loss" in err
+
+
+# the exit code documented for each error class (`covdec.errors`, `covdec.cli`)
+DOCUMENTED_EXIT_CODES = {
+    "CovdecError": 2, "ConfigError": 2, "StateError": 2, "ShapeError": 2,
+    "DataError": 3, "ParseError": 3, "NumericError": 4,
+}
+
+
+def _error_classes(cls=CovdecError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_classes(sub)
+
+
+def test_every_error_class_exits_with_its_documented_code(tmp_path, capsys, monkeypatch):
+    import covdec.cli as cli
+
+    classes = list(_error_classes())
+    assert sorted(c.__name__ for c in classes) == sorted(DOCUMENTED_EXIT_CODES)
+    for cls in classes:
+        def fail(run_dir, cls=cls):
+            raise cls(f"{run_dir}: raised {cls.__name__}")
+
+        monkeypatch.setattr(cli, "format_report", fail)
+        rc = main(["report", "--run", str(tmp_path)])
+        assert (rc, cls.exit_code) == (DOCUMENTED_EXIT_CODES[cls.__name__],) * 2
+        assert capsys.readouterr() == ("", f"error: {tmp_path}: raised {cls.__name__}\n")
 
 
 def test_consecutive_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
@@ -664,6 +693,10 @@ def _head_out_b_short(store):
     return store
 
 
+def _head_out_b_dropped(store):
+    return ParamStore({name: node.value for name, node in store.items() if name != "out.b"})
+
+
 def _rnn_gate_reshaped(store):
     # same size, other shape: the gates of lstm1 no longer fuse into one matrix
     assert store["lstm1.wh_g"].value.shape == (10, 10)
@@ -673,7 +706,7 @@ def _rnn_gate_reshaped(store):
 
 @pytest.mark.parametrize("name, corrupt, named", [
     ("norm.cvdp", lambda s: _norm_store(s["mean"].value),
-     "missing parameter(s): std"),
+     "entry 'std' is missing"),
     ("norm.cvdp", lambda s: _norm_store(s["mean"].value, np.zeros_like(s["std"].value)),
      "std has entries below"),
     ("norm.cvdp", lambda s: _norm_store(s["mean"].value[0], s["std"].value),
@@ -681,10 +714,12 @@ def _rnn_gate_reshaped(store):
     ("norm.cvdp", lambda s: _norm_store(s["mean"].value[:, :5], s["std"].value[:, :5]),
      "not one square [C, C] shape"),
     ("head.cvdp", _head_out_b_short, "'out.b' has shape (2,)"),
+    ("head.cvdp", _head_out_b_dropped,
+     "entry 'out.b' is missing, but config.txt and norm.cvdp want (3,)"),
     ("rnn.cvdp", _rnn_gate_reshaped,
      "'lstm1.wh_g' has shape (5, 20), but config.txt and norm.cvdp want (10, 10)"),
 ], ids=["norm-no-std", "norm-zero-std", "norm-vector-mean", "norm-not-square",
-        "head-two-classes", "rnn-gate-shape"])
+        "head-two-classes", "head-no-out-b", "rnn-gate-shape"])
 @pytest.mark.parametrize("command", ["predict", "eval"])
 def test_bad_norm_or_head_exits_2(trained_run, dataset, tmp_path, capsys,
                                   name, corrupt, named, command):

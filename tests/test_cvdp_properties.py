@@ -15,7 +15,7 @@ from covdec.params import ParamStore
 
 from test_params import layout_fields
 
-NAMES = st.text(min_size=1, max_size=6).filter(lambda s: "::" not in s)
+NAMES = st.text(min_size=1, max_size=6)
 SHAPES = st.lists(st.integers(0, 3), max_size=3).map(tuple)
 FINITE = st.floats(allow_nan=False, allow_infinity=False, width=64)
 

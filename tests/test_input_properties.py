@@ -5,19 +5,25 @@ set to an edge value. Reading the damaged input may raise only the errors of
 its documented exit codes: DataError (ParseError included; exit 3) for trials
 and manifests, ConfigError (exit 2) for a config; for a run directory,
 StateError or ConfigError (exit 2) for a rejected config.txt or class count,
-and ParseError (exit 3) for undecodable or malformed text."""
+and ParseError (exit 3) for undecodable or malformed text. A valid trial,
+manifest or config, written by covdec's own writer, reads back exactly."""
 
 import dataclasses
 import shutil
 import struct
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from covdec.config import TrainConfig, config_from_dict, config_values, write_config
-from covdec.data import SynthSpec, load, load_trial, write_synth_dataset
+from covdec.config import (EPOCH_KEYS, RNN_AXES, RNN_ORDERS, TrainConfig, config_from_dict,
+                           config_values, write_config)
+from covdec.covariance import Trial
+from covdec.data import (Manifest, SynthSpec, load, load_manifest, load_trial, save_manifest,
+                         save_trial, write_synth_dataset)
 from covdec.errors import ConfigError, DataError, ParseError, StateError
 from covdec.report import load_artifacts, load_report_json, read_curves_csv, save_run
 from covdec.training import run_training
@@ -127,3 +133,75 @@ def test_a_damaged_run_file_raises_only_its_documented_errors(run_dir, name, dat
         read(damaged_run)
     except errors:
         pass
+
+
+# ---------------------------------------------------------------------------
+# valid inputs round-trip exactly
+# ---------------------------------------------------------------------------
+
+
+FLOAT32 = st.floats(allow_nan=False, allow_infinity=False, width=32)
+# one manifest value: no comment mark or line break, nothing for strip() to take
+TEXT = st.text(st.characters(blacklist_categories=("Cc", "Cs", "Zl", "Zp")), max_size=8).filter(
+    lambda s: "#" not in s and s == s.strip())
+CLASS_NAME = TEXT.filter(lambda s: s and "," not in s)
+SEGMENT = st.text("abcXYZ019_-.", min_size=1, max_size=6).filter(lambda s: s not in (".", ".."))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(),
+       shape=st.tuples(st.integers(2, 5), st.integers(2, 8)),
+       label=st.integers(0, 2**32 - 1), rate=FLOAT32)
+def test_a_saved_trial_loads_as_it_was(dataset, data, shape, label, rate):
+    samples = data.draw(hnp.arrays(np.float32, shape, elements=FLOAT32)).astype(np.float64)
+    path = dataset / "roundtrip.eegt"
+    save_trial(path, Trial(samples, label, trial_id="t"), sample_rate_hz=rate)
+    loaded, loaded_rate = load_trial(path, subject_id="S1")
+    assert loaded.data.tobytes() == samples.tobytes()
+    assert (loaded.label, loaded_rate, loaded.subject_id, loaded.trial_id) == (
+        label, rate, "S1", "roundtrip")
+
+
+@settings(max_examples=100, deadline=None)
+@given(task=TEXT, subject=TEXT,
+       classes=st.lists(CLASS_NAME, min_size=1, max_size=4, unique=True),
+       trials=st.lists(st.lists(SEGMENT, min_size=1, max_size=3), max_size=4))
+def test_a_saved_manifest_loads_as_it_was(dataset, task, subject, classes, trials):
+    path = dataset / "roundtrip.txt"
+    root = dataset.resolve()
+    manifest = Manifest(task, classes, subject, [root.joinpath(*parts) for parts in trials])
+    save_manifest(path, manifest)
+    assert load_manifest(path) == manifest
+
+
+@st.composite
+def train_configs(draw) -> TrainConfig:
+    """A valid TrainConfig, every field drawn."""
+    positive = st.integers(1, 300)
+    lr = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    config = TrainConfig(
+        seed=draw(st.integers(0, 2**64)), classes=draw(st.integers(2, 50)),
+        tau=draw(st.integers(0, 20)),
+        split_fraction=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        batch_size=draw(positive),
+        **{key: draw(lr) for key in ("lr_stage1", "lr_stage2", "lr_stage3")},
+        **{key: draw(st.integers(0, 500)) for key in EPOCH_KEYS},
+        patience=draw(st.none() | positive),
+        **{key: draw(positive) for key in (
+            "cnn_filters1", "cnn_kernel1", "cnn_filters2", "cnn_kernel2", "cnn_fc1",
+            "cnn_feature", "rnn_fc1", "rnn_fc2", "rnn_hidden1", "rnn_hidden2",
+            "dae_hidden", "head_hidden")},
+        rnn_order=draw(st.sampled_from(RNN_ORDERS)), rnn_axis=draw(st.sampled_from(RNN_AXES)),
+    )
+    config.dae_latent = draw(st.integers(1, config.feature_width - 1))
+    return config.validate()
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=train_configs())
+def test_a_written_config_reads_back_as_it_was(dataset, config):
+    path = dataset / "roundtrip-config.txt"
+    write_config(path, config)
+    values, lines = config_values(path.read_bytes(), path)
+    assert list(lines.values()) == list(range(1, len(values) + 1))
+    assert config_from_dict(values) == config

@@ -12,11 +12,12 @@ from covdec import params as ps
 from covdec.autodiff import Node
 from covdec.cli import main
 from covdec.errors import ConfigError, NumericError, ParseError
-from covdec.params import ParamStore, adam_step, require
+from covdec.params import ParamStore, adam_step
 from covdec.report import load_artifacts
 from covdec.errors import StateError
 
 from conftest import store_bytes
+from test_run_bytes import _stdout
 
 
 def make_store() -> ParamStore:
@@ -26,9 +27,10 @@ def make_store() -> ParamStore:
 def test_names_unique_and_ordered():
     store = make_store()
     assert store.names() == ["w", "b"]
-    for name in ("w::adam_m", ""):
-        with pytest.raises(ConfigError, match=f"invalid parameter name {name!r}"):
-            ParamStore({"w": np.zeros(1), name: np.zeros(1)})
+    with pytest.raises(ConfigError, match="invalid parameter name ''"):
+        ParamStore({"w": np.zeros(1), "": np.zeros(1)})
+    # no name is reserved: an older writer's moment name is a parameter name
+    assert ParamStore({"w": np.zeros(1), "w::adam_m": np.zeros(1)}).names() == ["w", "w::adam_m"]
 
 
 def test_views_are_bound_once_when_the_store_packs():
@@ -64,11 +66,12 @@ def test_snapshot_is_a_copy():
     assert np.array_equal(store["b"].value, [0.5, -0.5, 0.25])
 
 
-def test_require_names_stage_and_params():
+def test_lookup_of_an_absent_name_raises_state_error_naming_it():
     store = make_store()
-    require(store, ["w", "b"], "cnn")
-    with pytest.raises(StateError, match="stage 'cnn' missing parameter.*fc1.w"):
-        require(store, ["w", "fc1.w"], "cnn")
+    assert store["w"] is store["w"] and store["b"].value.shape == (3,)
+    with pytest.raises(StateError) as exc:
+        store["fc1.w"]
+    assert str(exc.value) == "missing parameter 'fc1.w'"
 
 
 def test_adam_zero_gradient_leaves_parameters_unchanged():
@@ -241,28 +244,67 @@ def test_save_writes_parameter_entries_only(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
-def test_load_accepts_and_drops_v1_moment_entries(tmp_path):
+def test_load_keeps_v1_moment_entries_as_extra_entries(tmp_path):
     store = make_store()
     w, b = store["w"].value, store["b"].value
-    moments = [
-        entry("w::adam_m", np.full((2, 3), 0.1)), entry("w::adam_v", np.full((2, 3), 0.2)),
-        entry("b::adam_m", np.full(3, 0.3)), entry("b::adam_v", np.full(3, 0.4)),
-    ]
+    moments = {
+        "w::adam_m": np.full((2, 3), 0.1), "w::adam_v": np.full((2, 3), 0.2),
+        "b::adam_m": np.full(3, 0.3), "b::adam_v": np.full(3, 0.4),
+    }
     path = tmp_path / "old.cvdp"
-    path.write_bytes(cvdp(entry("w", w), entry("b", b), *moments))
+    path.write_bytes(cvdp(entry("w", w), entry("b", b),
+                          *(entry(name, arr) for name, arr in moments.items())))
     loaded = ps.load(path)
-    assert loaded.names() == ["w", "b"]
-    assert store_bytes(loaded) == store_bytes(store)
+    assert loaded.names() == ["w", "b", *moments]
+    assert store_bytes(loaded) == {**store_bytes(store),
+                                   **{name: arr.tobytes() for name, arr in moments.items()}}
 
-    path.write_bytes(cvdp(entry("w", w), entry("b", b), *moments[:3]))
-    with pytest.raises(ParseError, match="unpaired"):
-        ps.load(path)
-    path.write_bytes(cvdp(entry("w", w), *moments))
-    with pytest.raises(ParseError, match="'b::adam_m' has no parameter"):
-        ps.load(path)
-    path.write_bytes(cvdp(entry("w", w), entry("w::adam_x", w)))
-    with pytest.raises(ParseError, match="unrecognized reserved entry"):
-        ps.load(path)
+    # pairing is not checked: an unpaired, orphaned or unknown moment name is
+    # an entry like any other
+    for extra in (("w::adam_m",), ("b::adam_m", "b::adam_v"), ("w::adam_x",)):
+        path.write_bytes(cvdp(entry("w", w), *(entry(name, w) for name in extra)))
+        assert ps.load(path).names() == ["w", *extra]
+
+
+@pytest.fixture(scope="module")
+def readme_run(tmp_path_factory):
+    """The README data set (seed 7) and a short run trained on it, made once
+    per module: (data directory, run directory)."""
+    root = tmp_path_factory.mktemp("readme")
+    data, run = root / "data", root / "run"
+    _stdout(["gen-synth", "--out", str(data), "--seed", "7"])
+    _stdout(["train", "--data", str(data / "manifest.txt"), "--out", str(run),
+             "--seed", "11", "--epochs", "2,2,2"])
+    return data, run
+
+
+def test_run_with_v1_moment_entries_decodes_byte_identically(readme_run, tmp_path):
+    # every stage file as the first writer laid it out: each parameter entry
+    # followed by its Adam moments, "<param>::adam_m" and "<param>::adam_v"
+    data, run = readme_run
+    old = tmp_path / "old"
+    shutil.copytree(run, old)
+    rng = np.random.default_rng(5)
+    for stage in ("cnn", "rnn", "dae", "head"):
+        path = old / f"{stage}.cvdp"
+        entries = []
+        for name, node in ps.load(path).items():
+            shape = node.value.shape
+            entries += [entry(name, node.value), entry(f"{name}::adam_m", rng.normal(size=shape)),
+                        entry(f"{name}::adam_v", rng.random(shape))]
+        path.write_bytes(cvdp(*entries))
+        names = entry_names(path.read_bytes())
+        assert len(names) == 3 * len(entry_names((run / path.name).read_bytes()))
+        assert names[1:3] == [f"{names[0]}::adam_m", f"{names[0]}::adam_v"]
+    # a loaded stage holds its layout's entries only
+    loaded, written = load_artifacts(old), load_artifacts(run)
+    for stage in ("cnn", "rnn", "dae", "head"):
+        assert getattr(loaded, stage).names() == getattr(written, stage).names()
+    trial = sorted((data / "trials").iterdir())[0]
+    for command in (["predict", "--trial", str(trial)],
+                    ["eval", "--data", str(data / "manifest.txt")]):
+        assert (_stdout([*command, "--weights", str(old)])
+                == _stdout([*command, "--weights", str(run)]))
 
 
 def test_load_rejects_invalid_utf8_name_with_offset(tmp_path):
@@ -330,7 +372,7 @@ def test_load_missing_file(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-# rank 0, 1, 2 and 3 entries, then a moment pair for "w"
+# rank 0, 1, 2 and 3 entries, then an older writer's moment pair for "w"
 LAYOUT_ENTRIES = (
     ("s", np.array(-1.5)),
     ("fc.b", np.array([0.5, -0.5, 0.25])),
@@ -370,8 +412,8 @@ def test_truncation_at_every_length_names_the_missing_field(tmp_path):
         ), length
     path.write_bytes(blob)
     loaded = ps.load(path)
-    assert loaded.names() == ["s", "fc.b", "w", "k"]
-    for name, arr in LAYOUT_ENTRIES[:4]:
+    assert loaded.names() == [name for name, _ in LAYOUT_ENTRIES]
+    for name, arr in LAYOUT_ENTRIES:
         assert loaded[name].value.shape == arr.shape
         assert loaded[name].value.tobytes() == arr.tobytes()
 
